@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import gmm, pk
-from .core import BATCH_VARIANTS, ConfigError, RunConfig, StepSchedule, VARIANTS
+from .core import VARIANTS, ConfigError, RunConfig, StepSchedule
 from .engine import Trajectory, run
 from .rng import derive_seed, named_stream
 
@@ -95,23 +95,26 @@ def resolve_gamma(spec: GammaSpec, n: int, variant: str) -> StepSchedule:
         return StepSchedule.constant(spec.c)
     warmup = spec.warmup
     if spec.warmup_in_epochs:
-        warmup *= 1 if variant in BATCH_VARIANTS else n
+        warmup *= 1 if VARIANTS[variant].proxy == "batch" else n
     return StepSchedule.polynomial(spec.a, c=spec.c, warmup_iters=int(round(warmup)))
 
 
 def resolve_rho(rho, n: int, variant: str) -> Optional[float]:
     """"auto" means n**(-2/3) for the variance-reduced variants, 1 otherwise."""
     if rho == "auto" or rho is None:
-        return float(n) ** (-2.0 / 3.0) if variant in ("vrTTEM", "fiTTEM") else 1.0
-    return float(rho)
+        return 1.0 if VARIANTS[variant].unit_rho else float(n) ** (-2.0 / 3.0)
+    try:
+        return float(rho)
+    except ValueError:
+        raise ConfigError(f"cannot parse rho {rho!r}") from None
 
 
 def epochs_to_iters(epochs: float, n: int, variant: str) -> int:
     """Iteration budget covering ``epochs``: one full pass per iteration for
     batch variants, n iterations per epoch for incremental ones."""
-    if epochs < 0:
-        raise ConfigError("epochs must be nonnegative")
-    return math.ceil(epochs) if variant in BATCH_VARIANTS else math.ceil(epochs * n)
+    if not 0 <= epochs < math.inf:
+        raise ConfigError(f"epochs must be nonnegative and finite, got {epochs}")
+    return math.ceil(epochs) if VARIANTS[variant].proxy == "batch" else math.ceil(epochs * n)
 
 
 @dataclass(frozen=True)
@@ -134,11 +137,14 @@ class AlgoSpec:
         if variant not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}")
         epoch_len = None
-        if variant == "vrTTEM":
-            epoch_len = n if self.epoch_len in ("auto", None) else int(self.epoch_len)
+        if VARIANTS[variant].proxy == "anchor":
+            try:
+                epoch_len = n if self.epoch_len in ("auto", None) else int(self.epoch_len)
+            except ValueError:
+                raise ConfigError(f"cannot parse epoch_len {self.epoch_len!r}") from None
         mc = self.mc_samples if self.mc_samples is not None else DEFAULT_MC_SAMPLES[model_kind]
         gamma = resolve_gamma(parse_gamma(self.gamma), n, variant)
-        if variant in ("EM", "iEM", "MCEM") and self.gamma == DEFAULT_GAMMA:
+        if VARIANTS[variant].unit_gamma and self.gamma == DEFAULT_GAMMA:
             gamma = StepSchedule.constant(1.0)  # default gamma is forced to 1
         return RunConfig(
             variant=variant,
@@ -170,6 +176,10 @@ class ExperimentSpec:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.replicates < 1 or self.n < 1:
             raise ConfigError("need at least one replicate and one sample")
+        if not 0 < self.epochs < math.inf:
+            raise ConfigError(f"epochs must be positive and finite, got {self.epochs}")
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
         if not self.algorithms:
             raise ConfigError("need at least one algorithm")
         names = [a.name() for a in self.algorithms]
@@ -286,7 +296,7 @@ def _metric_axis(variant: str, traj: Trajectory, n: int) -> np.ndarray:
     own epoch column stays cost-charged (anchor refreshes bill a full
     pass there, which the reduction identities rely on).
     """
-    if variant in BATCH_VARIANTS:
+    if VARIANTS[variant].proxy == "batch":
         return traj.iters.astype(np.float64)
     return traj.iters / float(n)
 
@@ -334,8 +344,8 @@ def _replicate_worker(spec: ExperimentSpec, r: int) -> dict:
     run_seed = derive_seed(spec.seed, "rep", r, 1)
     data, truth = _simulate_dataset(spec.model, spec.truth, spec.n, data_seed)
 
-    model_probe = _build_model(spec.model, data)
-    theta0 = _default_init(spec.model, model_probe, data)
+    model = _build_model(spec.model, data)
+    theta0 = _default_init(spec.model, model, data)
     if spec.model == "gmm":
         reference = gmm.fit_reference_em(data, init=theta0).mu
         data_hash = _sha256("\n".join(repr(float(y)) for y in data).encode())
@@ -346,13 +356,12 @@ def _replicate_worker(spec: ExperimentSpec, r: int) -> dict:
                 repr(float(v)) for ind in data for v in np.concatenate([ind.times, ind.obs])
             ).encode()
         )
-    theta0_hash = _sha256(np.ascontiguousarray(model_probe.flatten_params(theta0)).tobytes())
+    theta0_hash = _sha256(np.ascontiguousarray(model.flatten_params(theta0)).tobytes())
 
     grid = spec.grid()
     series: dict[str, dict[str, np.ndarray]] = {}
     for algo in spec.algorithms:
         config = algo.to_config(spec.n, spec.epochs, run_seed, spec.model)
-        model = _build_model(spec.model, data)  # fresh state (e.g. MH warm starts)
         traj = run(model, config, theta0=theta0)
         axis = _metric_axis(algo.variant, traj, spec.n)
         metrics = _metric_values(spec.model, traj, reference)

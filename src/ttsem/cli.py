@@ -1,7 +1,8 @@
 """Command-line interface: ``ttsem simulate | run | replicate``.
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure.  A JSON file given
-via --config overrides any flag of the same name.
+via --config overrides any flag of the same name; its values are checked and
+converted like the flag's text.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 import numpy as np
 
 from . import bench, gmm, pk
-from .core import ConfigError, SamplingError
+from .core import VARIANTS, ConfigError, SamplingError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,22 +52,35 @@ def _load_data(model: str, path):
     return pk.read_cohort(path)
 
 
-def _apply_config_file(args: argparse.Namespace) -> argparse.Namespace:
+def _apply_config_file(command: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.Namespace:
     if getattr(args, "config", None) is None:
         return args
     with open(args.config, "r", encoding="ascii") as fh:
         overrides = json.load(fh)
+    if not isinstance(overrides, dict):
+        raise ConfigError("config file must hold a JSON object")
+    actions = {a.dest: a for a in command._actions if a.dest != "help"}
     for key, value in overrides.items():
-        key = key.replace("-", "_")
-        if not hasattr(args, key):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise ConfigError(f"unknown config key {key!r}")
-        setattr(args, key, value)
+        if value is None:
+            raise ConfigError(f"config key {key!r}: null is not a value")
+        # convert the value's text exactly as the parser converts a flag's
+        try:
+            value = (action.type or str)(str(value))
+        except ValueError:
+            raise ConfigError(f"config key {key!r}: invalid value {value!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+        setattr(args, action.dest, value)
     return args
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ttsem", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     sim = sub.add_parser("simulate", help="write a synthetic dataset")
     sim.add_argument("--model", required=True, choices=["gmm", "pk"])
@@ -93,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--model", required=True, choices=["gmm", "pk"])
     rep.add_argument("--n", type=int, required=True)
     rep.add_argument("--replicates", type=int, default=10)
-    rep.add_argument("--algos", default="SAEM,iSAEM,vrTTEM,fiTTEM",
+    # default: every stochastic-approximation variant (gamma not forced to 1)
+    rep.add_argument("--algos", default=",".join(v for v, f in VARIANTS.items() if not f.unit_gamma),
                      help="comma-separated variant names")
     rep.add_argument("--gamma", default=bench.DEFAULT_GAMMA)
     rep.add_argument("--rho", default="auto")
@@ -116,7 +131,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        args = _apply_config_file(args)
+        args = _apply_config_file(parser.commands[args.command], args)
         if args.command == "simulate":
             digest = bench.cmd_simulate(
                 args.model, _load_truth(args.model, args.theta), args.n, args.seed, args.out

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -22,10 +22,8 @@ __all__ = [
     "PerSampleStatTable",
     "RunConfig",
     "ModelSpec",
+    "Variant",
     "VARIANTS",
-    "BATCH_VARIANTS",
-    "TABLE_VARIANTS",
-    "EXACT_VARIANTS",
 ]
 
 
@@ -151,12 +149,25 @@ class PerSampleStatTable:
 # Run configuration
 # ---------------------------------------------------------------------------
 
-VARIANTS = ("EM", "iEM", "MCEM", "SAEM", "iSAEM", "vrTTEM", "fiTTEM")
-BATCH_VARIANTS = frozenset({"EM", "MCEM", "SAEM"})
-TABLE_VARIANTS = frozenset({"iEM", "iSAEM", "fiTTEM"})
-EXACT_VARIANTS = frozenset({"EM", "iEM"})
-# Variants whose Inc-step stepsize is forced to 1.
-_UNIT_RHO_VARIANTS = frozenset({"EM", "iEM", "MCEM", "SAEM", "iSAEM"})
+
+class Variant(NamedTuple):
+    """What the engine and the harness need to know about one variant."""
+
+    proxy: str        # "batch" | "table" | "anchor" | "two_stream" (see engine)
+    exact: bool       # exact posterior expectation instead of Monte Carlo
+    unit_gamma: bool  # SA-step stepsize forced to 1
+    unit_rho: bool    # Inc-step stepsize forced to 1
+
+
+VARIANTS = {
+    "EM": Variant("batch", exact=True, unit_gamma=True, unit_rho=True),
+    "iEM": Variant("table", exact=True, unit_gamma=True, unit_rho=True),
+    "MCEM": Variant("batch", exact=False, unit_gamma=True, unit_rho=True),
+    "SAEM": Variant("batch", exact=False, unit_gamma=False, unit_rho=True),
+    "iSAEM": Variant("table", exact=False, unit_gamma=False, unit_rho=True),
+    "vrTTEM": Variant("anchor", exact=False, unit_gamma=False, unit_rho=False),
+    "fiTTEM": Variant("two_stream", exact=False, unit_gamma=False, unit_rho=False),
+}
 
 
 @dataclass(frozen=True)
@@ -179,7 +190,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+            raise ConfigError(f"unknown variant {self.variant!r}; expected one of {tuple(VARIANTS)}")
         if self.total_iters < 0:
             raise ConfigError("total_iters must be nonnegative")
         if self.mc_samples < 1:
@@ -187,8 +198,8 @@ class RunConfig:
         if self.seed < 0 or self.seed > 2**64 - 1:
             raise ConfigError("seed must fit in 64 unsigned bits")
 
-        # gamma: EM / iEM / MCEM run with gamma identically 1.
-        if self.variant in ("EM", "iEM", "MCEM"):
+        spec = VARIANTS[self.variant]
+        if spec.unit_gamma:
             if self.gamma is None:
                 object.__setattr__(self, "gamma", StepSchedule.constant(1.0))
             elif not self.gamma.is_unit:
@@ -196,8 +207,7 @@ class RunConfig:
         elif self.gamma is None:
             raise ConfigError(f"{self.variant} requires an explicit gamma schedule")
 
-        # rho: only the two-timescale variants may pick rho < 1.
-        if self.variant in _UNIT_RHO_VARIANTS:
+        if spec.unit_rho:
             if self.rho is None:
                 object.__setattr__(self, "rho", 1.0)
             elif self.rho != 1.0:
@@ -208,20 +218,12 @@ class RunConfig:
             if not (0.0 < self.rho <= 1.0):
                 raise ConfigError(f"rho must be in (0, 1], got {self.rho}")
 
-        # epoch length applies to vrTTEM only.
-        if self.variant == "vrTTEM":
+        # the epoch length sets when the anchor is refreshed
+        if spec.proxy == "anchor":
             if self.epoch_len is None or self.epoch_len < 1:
-                raise ConfigError("vrTTEM requires epoch_len >= 1")
+                raise ConfigError(f"{self.variant} requires epoch_len >= 1")
         elif self.epoch_len is not None:
             raise ConfigError(f"epoch_len is meaningful only for vrTTEM, not {self.variant}")
-
-    @property
-    def is_batch(self) -> bool:
-        return self.variant in BATCH_VARIANTS
-
-    @property
-    def is_exact(self) -> bool:
-        return self.variant in EXACT_VARIANTS
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +264,20 @@ class ModelSpec(ABC):
         """Inverse of flatten_params."""
 
     @abstractmethod
-    def sample_posterior(self, i: int, theta, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw latent samples for sample i from p(z_i | y_i; theta).
+    def mc_stat(
+        self, i: int, theta, n_samples: int, rng: np.random.Generator, chains: Optional[dict] = None
+    ) -> np.ndarray:
+        """Monte Carlo E-step: estimate of E[S(z_i, y_i) | y_i; theta].
 
-        Returns an array whose first axis indexes draws.  Models backed by
-        an MCMC kernel may return a single retained draw after ``n_samples``
-        transitions; the Monte Carlo E-step averages whatever comes back.
+        Draws from p(z_i | y_i; theta) on ``rng`` only.  An exact sampler
+        averages the statistic over ``n_samples`` draws; an MCMC-backed
+        model may instead run ``n_samples`` transitions and return the
+        statistic of the final state.  ``chains`` is owned by the caller
+        (the engine keeps one per posterior stream and run): such a model
+        starts sample i's chain from ``chains[i]`` when present and stores
+        the final state there.  ``None`` means a cold start that keeps
+        nothing.
         """
-
-    @abstractmethod
-    def suff_stat(self, i: int, z) -> np.ndarray:
-        """Sufficient-statistic vector for sample i at latent value z."""
 
     def exact_expectation(self, i: int, theta) -> Optional[np.ndarray]:
         """Exact posterior expectation of the statistics, or None."""

@@ -10,12 +10,12 @@ One run alternates, for K_f iterations:
   6. the projection     s_hat <- model.project(s_hat)  onto the statistic set,
   7. the model M-step and a trajectory record.
 
-Variants:
+Proxy kinds (``core.VARIANTS`` maps each variant to one):
 
-  EM / MCEM / SAEM   full-batch proxy (exact for EM), rho = 1
-  iEM / iSAEM        per-sample table, replace-one running-mean proxy, rho = 1
-  vrTTEM             epoch anchor refreshed every epoch_len iterations
-  fiTTEM             table read by the i-stream, written only by the j-stream
+  batch        EM / MCEM / SAEM: full pass per iteration (exact for EM)
+  table        iEM / iSAEM: per-sample table, replace-one running mean
+  anchor       vrTTEM: epoch anchor refreshed every epoch_len iterations
+  two_stream   fiTTEM: table read by the i-stream, written only by the j-stream
 
 With rho = 1 the Inc-step returns the proxy verbatim, so the recorded
 timescale gap ||stt - proxy||^2 is exactly zero; the whole family then
@@ -34,7 +34,11 @@ the set, so runs that stay inside it are unchanged bit for bit.
 
 Randomness: index draws, per-sample posterior draws, and the termination
 draw all live on separate named streams of the run seed, so e.g. the
-Monte Carlo sample count never perturbs the index sequence.
+Monte Carlo sample count never perturbs the index sequence.  MCMC chain
+states are part of the run's iterate (as in MCMC-SAEM, Kuhn & Lavielle
+2004): the engine keeps one chain dict per posterior-stream role, starts
+each run with empty ones and hands them to the model, so ``run`` is a pure
+function of (model data, config, theta0).
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (
-    BATCH_VARIANTS,
+    VARIANTS,
     ConfigError,
     ModelSpec,
     PerSampleStatTable,
@@ -76,25 +80,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def mc_step(model: ModelSpec, i: int, theta, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Monte Carlo E-step for one sample: average statistic over draws.
+def mc_step(model: ModelSpec, i: int, theta, n_samples: int, rng: np.random.Generator,
+            chains: Optional[dict] = None) -> np.ndarray:
+    """Monte Carlo E-step for one sample: the model's ``mc_stat``.
 
-    Delegates the draws to the model and averages however many come back
-    (MCMC-backed models may return a single retained draw after
-    ``n_samples`` transitions).  A model may provide a vectorized
-    ``mc_stat`` shortcut computing the same average directly; it must
-    consume the generator exactly like ``sample_posterior`` does.
+    ``chains`` is the caller's chain-state dict for this posterior stream;
+    None starts any MCMC chain cold and keeps nothing.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    fast = getattr(model, "mc_stat", None)
-    if fast is not None:
-        return fast(i, theta, n_samples, rng)
-    draws = model.sample_posterior(i, theta, n_samples, rng)
-    if len(draws) == 1:
-        return model.suff_stat(i, draws[0])
-    rows = np.stack([model.suff_stat(i, z) for z in draws])
-    return rows.mean(axis=0)
+    return model.mc_stat(i, theta, n_samples, rng, chains)
 
 
 def sa_step(s_hat: np.ndarray, stt: np.ndarray, gamma: float) -> np.ndarray:
@@ -167,8 +162,34 @@ def proxy_fi(
 
 
 # ---------------------------------------------------------------------------
-# Randomized termination
+# Per-sample E-steps and full passes
 # ---------------------------------------------------------------------------
+
+
+def _estep(model: ModelSpec, i: int, theta, n_samples: int, rngs, chains, iteration: int) -> np.ndarray:
+    """One E-step for sample i, exact when ``rngs`` is None, else Monte Carlo
+    on ``rngs[i]`` and ``chains``; failures raise SamplingError carrying i and
+    the iteration (-1 is the initialization pass)."""
+    if rngs is None:
+        s = model.exact_expectation(i, theta)
+    else:
+        try:
+            s = mc_step(model, i, theta, n_samples, rngs[i], chains)
+        except (SamplingError, ConfigError):
+            raise
+        except Exception as exc:
+            raise SamplingError(f"posterior sampling failed: {exc}", i, iteration) from exc
+    if not np.all(np.isfinite(s)):
+        raise SamplingError("non-finite statistic", i, iteration)
+    return s
+
+
+def _full_pass(model: ModelSpec, theta, n_samples: int, rngs, chains, iteration: int) -> np.ndarray:
+    """E-step rows for every sample, in index order."""
+    rows = np.empty((model.n, model.stat_dim()))
+    for i in range(model.n):
+        rows[i] = _estep(model, i, theta, n_samples, rngs, chains, iteration)
+    return rows
 
 
 def epoch_refresh(
@@ -177,6 +198,7 @@ def epoch_refresh(
     n_samples: int,
     rngs: list,
     iteration: int = 0,
+    chains: Optional[dict] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full-pass anchor refresh at an epoch start.
 
@@ -186,17 +208,13 @@ def epoch_refresh(
     rho = 1 the subsequent Inc-step pins stt to that anchor exactly, which
     collapses the epoch-length-1 case onto the full-batch algorithm.
     """
-    entries = np.empty((model.n, model.stat_dim()))
-    for i in range(model.n):
-        try:
-            entries[i] = mc_step(model, i, theta, n_samples, rngs[i])
-        except SamplingError:
-            raise
-        except Exception as exc:
-            raise SamplingError(f"posterior sampling failed: {exc}", i, iteration) from exc
-        if not np.all(np.isfinite(entries[i])):
-            raise SamplingError("non-finite statistic", i, iteration)
+    entries = _full_pass(model, theta, n_samples, rngs, chains, iteration)
     return entries.mean(axis=0), entries
+
+
+# ---------------------------------------------------------------------------
+# Randomized termination
+# ---------------------------------------------------------------------------
 
 
 def draw_termination(gammas, rng: np.random.Generator) -> int:
@@ -224,6 +242,12 @@ class Trajectory:
     iteration).  ``delta_s_sq`` is the squared timescale gap
     ||stt - proxy||^2 of that iteration, identically zero whenever rho = 1.
     Wall-clock stamps are diagnostics only and never serialized.
+
+    ``terminal_iter`` is the reported record.  Randomized termination draws
+    it from 0..K_f-1 with P(k) proportional to gamma_k; the deterministic
+    choice is K_f-1, the last index of that support.  Either way the
+    parameters after the final update, ``thetas[K_f]``, are recorded but
+    not reported (a run of zero iterations reports ``thetas[0]``).
     """
 
     iters: np.ndarray          # (R,) int64 record indices 0..K_f
@@ -302,17 +326,6 @@ class EngineState:
     k: int = 0
 
 
-def _epoch_cost(variant: str, n: int, iters_done: int, refreshes: int, extra_draws: int) -> float:
-    """Cost in epochs after ``iters_done`` loop iterations: one full pass
-    per iteration for batch variants, n charged index draws otherwise, plus
-    one whole epoch per anchor refresh.  The initialization pass is not
-    charged, a refresh iteration reuses its freshly drawn entry, and
-    fiTTEM's secondary draw rides along with its iteration."""
-    if variant in BATCH_VARIANTS:
-        return float(iters_done)
-    return (extra_draws / n) + float(refreshes)
-
-
 def run(
     model: ModelSpec,
     config: RunConfig,
@@ -331,7 +344,8 @@ def run(
     if n == 0:
         raise ConfigError("model has no data")
     variant = config.variant
-    exact = config.is_exact
+    kind = VARIANTS[variant].proxy
+    exact = VARIANTS[variant].exact
     if theta0 is None:
         default = getattr(model, "default_init", None)
         if default is None:
@@ -346,40 +360,28 @@ def run(
     k_f = config.total_iters
 
     idx_rng = named_stream(seed, "index_i")
-    jdx_rng = named_stream(seed, "index_j") if variant == "fiTTEM" else None
-    # one persistent posterior stream per sample; fiTTEM's j-draws get their
-    # own so that i_k = j_k still yields independent draws
-    mc_rngs = None if exact else [named_stream(seed, "mc", i) for i in range(n)]
-    jmc_rngs = [named_stream(seed, "mc_j", i) for i in range(n)] if variant == "fiTTEM" else None
+    jdx_rng = named_stream(seed, "index_j") if kind == "two_stream" else None
+    # Posterior-stream roles: "mc" serves the initialization pass, the
+    # i-stream, batch passes and anchor refreshes; fiTTEM's j-draws get their
+    # own so that i_k = j_k still yields independent draws.  Each role has
+    # one persistent stream per sample and its own fresh MCMC chain states.
+    roles = ("mc", "mc_j") if kind == "two_stream" else ("mc",)
+    rngs = {r: None if exact else [named_stream(seed, r, i) for i in range(n)] for r in roles}
+    chains = {r: {} for r in roles}
+    mc = config.mc_samples
 
-    def estep(i: int, theta, iteration: int, rngs=None) -> np.ndarray:
-        """One E-step for sample i (iteration -1 is the initialization pass)."""
-        if exact:
-            s = model.exact_expectation(i, theta)
-        else:
-            try:
-                s = mc_step(model, i, theta, config.mc_samples, (rngs or mc_rngs)[i])
-            except (SamplingError, ConfigError):
-                raise
-            except Exception as exc:
-                raise SamplingError(f"posterior sampling failed: {exc}", i, iteration) from exc
-        if not np.all(np.isfinite(s)):
-            raise SamplingError("non-finite statistic", i, iteration)
-        return s
+    def estep(i: int, theta, iteration: int, role: str = "mc") -> np.ndarray:
+        return _estep(model, i, theta, mc, rngs[role], chains[role], iteration)
 
     # Initialization pass: per-sample statistics under theta0.
-    init_rows = np.empty((n, model.stat_dim()))
-    for i in range(n):
-        init_rows[i] = estep(i, theta0, -1)
+    init_rows = _full_pass(model, theta0, mc, rngs["mc"], chains["mc"], -1)
 
-    table = PerSampleStatTable(init_rows) if variant in ("iEM", "iSAEM", "fiTTEM") else None
+    table = PerSampleStatTable(init_rows) if kind in ("table", "two_stream") else None
     stt = init_rows.mean(axis=0)
     s_hat = model.project(stt.copy())
     theta = model.m_step(s_hat)
 
-    anchor_stt: Optional[np.ndarray] = None
-    anchor_entries: Optional[np.ndarray] = None
-
+    anchor_stt = anchor_entries = None
     records = k_f + 1
     p = len(model.param_names())
     traj = Trajectory(
@@ -395,41 +397,41 @@ def run(
     traj.thetas[0] = model.flatten_params(theta)
     traj.wall_ns[0] = time.perf_counter_ns()
 
+    # Cost in epochs: one per iteration for batch variants, else one per n
+    # charged draws plus one per anchor refresh.  The initialization pass is
+    # not charged, a refresh iteration reuses its freshly drawn entry, and
+    # fiTTEM's j-draw rides along with its iteration.
     refreshes = 0
     extra_draws = 0
     state = EngineState(theta, s_hat, stt, table, anchor_stt, anchor_entries)
 
     for k in range(k_f):
-        if variant in BATCH_VARIANTS:
-            rows = np.empty_like(init_rows)
-            for i in range(n):
-                rows[i] = estep(i, theta, k)
-            proxy = rows.mean(axis=0)
-        elif variant in ("iEM", "iSAEM"):
+        if kind == "batch":
+            proxy = _full_pass(model, theta, mc, rngs["mc"], chains["mc"], k).mean(axis=0)
+        elif kind == "table":
             i_k = int(idx_rng.integers(n))
             s_new = estep(i_k, theta, k)
             proxy = proxy_isaem(table, i_k, s_new, iteration=k)
             extra_draws += 1
-        elif variant == "vrTTEM":
-            if k % m_epoch == 0:
-                anchor_stt, anchor_entries = epoch_refresh(
-                    model, theta, config.mc_samples, mc_rngs, iteration=k
-                )
-                refreshes += 1
+        elif kind == "anchor":
             i_k = int(idx_rng.integers(n))
             if k % m_epoch == 0:
+                anchor_stt, anchor_entries = epoch_refresh(
+                    model, theta, mc, rngs["mc"], iteration=k, chains=chains["mc"]
+                )
+                refreshes += 1
                 s_new = anchor_entries[i_k]  # refreshed this very iteration
             else:
                 s_new = estep(i_k, theta, k)
                 extra_draws += 1
             proxy = proxy_vr(anchor_stt, anchor_entries[i_k], s_new)
-        else:  # fiTTEM
+        else:  # two_stream
             i_k = int(idx_rng.integers(n))
             j_k = int(jdx_rng.integers(n))
             s_new_i = estep(i_k, theta, k)
-            s_new_j = estep(j_k, theta, k, rngs=jmc_rngs)
+            s_new_j = estep(j_k, theta, k, role="mc_j")
             proxy = proxy_fi(table, i_k, j_k, s_new_i, s_new_j, iteration=k)
-            extra_draws += 1  # epoch cost counts iterations; the j-draw rides along
+            extra_draws += 1
 
         stt = inc_step(stt, proxy, rho)
         delta = gap_delta_s(stt, proxy)
@@ -441,7 +443,7 @@ def run(
         theta = model.m_step(s_hat)
 
         r = k + 1
-        traj.epochs[r] = _epoch_cost(variant, n, r, refreshes, extra_draws)
+        traj.epochs[r] = float(r) if kind == "batch" else extra_draws / n + float(refreshes)
         traj.thetas[r] = model.flatten_params(theta)
         traj.delta_s_sq[r] = delta
         traj.wall_ns[r] = time.perf_counter_ns()
@@ -452,11 +454,9 @@ def run(
             state.k = k
             trace(k, state)
 
-    if k_f == 0:
-        traj.terminal_iter = 0
-    elif config.randomized_termination:
+    if config.randomized_termination and k_f > 0:
         weights = [config.gamma.eval(k) for k in range(k_f)]
         traj.terminal_iter = draw_termination(weights, named_stream(seed, "term"))
     else:
-        traj.terminal_iter = k_f - 1
+        traj.terminal_iter = max(k_f - 1, 0)
     return traj

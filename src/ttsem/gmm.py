@@ -14,8 +14,10 @@ symmetric Dirichlet barrier on the weights,
 with the implied last weight included in the barrier sum, which keeps the
 closed-form M-step interior and unique for delta, epsilon > 0.
 
-All posterior computations run in log space through logsumexp; raw
-exponentials of unnormalized terms are never taken.
+Posterior masses are exponentials of log joints shifted by their maximum,
+so no raw exponential of an unnormalized term is ever taken.  One scalar
+kernel serves single-index E-steps and one vectorized kernel serves
+whole-dataset passes.
 """
 
 from __future__ import annotations
@@ -26,15 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModelSpec
-from .samplers import categorical_sample, logsumexp
+from .samplers import categorical_sample
 
 __all__ = [
     "GmmParams",
     "GmmRegularizer",
     "GmmModel",
-    "posterior_weights",
-    "exact_stat",
-    "suff_stat",
     "m_step",
     "penalized_nll",
     "simulate",
@@ -87,35 +86,6 @@ class GmmRegularizer:
             raise ValueError("delta and epsilon must be strictly positive")
 
 
-def posterior_weights(y: float, params: GmmParams) -> np.ndarray:
-    """Posterior component probabilities for one observation.
-
-    Softmax over m of log(omega_m) - (y - mu_m)^2 / 2, normalized in log
-    space; the output sums to 1 within 1e-12.
-    """
-    w = params.full_weights()
-    logits = np.log(w) - 0.5 * (y - params.mu) ** 2
-    return np.exp(logits - logsumexp(logits))
-
-
-def exact_stat(y: float, params: GmmParams) -> np.ndarray:
-    """Exact posterior expectation of the statistic vector for observation y."""
-    wt = posterior_weights(y, params)[:-1]
-    return np.concatenate([wt, wt * y, [y]])
-
-
-def suff_stat(y: float, z: int, n_components: int) -> np.ndarray:
-    """Statistic vector for observation y with component label z in 1..M."""
-    if not (1 <= z <= n_components):
-        raise ValueError(f"component label {z} out of range 1..{n_components}")
-    s = np.zeros(2 * n_components - 1)
-    if z < n_components:
-        s[z - 1] = 1.0
-        s[n_components - 1 + z - 1] = y
-    s[-1] = y
-    return s
-
-
 def m_step(s: np.ndarray, delta: float, epsilon: float, n_components: int) -> GmmParams:
     """Closed-form regularized M-step.
 
@@ -153,13 +123,20 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return x
 
 
+def _shifted_joint(data: np.ndarray, params: GmmParams) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized posterior masses exp(logits - shift) of every observation
+    and the (n, 1) row maxima ``shift``, where logits = log(omega_m) -
+    (y - mu_m)^2 / 2 is the log joint up to the constant -log(2 pi)/2."""
+    logits = np.log(params.full_weights())[None, :] - 0.5 * (data[:, None] - params.mu[None, :]) ** 2
+    shift = logits.max(axis=1, keepdims=True)
+    return np.exp(logits - shift), shift
+
+
 def penalized_nll(data: np.ndarray, params: GmmParams, reg: GmmRegularizer) -> float:
     """Average negative marginal log-likelihood plus the regularizer."""
     w = params.full_weights()
-    # (n, M) log joint of component and observation
-    logits = np.log(w)[None, :] - 0.5 * (data[:, None] - params.mu[None, :]) ** 2
-    shift = logits.max(axis=1, keepdims=True)
-    log_marg = shift[:, 0] + np.log(np.exp(logits - shift).sum(axis=1)) - 0.5 * _LOG_2PI
+    p, shift = _shifted_joint(data, params)
+    log_marg = shift[:, 0] + np.log(p.sum(axis=1)) - 0.5 * _LOG_2PI
     pen = 0.5 * reg.delta * np.sum(params.mu**2) - reg.epsilon * np.sum(np.log(w))
     return float(-np.mean(log_marg) + pen)
 
@@ -206,16 +183,11 @@ class GmmModel(ModelSpec):
         m = self.n_components
         return GmmParams(omega=vec[: m - 1], mu=vec[m - 1 :])
 
-    def sample_posterior(self, i, theta, n_samples, rng):
-        wt = posterior_weights(self.data[i], theta)
-        labels = categorical_sample(wt, rng, size=n_samples)
-        return labels + 1  # component labels are 1-based
-
-    def mc_stat(self, i, theta, n_samples, rng):
-        # tight Monte Carlo E-step; consumes the generator exactly like
-        # sample_posterior (one uniform per draw).  Scalar arithmetic: this
-        # runs millions of times per benchmark and numpy overhead dominates
-        # at mixture sizes of 2 or 3.
+    def mc_stat(self, i, theta, n_samples, rng, chains=None):
+        # n_samples exact posterior label draws by inverse CDF, one uniform
+        # each, averaged into the statistic; exact draws keep no chain
+        # state.  Scalar arithmetic: this runs millions of times per
+        # benchmark and numpy overhead dominates at mixture sizes of 2 or 3.
         y = float(self.data[i])
         probs, total = self._posterior_unnorm(y, theta)
         m = self.n_components
@@ -231,16 +203,14 @@ class GmmModel(ModelSpec):
 
     @staticmethod
     def _posterior_unnorm(y: float, theta: GmmParams):
-        # unnormalized posterior masses via max-shift, in plain floats
+        # one observation's masses as _shifted_joint computes them, in
+        # plain floats
         mu = theta.mu
         w = theta.full_weights()
         logits = [math.log(w[j]) - 0.5 * (y - mu[j]) ** 2 for j in range(len(mu))]
         shift = max(logits)
         probs = [math.exp(v - shift) for v in logits]
         return probs, math.fsum(probs)
-
-    def suff_stat(self, i, z):
-        return suff_stat(self.data[i], int(z), self.n_components)
 
     def exact_expectation(self, i, theta):
         y = float(self.data[i])
@@ -287,10 +257,7 @@ class GmmModel(ModelSpec):
 
     def exact_batch_stat(self, theta: GmmParams) -> np.ndarray:
         """Mean of exact_expectation over the whole dataset, vectorized."""
-        w = theta.full_weights()
-        logits = np.log(w)[None, :] - 0.5 * (self.data[:, None] - theta.mu[None, :]) ** 2
-        shift = logits.max(axis=1, keepdims=True)
-        p = np.exp(logits - shift)
+        p, _ = _shifted_joint(self.data, theta)
         p /= p.sum(axis=1, keepdims=True)
         wt = p[:, :-1]
         return np.concatenate(

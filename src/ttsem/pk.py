@@ -270,9 +270,11 @@ class PkModel(ModelSpec):
     """PK model bound to a cohort; posterior draws via random-walk MH.
 
     One E-step for patient i runs ``n_samples`` MH transitions on the
-    log-latent vector, warm-started from the patient's previously retained
-    state, and returns the final state as a single draw.  Proposal scales
-    follow the current population spread (0.4 per-coordinate prior sd).
+    log-latent vector and returns the statistic of the final state.  The
+    chain is warm-started from the state the caller's ``chains`` dict holds
+    for i, else from the population mean.  Proposal scales follow the
+    current population spread (0.4 per-coordinate prior sd).  The model
+    keeps no state between calls.
     """
 
     PROPOSAL_FACTOR = 0.4
@@ -283,7 +285,6 @@ class PkModel(ModelSpec):
             raise ValueError("cohort must be nonempty")
         self.individuals = list(individuals)
         self.diagonal_omega = diagonal_omega
-        self._warm: dict[int, np.ndarray] = {}
 
     @property
     def n(self) -> int:
@@ -308,13 +309,11 @@ class PkModel(ModelSpec):
             sigma2=float(vec[-1]),
         )
 
-    def reset_chains(self) -> None:
-        """Drop all warm-start states (fresh chains on next use)."""
-        self._warm.clear()
-
-    def sample_posterior(self, i, theta: PkParams, n_samples, rng):
+    def sample_posterior(self, i, theta: PkParams, n_samples, rng, chains=None) -> np.ndarray:
+        """Final log-latent state of ``n_samples`` MH transitions for patient
+        i, started from ``chains[i]`` when present and stored back there."""
         indiv = self.individuals[i]
-        init = self._warm.get(i)
+        init = chains.get(i) if chains is not None else None
         if init is None:
             init = theta.log_pop.copy()
         scales = np.maximum(
@@ -322,11 +321,12 @@ class PkModel(ModelSpec):
         )
         config = MhConfig(chain_len=int(n_samples), proposal_scales=scales, init=init)
         final = mh_chain(lambda z: log_posterior(indiv, z, theta), config, rng)
-        self._warm[i] = final
-        return final[None, :]
+        if chains is not None:
+            chains[i] = final
+        return final
 
-    def suff_stat(self, i, z):
-        return suff_stat(self.individuals[i], z)
+    def mc_stat(self, i, theta, n_samples, rng, chains=None):
+        return suff_stat(self.individuals[i], self.sample_posterior(i, theta, n_samples, rng, chains))
 
     def m_step(self, s):
         return m_step(s, diagonal=self.diagonal_omega)

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines and timings.  The two experiment-scale criteria (7 and 8) run full
-replicate studies and dominate the wall time.
+lines and timings.  Criteria 7 and 8, the experiment-scale replicate studies
+of the paper's headline comparison, are not implemented yet; the numbering
+keeps their slots.
 """
 
 import io

@@ -250,3 +250,34 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "exp.csv").exists() and (tmp_path / "exp.json").exists()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, config, code", [
+        (["simulate"], {"n": "9"}, 0),  # config text converted like a flag's
+        (["simulate"], {"n": "abc"}, 1),
+        (["simulate"], {"n": 2.5}, 1),
+        (["simulate"], {"n": None}, 1),
+        (["simulate"], {"model": "nope"}, 1),
+        (["run", "--algo", "iSAEM"], {"epochs": "2"}, 0),
+        (["run", "--algo", "iSAEM"], {"epochs": "two"}, 1),
+        (["run", "--algo", "fiTTEM", "--rho", "abc"], None, 1),
+        (["run", "--algo", "vrTTEM", "--epoch-len", "x"], None, 1),
+        (["replicate", "--epochs", "0"], None, 1),
+        (["replicate"], {"epochs": 0}, 1),
+        (["replicate", "--jobs", "-3"], None, 1),
+    ])
+    def test_bad_values_are_usage_errors(self, tmp_path, capsys, argv, config, code):
+        data = tmp_path / "d.txt"
+        gmm.write_dataset(data, np.linspace(-1.0, 1.0, 20))
+        base = {
+            "simulate": ["--model", "gmm", "--n", "5", "--out", str(tmp_path / "s.txt")],
+            "run": ["--model", "gmm", "--data", str(data), "--epochs", "0.5",
+                    "--mc-samples", "1", "--out", str(tmp_path / "t.csv")],
+            "replicate": ["--model", "gmm", "--n", "20", "--replicates", "1", "--algos", "SAEM",
+                          "--epochs", "1", "--mc-samples", "1", "--out", str(tmp_path / "r")],
+        }[argv[0]]
+        if config is not None:
+            (tmp_path / "c.json").write_text(json.dumps(config))
+            base += ["--config", str(tmp_path / "c.json")]
+        assert cli.main(argv[:1] + base + argv[1:]) == code  # later flags win
+        err = capsys.readouterr().err
+        assert ("ttsem: error:" in err) == (code == 1)

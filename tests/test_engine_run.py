@@ -336,14 +336,11 @@ class _NoExactModel(ModelSpec):
     def default_init(self):
         return 0.0
 
-    def sample_posterior(self, i, theta, n_samples, rng):
+    def mc_stat(self, i, theta, n_samples, rng, chains=None):
         self.calls += 1
         if self.fail_at is not None and self.calls >= self.fail_at:
             raise ValueError("target blew up")
-        return rng.standard_normal(n_samples)
-
-    def suff_stat(self, i, z):
-        return np.array([float(z)])
+        return np.array([rng.standard_normal(n_samples).mean()])
 
     def m_step(self, s):
         return float(s[0])

@@ -160,9 +160,7 @@ class TestMcStep:
         s = mc_step(model, i, theta, m, named_stream(19, "test"))
         exact = model.exact_expectation(i, theta)
         # per-coordinate standard errors from the exact posterior
-        from ttsem.gmm import posterior_weights
-
-        p = posterior_weights(model.data[i], theta)[0]
+        p = exact[0]
         se_ind = np.sqrt(p * (1 - p) / m)
         y = abs(model.data[i])
         ses = np.array([se_ind, se_ind * y, 0.0])

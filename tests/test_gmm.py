@@ -26,55 +26,68 @@ class TestParams:
             GmmRegularizer(epsilon=-1.0)
 
 
+def _exact(y, params):
+    """exact_expectation for a single observation y."""
+    return GmmModel(np.array([y]), params.n_components).exact_expectation(0, params)
+
+
 class TestPosteriorWeights:
+    """Posterior component probabilities: the s1 block of exact_expectation."""
+
     def test_equal_means_return_priors(self):
         p = GmmParams(omega=[0.3], mu=[1.5, 1.5])
-        np.testing.assert_allclose(gmm.posterior_weights(2.0, p), [0.3, 0.7], atol=1e-15)
+        assert abs(_exact(2.0, p)[0] - 0.3) <= 1e-15
 
     def test_symmetric_case(self):
         p = GmmParams(omega=[0.5], mu=[0.5, -0.5])
-        np.testing.assert_allclose(gmm.posterior_weights(0.0, p), [0.5, 0.5], atol=1e-15)
+        assert abs(_exact(0.0, p)[0] - 0.5) <= 1e-15
 
     def test_hand_value(self):
         # exponents 0 and -0.5: w1 = 1 / (1 + exp(-1/2))
         p = GmmParams(omega=[0.5], mu=[0.0, 1.0])
-        w = gmm.posterior_weights(0.0, p)
-        assert abs(w[0] - 1.0 / (1.0 + np.exp(-0.5))) < 1e-14
+        assert abs(_exact(0.0, p)[0] - 1.0 / (1.0 + np.exp(-0.5))) < 1e-14
 
     def test_sums_to_one_even_for_extreme_observations(self):
         p = GmmParams(omega=[0.25, 0.25, 0.25], mu=[-1.0, 0.0, 1.0, 2.0])
         for y in (-40.0, -3.2, 0.0, 55.0):
-            w = gmm.posterior_weights(y, p)
-            assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
-            assert abs(w.sum() - 1.0) < 1e-12
+            w = _exact(y, p)[:3]
+            assert np.all(np.isfinite(w)) and np.all(w >= 0.0) and w.sum() <= 1.0 + 1e-12
+            logits = np.log(p.full_weights()) - 0.5 * (y - p.mu) ** 2
+            softmax = np.exp(logits - np.logaddexp.reduce(logits))
+            np.testing.assert_allclose(w, softmax[:3], rtol=0.0, atol=1e-12)
 
 
 class TestExactStat:
     def test_equal_means_use_prior_weights(self):
         p = GmmParams(omega=[0.3], mu=[4.0, 4.0])
-        np.testing.assert_allclose(gmm.exact_stat(2.0, p), [0.3, 0.6, 2.0], atol=1e-15)
+        np.testing.assert_allclose(_exact(2.0, p), [0.3, 0.6, 2.0], atol=1e-15)
 
     def test_zero_observation_zeroes_s2(self):
         p = GmmParams(omega=[0.4], mu=[1.0, -2.0])
-        s = gmm.exact_stat(0.0, p)
+        s = _exact(0.0, p)
         assert s[1] == 0.0 and s[2] == 0.0
 
 
 class TestSuffStat:
+    """Statistic of one drawn label: mc_stat with all posterior mass on one
+    component (every other mean so far away that its mass underflows to 0)."""
+
+    @staticmethod
+    def _one_draw(y, mu):
+        m = len(mu)
+        params = GmmParams(omega=np.full(m - 1, 1.0 / m), mu=mu)
+        return GmmModel(np.array([y]), m).mc_stat(0, params, 1, named_stream(3, "test"))
+
     def test_last_component_has_no_indicator_slot(self):
-        np.testing.assert_array_equal(gmm.suff_stat(3.0, 2, 2), [0.0, 0.0, 3.0])
+        np.testing.assert_array_equal(self._one_draw(3.0, [100.0, 3.0]), [0.0, 0.0, 3.0])
 
     def test_first_component_one_hot(self):
-        np.testing.assert_array_equal(gmm.suff_stat(3.0, 1, 2), [1.0, 3.0, 3.0])
+        np.testing.assert_array_equal(self._one_draw(3.0, [3.0, 100.0]), [1.0, 3.0, 3.0])
 
     def test_three_components(self):
-        np.testing.assert_array_equal(gmm.suff_stat(-1.0, 2, 3), [0.0, 1.0, 0.0, -1.0, -1.0])
-
-    def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            gmm.suff_stat(0.0, 0, 2)
-        with pytest.raises(ValueError):
-            gmm.suff_stat(0.0, 3, 2)
+        np.testing.assert_array_equal(
+            self._one_draw(-1.0, [100.0, -1.0, 100.0]), [0.0, 1.0, 0.0, -1.0, -1.0]
+        )
 
 
 class TestMStep:
@@ -95,7 +108,7 @@ class TestMStep:
         # six points, hard labels: class 1 = {0,1,2}, class 2 = {10,11,12}
         ys = np.array([0.0, 1.0, 2.0, 10.0, 11.0, 12.0])
         zs = [1, 1, 1, 2, 2, 2]
-        rows = np.stack([gmm.suff_stat(y, z, 2) for y, z in zip(ys, zs)])
+        rows = np.array([[1.0, y, y] if z == 1 else [0.0, 0.0, y] for y, z in zip(ys, zs)])
         theta = gmm.m_step(rows.mean(axis=0), delta=0.0, epsilon=0.0, n_components=2)
         np.testing.assert_allclose(theta.omega, [0.5])
         np.testing.assert_allclose(theta.mu, [1.0, 11.0])

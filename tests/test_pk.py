@@ -273,15 +273,36 @@ class TestModel:
     def test_single_retained_draw_and_warm_start(self):
         model = PkModel(self._small_cohort())
         theta = pk.paper_truth()
-        first = model.sample_posterior(0, theta, 200, named_stream(49, "test"))
-        assert first.shape == (1, 4)
-        assert not np.array_equal(first[0], theta.log_pop)  # the chain moved
-        # warm start: replaying the same stream from the new state moves on
-        second = model.sample_posterior(0, theta, 200, named_stream(49, "test"))
+        chains = {}
+        first = model.sample_posterior(0, theta, 200, named_stream(49, "test"), chains)
+        assert first.shape == (4,)
+        assert not np.array_equal(first, theta.log_pop)  # the chain moved
+        np.testing.assert_array_equal(chains[0], first)  # and its state is kept
+        # warm start: replaying the same stream from the kept state moves on
+        second = model.sample_posterior(0, theta, 200, named_stream(49, "test"), chains)
         assert not np.array_equal(first, second)
-        model.reset_chains()
-        replay = model.sample_posterior(0, theta, 200, named_stream(49, "test"))
+        # a fresh dict, or none at all, starts cold from the population mean
+        replay = model.sample_posterior(0, theta, 200, named_stream(49, "test"), {})
         np.testing.assert_array_equal(first, replay)
+        cold = model.sample_posterior(0, theta, 200, named_stream(49, "test"))
+        np.testing.assert_array_equal(first, cold)
+        # the E-step is the statistic of the retained state
+        stat = model.mc_stat(0, theta, 200, named_stream(49, "test"))
+        np.testing.assert_array_equal(stat, pk.suff_stat(model.individuals[0], first))
+
+    def test_run_is_pure_across_calls(self):
+        # a run leaves nothing in the model: fiTTEM after SAEM on one PkModel
+        # reproduces fiTTEM on a fresh one bit for bit
+        cohort = self._small_cohort(n=5, seed=53)
+        theta0 = pk.paper_truth()
+        gamma = StepSchedule.polynomial(0.6)
+        saem = RunConfig(variant="SAEM", total_iters=2, seed=54, gamma=gamma, mc_samples=10)
+        fi = RunConfig(variant="fiTTEM", total_iters=10, seed=55, gamma=gamma, rho=0.5, mc_samples=10)
+        model = PkModel(cohort)
+        run(model, saem, theta0=theta0)
+        used = run(model, fi, theta0=theta0)
+        fresh = run(PkModel(cohort), fi, theta0=theta0)
+        assert used.thetas.tobytes() == fresh.thetas.tobytes()
 
     def test_no_exact_expectation(self):
         model = PkModel(self._small_cohort())
