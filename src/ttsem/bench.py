@@ -269,9 +269,10 @@ def _metric_values(model_kind: str, traj: Trajectory, reference) -> dict[str, np
     out = {"delta_s_sq": traj.delta_s_sq.copy()}
     if model_kind == "gmm":
         m = (traj.thetas.shape[1] + 1) // 2
-        mu_star = reference  # (M,) reference means
-        out["precision"] = np.array(
-            [metric_precision_gmm(row[m - 1 :], mu_star) for row in traj.thetas]
+        mus, mu_star = traj.thetas[:, m - 1 :], reference  # (R, M) means, (M,) reference
+        # metric_precision_gmm of every row at once, bit for bit
+        out["precision"] = np.min(
+            [((mus - mu_star[list(p)]) ** 2).sum(axis=1) for p in permutations(range(m))], axis=0
         )
     else:
         pop_star = reference  # (4,) natural-scale fixed effects
@@ -308,6 +309,8 @@ def _metric_axis(variant: str, traj: Trajectory, n: int) -> np.ndarray:
 
 def cmd_simulate(model_kind: str, truth, n: int, seed: int, out_path) -> str:
     """Write a synthetic dataset; returns (and prints nothing) its hash."""
+    if n < 1:
+        raise ConfigError(f"n must be at least 1, got {n}")
     data, _ = _simulate_dataset(model_kind, truth, n, seed)
     if model_kind == "gmm":
         gmm.write_dataset(out_path, data)

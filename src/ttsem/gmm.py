@@ -17,7 +17,9 @@ closed-form M-step interior and unique for delta, epsilon > 0.
 Posterior masses are exponentials of log joints shifted by their maximum,
 so no raw exponential of an unnormalized term is ever taken.  One scalar
 kernel serves single-index E-steps and one vectorized kernel serves
-whole-dataset passes.
+whole-dataset passes.  The vectorized kernel is component-major, (M, n):
+numpy reduces a short inner axis one observation at a time, so an (n, M)
+layout with M = 2 or 3 spends most of a pass on reduction overhead.
 """
 
 from __future__ import annotations
@@ -57,13 +59,14 @@ class GmmParams:
         object.__setattr__(self, "mu", np.asarray(self.mu, dtype=np.float64))
         if self.mu.ndim != 1 or self.omega.ndim != 1 or len(self.mu) != len(self.omega) + 1:
             raise ValueError("need M means and M-1 free weights")
-        if np.any(self.omega <= 0.0) or self.omega.sum() >= 1.0:
+        # checks in plain floats, cheaper than numpy calls on 1-3 elements on
+        # the per-iteration M-step path; a NaN weight fails both comparisons
+        omega, total = self.omega.tolist(), float(self.omega.sum())
+        if not (all(w > 0.0 for w in omega) and total < 1.0):
             raise ValueError("weights must lie in the interior of the simplex")
-        if not np.all(np.isfinite(self.mu)):
+        if not all(map(math.isfinite, self.mu.tolist())):
             raise ValueError("means must be finite")
-        object.__setattr__(
-            self, "_wfull", np.concatenate([self.omega, [1.0 - self.omega.sum()]])
-        )
+        object.__setattr__(self, "_wfull", np.array(omega + [1.0 - total]))
 
     @property
     def n_components(self) -> int:
@@ -102,7 +105,7 @@ def m_step(s: np.ndarray, delta: float, epsilon: float, n_components: int) -> Gm
     mu = np.empty(m)
     mu[: m - 1] = s2 / (s1 + delta)
     mu[m - 1] = (s3 - s2.sum()) / (1.0 - s1.sum() + delta)
-    if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(mu))):
+    if not all(map(math.isfinite, omega.tolist() + mu.tolist())):
         raise FloatingPointError(f"M-step produced non-finite parameters from s={s!r}")
     return GmmParams(omega=omega, mu=mu)
 
@@ -124,19 +127,28 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def _shifted_joint(data: np.ndarray, params: GmmParams) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized posterior masses exp(logits - shift) of every observation
-    and the (n, 1) row maxima ``shift``, where logits = log(omega_m) -
-    (y - mu_m)^2 / 2 is the log joint up to the constant -log(2 pi)/2."""
-    logits = np.log(params.full_weights())[None, :] - 0.5 * (data[:, None] - params.mu[None, :]) ** 2
-    shift = logits.max(axis=1, keepdims=True)
-    return np.exp(logits - shift), shift
+    """Unnormalized posterior masses exp(logits - shift) as an (M, n) array,
+    one row per component, and the (n,) per-observation maxima ``shift``,
+    where logits = log(omega_m) - (y - mu_m)^2 / 2 is the log joint up to
+    the constant -log(2 pi)/2.  Reductions over components run over axis 0,
+    row against row, and the rows are built in place in one buffer."""
+    p = np.subtract(data, params.mu[:, None])
+    np.square(p, out=p)
+    p *= 0.5
+    np.subtract(np.log(params.full_weights())[:, None], p, out=p)
+    shift = p.max(axis=0)
+    p -= shift
+    np.exp(p, out=p)
+    return p, shift
 
 
 def penalized_nll(data: np.ndarray, params: GmmParams, reg: GmmRegularizer) -> float:
     """Average negative marginal log-likelihood plus the regularizer."""
     w = params.full_weights()
     p, shift = _shifted_joint(data, params)
-    log_marg = shift[:, 0] + np.log(p.sum(axis=1)) - 0.5 * _LOG_2PI
+    log_marg = np.log(p.sum(axis=0))
+    log_marg += shift
+    log_marg -= 0.5 * _LOG_2PI
     pen = 0.5 * reg.delta * np.sum(params.mu**2) - reg.epsilon * np.sum(np.log(w))
     return float(-np.mean(log_marg) + pen)
 
@@ -258,11 +270,9 @@ class GmmModel(ModelSpec):
     def exact_batch_stat(self, theta: GmmParams) -> np.ndarray:
         """Mean of exact_expectation over the whole dataset, vectorized."""
         p, _ = _shifted_joint(self.data, theta)
-        p /= p.sum(axis=1, keepdims=True)
-        wt = p[:, :-1]
-        return np.concatenate(
-            [wt.mean(axis=0), (wt * self.data[:, None]).mean(axis=0), [self.data.mean()]]
-        )
+        wt = p[:-1]
+        wt /= p.sum(axis=0)
+        return np.concatenate([wt.mean(axis=1), (wt * self.data).mean(axis=1), [self.data.mean()]])
 
     def default_init(self) -> GmmParams:
         """Deterministic starting point: quantile means, uniform weights."""

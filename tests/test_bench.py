@@ -6,6 +6,7 @@ import pytest
 from ttsem import bench, cli, gmm, pk
 from ttsem.bench import AlgoSpec, ExperimentSpec
 from ttsem.core import ConfigError, StepSchedule
+from ttsem.engine import run
 from ttsem.rng import named_stream
 
 
@@ -80,6 +81,20 @@ class TestMetricPrecision:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             bench.metric_precision_gmm([0.5], [0.5, -0.5])
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_trajectory_series_matches_per_row_metric(self, m):
+        data = gmm.simulate(120, bench.gmm_truth_default(), named_stream(65, "data"))
+        model = gmm.GmmModel(data, m)
+        theta0 = model.default_init()
+        cfg = AlgoSpec("fiTTEM", mc_samples=2).to_config(n=120, epochs=2, seed=3, model_kind="gmm")
+        traj = run(model, cfg, theta0=theta0)
+        mu_star = gmm.fit_reference_em(data, m, init=theta0).mu
+        for ref in (mu_star, mu_star[::-1].copy()):
+            got = bench._metric_values("gmm", traj, ref)["precision"]
+            want = np.array([bench.metric_precision_gmm(row[m - 1 :], ref) for row in traj.thetas])
+            assert len(want) == traj.n_records > 200
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestSimulateCommand:
@@ -264,6 +279,8 @@ class TestCli:
         (["replicate", "--epochs", "0"], None, 1),
         (["replicate"], {"epochs": 0}, 1),
         (["replicate", "--jobs", "-3"], None, 1),
+        (["simulate", "--n", "-5"], None, 1),
+        (["simulate", "--n", "0"], None, 1),
     ])
     def test_bad_values_are_usage_errors(self, tmp_path, capsys, argv, config, code):
         data = tmp_path / "d.txt"

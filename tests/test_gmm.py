@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,10 @@ class TestParams:
             GmmParams(omega=[0.6, 0.4], mu=[0.0, 1.0, 2.0])
         with pytest.raises(ValueError):
             GmmParams(omega=[0.5], mu=[np.inf, 0.0])
+        # NaN fails both "omega <= 0" and "sum >= 1"; it must still be rejected
+        for omega, mu in (([np.nan], [0.0, 1.0]), ([0.2, np.nan], [0.0, 1.0, 2.0])):
+            with pytest.raises(ValueError, match="interior of the simplex"):
+                GmmParams(omega=omega, mu=mu)
 
     def test_regularizer_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -112,6 +118,11 @@ class TestMStep:
         theta = gmm.m_step(rows.mean(axis=0), delta=0.0, epsilon=0.0, n_components=2)
         np.testing.assert_allclose(theta.omega, [0.5])
         np.testing.assert_allclose(theta.mu, [1.0, 11.0])
+
+    def test_non_finite_parameters_raise(self):
+        # s1 = 1 with delta = 0 leaves the last mean's denominator at zero
+        with np.errstate(divide="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+            gmm.m_step(np.array([1.0, 0.5, 0.7]), delta=0.0, epsilon=0.0, n_components=2)
 
 
 class TestProject:
@@ -224,6 +235,46 @@ class TestPenalizedNll:
             cur = model.penalized_nll(theta)
             assert cur <= prev + 1e-10 * abs(prev)
             prev = cur
+
+
+def _loop_reference(data, params, reg):
+    """Penalized NLL and mean exact statistic, one observation at a time in
+    plain floats, with the log-sum-exp written out."""
+    w, mu = params.full_weights().tolist(), params.mu.tolist()
+    m = len(mu)
+    log_marg, rows = [], []
+    for y in data.tolist():
+        logits = [math.log(w[j]) - 0.5 * (y - mu[j]) ** 2 for j in range(m)]
+        top = max(logits)
+        masses = [math.exp(v - top) for v in logits]
+        total = math.fsum(masses)
+        log_marg.append(top + math.log(total) - 0.5 * math.log(2.0 * math.pi))
+        post = [v / total for v in masses[: m - 1]]
+        rows.append(post + [r * y for r in post] + [y])
+    n = len(rows)
+    pen = 0.5 * reg.delta * math.fsum(v * v for v in mu) - reg.epsilon * math.fsum(map(math.log, w))
+    stat = [math.fsum(col) / n for col in zip(*rows)]
+    return -math.fsum(log_marg) / n + pen, np.array(stat)
+
+
+class TestKernelParity:
+    """The vectorized kernel against a per-observation loop, including
+    observations more than 40 units from every mean, whose masses all
+    underflow unless the log joints are shifted first."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_nll_and_batch_stat_match_loop(self, m):
+        rng = named_stream(10 + m, "test")
+        mu = np.linspace(-2.0, 2.0, m) + rng.normal(0.0, 0.3, m)
+        omega = rng.dirichlet(np.ones(m))[: m - 1]
+        data = np.concatenate([rng.normal(0.0, 2.0, 200), [-60.0, -45.0, 43.0, 75.5]])
+        assert np.min(np.abs(data[-4:, None] - mu[None, :])) > 40.0
+        params = GmmParams(omega=omega, mu=mu)
+        reg = GmmRegularizer(delta=0.02, epsilon=0.01)
+        model = GmmModel(data, m, reg)
+        nll, stat = _loop_reference(data, params, reg)
+        np.testing.assert_allclose(model.penalized_nll(params), nll, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(model.exact_batch_stat(params), stat, rtol=1e-12, atol=0.0)
 
 
 class TestPipelineIdentities:
