@@ -21,7 +21,7 @@ from .engine import (
     sa_step,
 )
 from .rng import named_stream
-from .samplers import MhConfig, categorical_sample, logsumexp, mh_chain
+from .samplers import MhConfig, categorical_sample, mh_chain
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "draw_termination",
     "gap_delta_s",
     "inc_step",
-    "logsumexp",
     "mc_step",
     "mh_chain",
     "named_stream",

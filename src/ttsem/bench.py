@@ -14,23 +14,21 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import permutations
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import gmm, pk
-from .core import VARIANTS, ConfigError, RunConfig, StepSchedule
+from .core import VARIANTS, ConfigError, ModelSpec, RunConfig, StepSchedule, check_seed
 from .engine import Trajectory, run
 from .rng import derive_seed, named_stream
 
 __all__ = [
-    "GammaSpec",
     "AlgoSpec",
     "ExperimentSpec",
     "parse_gamma",
-    "resolve_gamma",
     "resolve_rho",
     "epochs_to_iters",
     "metric_precision_gmm",
@@ -50,53 +48,39 @@ GRID_RESOLUTION = 10  # metric grid points per epoch
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GammaSpec:
-    """Parsed gamma flag; warmup may be counted in epochs ("1ep") so it can
-    only be resolved once the dataset size and variant are known."""
+def parse_gamma(text: str, n: int, variant: str) -> StepSchedule:
+    """Parse a gamma flag into the schedule of one run on n samples.
 
-    kind: str            # "constant" | "polynomial"
-    c: float = 1.0
-    a: float = 0.5
-    warmup: float = 0.0
-    warmup_in_epochs: bool = False
-
-
-def parse_gamma(text: str) -> GammaSpec:
-    """Parse e.g. "1", "const:0.5", "poly:0.5", "poly:0.5:warmup=1ep"."""
-    parts = text.split(":")
-    head = parts[0]
+    "0.5" and "const:0.5" are constant; "poly:a[:c=c][:warmup=w]" is
+    polynomial, with a warmup of w iterations, or of w epochs when w ends
+    in "ep" (one iteration per epoch for batch variants, n otherwise).  The
+    warmup must come out finite and nonnegative.
+    """
+    head, *fields = text.split(":")
     try:
-        if head == "const" or head not in ("poly",) and len(parts) == 1:
-            c = float(parts[1] if head == "const" else head)
-            return GammaSpec(kind="constant", c=c)
         if head != "poly":
-            raise ValueError
-        spec = GammaSpec(kind="polynomial", a=float(parts[1]))
-        for extra in parts[2:]:
-            key, _, val = extra.partition("=")
-            if key == "c":
-                spec = replace(spec, c=float(val))
-            elif key == "warmup":
-                if val.endswith("ep"):
-                    spec = replace(spec, warmup=float(val[:-2]), warmup_in_epochs=True)
+            if fields and (head != "const" or len(fields) > 1):
+                raise ValueError  # a constant takes its value and nothing else
+            c = float(fields[0] if fields else head)
+        else:
+            a, c, warmup = float(fields[0]), 1.0, 0.0
+            for extra in fields[1:]:
+                key, _, val = extra.partition("=")
+                if key == "c":
+                    c = float(val)
+                elif key == "warmup" and val.endswith("ep"):
+                    warmup = float(val[:-2]) * (1 if VARIANTS[variant].proxy == "batch" else n)
+                elif key == "warmup":
+                    warmup = float(val)
                 else:
-                    spec = replace(spec, warmup=float(val), warmup_in_epochs=False)
-            else:
+                    raise ValueError
+            if not 0 <= warmup < math.inf:
                 raise ValueError
-        return spec
     except (ValueError, IndexError):
         raise ConfigError(f"cannot parse gamma spec {text!r}") from None
-
-
-def resolve_gamma(spec: GammaSpec, n: int, variant: str) -> StepSchedule:
-    """Turn a parsed gamma spec into a schedule for a concrete run."""
-    if spec.kind == "constant":
-        return StepSchedule.constant(spec.c)
-    warmup = spec.warmup
-    if spec.warmup_in_epochs:
-        warmup *= 1 if VARIANTS[variant].proxy == "batch" else n
-    return StepSchedule.polynomial(spec.a, c=spec.c, warmup_iters=int(round(warmup)))
+    if head != "poly":
+        return StepSchedule.constant(c)
+    return StepSchedule.polynomial(a, c=c, warmup_iters=round(warmup))
 
 
 def resolve_rho(rho, n: int, variant: str) -> Optional[float]:
@@ -127,10 +111,6 @@ class AlgoSpec:
     rho: object = "auto"
     mc_samples: Optional[int] = None
     epoch_len: object = "auto"
-    label: Optional[str] = None
-
-    def name(self) -> str:
-        return self.label or self.variant
 
     def to_config(self, n: int, epochs: float, seed: int, model_kind: str) -> RunConfig:
         variant = self.variant
@@ -143,7 +123,7 @@ class AlgoSpec:
             except ValueError:
                 raise ConfigError(f"cannot parse epoch_len {self.epoch_len!r}") from None
         mc = self.mc_samples if self.mc_samples is not None else DEFAULT_MC_SAMPLES[model_kind]
-        gamma = resolve_gamma(parse_gamma(self.gamma), n, variant)
+        gamma = parse_gamma(self.gamma, n, variant)
         if VARIANTS[variant].unit_gamma and self.gamma == DEFAULT_GAMMA:
             gamma = StepSchedule.constant(1.0)  # default gamma is forced to 1
         return RunConfig(
@@ -169,26 +149,26 @@ class ExperimentSpec:
     seed: int
     truth: Optional[object] = None  # model parameter object; None = built-in defaults
     jobs: int = 1
-    resolution: int = GRID_RESOLUTION
 
     def __post_init__(self):
         if self.model not in ("gmm", "pk"):
             raise ConfigError(f"unknown model {self.model!r}")
         if self.replicates < 1 or self.n < 1:
             raise ConfigError("need at least one replicate and one sample")
+        check_seed(self.seed)
         if not 0 < self.epochs < math.inf:
             raise ConfigError(f"epochs must be positive and finite, got {self.epochs}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
         if not self.algorithms:
             raise ConfigError("need at least one algorithm")
-        names = [a.name() for a in self.algorithms]
-        if len(set(names)) != len(names):
-            raise ConfigError("algorithm labels must be unique")
+        variants = [a.variant for a in self.algorithms]
+        if len(set(variants)) != len(variants):
+            raise ConfigError("algorithm variants must be unique")
 
     def grid(self) -> np.ndarray:
-        m = math.ceil(self.epochs) * self.resolution
-        return np.arange(1, m + 1) / self.resolution
+        m = math.ceil(self.epochs) * GRID_RESOLUTION
+        return np.arange(1, m + 1) / GRID_RESOLUTION
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +244,14 @@ def _default_init(model_kind: str, model, data):
     return pk_naive_init(data)
 
 
+def _row_nll(model: ModelSpec, theta0) -> Optional[Callable[[np.ndarray], float]]:
+    """Penalized NLL of a flattened parameter row, or None for a model
+    without a likelihood (probed at ``theta0``)."""
+    if model.penalized_nll(theta0) is None:
+        return None
+    return lambda vec: model.penalized_nll(model.unflatten_params(vec))
+
+
 def _metric_values(model_kind: str, traj: Trajectory, reference) -> dict[str, np.ndarray]:
     """Per-record metric arrays for one trajectory."""
     out = {"delta_s_sq": traj.delta_s_sq.copy()}
@@ -311,6 +299,7 @@ def cmd_simulate(model_kind: str, truth, n: int, seed: int, out_path) -> str:
     """Write a synthetic dataset; returns (and prints nothing) its hash."""
     if n < 1:
         raise ConfigError(f"n must be at least 1, got {n}")
+    check_seed(seed)
     data, _ = _simulate_dataset(model_kind, truth, n, seed)
     if model_kind == "gmm":
         gmm.write_dataset(out_path, data)
@@ -333,11 +322,8 @@ def cmd_run(
     if theta0 is None:
         theta0 = _default_init(model_kind, model, data)
     traj = run(model, config, theta0=theta0)
-    nll = None
-    if model.penalized_nll(theta0) is not None:
-        nll = lambda vec: model.penalized_nll(model.unflatten_params(vec))
     with open(out_path, "w", encoding="ascii", newline="\n") as fh:
-        traj.write_csv(fh, nll=nll)
+        traj.write_csv(fh, nll=_row_nll(model, theta0))
     return traj
 
 
@@ -360,6 +346,7 @@ def _replicate_worker(spec: ExperimentSpec, r: int) -> dict:
             ).encode()
         )
     theta0_hash = _sha256(np.ascontiguousarray(model.flatten_params(theta0)).tobytes())
+    nll = _row_nll(model, theta0)
 
     grid = spec.grid()
     series: dict[str, dict[str, np.ndarray]] = {}
@@ -368,22 +355,15 @@ def _replicate_worker(spec: ExperimentSpec, r: int) -> dict:
         traj = run(model, config, theta0=theta0)
         axis = _metric_axis(algo.variant, traj, spec.n)
         metrics = _metric_values(spec.model, traj, reference)
-        if spec.model == "gmm":
-            nll_rows = traj.select_rows(max_rows=len(grid) * 4)
-            # NLL is only sampled on the grid, so evaluate it on the thinned rows.
-            nll_vals = np.array(
-                [
-                    model.penalized_nll(model.unflatten_params(traj.thetas[i]))
-                    for i in nll_rows
-                ]
-            )
-            series_nll = _series_on_grid(axis[nll_rows], nll_vals, grid)
         sampled = {
             name: _series_on_grid(axis, vals, grid) for name, vals in metrics.items()
         }
-        if spec.model == "gmm":
-            sampled["nll"] = series_nll
-        series[algo.name()] = sampled
+        if nll is not None:
+            # NLL is only sampled on the grid, so evaluate it on the thinned rows.
+            nll_rows = traj.select_rows(max_rows=len(grid) * 4)
+            nll_vals = np.array([nll(traj.thetas[i]) for i in nll_rows])
+            sampled["nll"] = _series_on_grid(axis[nll_rows], nll_vals, grid)
+        series[algo.variant] = sampled
 
     return {
         "replicate": r,
@@ -404,7 +384,7 @@ def cmd_replicate(spec: ExperimentSpec, metrics_path, summary_path) -> dict:
     results.sort(key=lambda d: d["replicate"])
 
     grid = spec.grid()
-    algo_names = [a.name() for a in spec.algorithms]
+    algo_names = [a.variant for a in spec.algorithms]
     metric_names = sorted(results[0]["series"][algo_names[0]].keys())
 
     # metrics CSV: one row per (algorithm, metric, grid point)
@@ -456,7 +436,7 @@ def cmd_replicate(spec: ExperimentSpec, metrics_path, summary_path) -> dict:
 
     # compact per-replicate values at whole epochs, for ordering checks
     int_epochs = [e for e in range(1, math.ceil(spec.epochs) + 1)]
-    int_idx = [e * spec.resolution - 1 for e in int_epochs]
+    int_idx = [e * GRID_RESOLUTION - 1 for e in int_epochs]
     per_rep = {
         name: {
             metric: [[float(res["series"][name][metric][g]) for g in int_idx] for res in results]

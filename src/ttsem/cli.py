@@ -77,6 +77,20 @@ def _apply_config_file(command: argparse.ArgumentParser, args: argparse.Namespac
     return args
 
 
+def _add_algo_flags(command: argparse.ArgumentParser) -> None:
+    """Flags of the algorithm settings shared by ``run`` and ``replicate``."""
+    command.add_argument("--gamma", default=bench.DEFAULT_GAMMA)
+    command.add_argument("--rho", default="auto")
+    command.add_argument("--mc-samples", type=int, default=None)
+    command.add_argument("--epoch-len", default="auto")
+
+
+def _algo(args: argparse.Namespace, variant: str) -> bench.AlgoSpec:
+    """One variant under the shared algorithm flags."""
+    return bench.AlgoSpec(variant=variant, gamma=args.gamma, rho=args.rho,
+                          mc_samples=args.mc_samples, epoch_len=args.epoch_len)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ttsem", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -94,10 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     one.add_argument("--model", required=True, choices=["gmm", "pk"])
     one.add_argument("--data", required=True)
     one.add_argument("--algo", required=True)
-    one.add_argument("--gamma", default=bench.DEFAULT_GAMMA)
-    one.add_argument("--rho", default="auto")
-    one.add_argument("--mc-samples", type=int, default=None)
-    one.add_argument("--epoch-len", default="auto")
+    _add_algo_flags(one)
     one.add_argument("--epochs", type=float, default=1.0)
     one.add_argument("--seed", type=int, default=0)
     one.add_argument("--out", required=True)
@@ -110,10 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     # default: every stochastic-approximation variant (gamma not forced to 1)
     rep.add_argument("--algos", default=",".join(v for v, f in VARIANTS.items() if not f.unit_gamma),
                      help="comma-separated variant names")
-    rep.add_argument("--gamma", default=bench.DEFAULT_GAMMA)
-    rep.add_argument("--rho", default="auto")
-    rep.add_argument("--mc-samples", type=int, default=None)
-    rep.add_argument("--epoch-len", default="auto")
+    _add_algo_flags(rep)
     rep.add_argument("--epochs", type=float, default=7.0)
     rep.add_argument("--seed", type=int, default=0)
     rep.add_argument("--jobs", type=int, default=1)
@@ -139,30 +147,12 @@ def main(argv=None) -> int:
             print(f"wrote {args.out} sha256={digest}")
         elif args.command == "run":
             data = _load_data(args.model, args.data)
-            algo = bench.AlgoSpec(
-                variant=args.algo,
-                gamma=args.gamma,
-                rho=args.rho,
-                mc_samples=args.mc_samples,
-                epoch_len=args.epoch_len,
-            )
-            n = len(data)
-            config = algo.to_config(n, args.epochs, args.seed, args.model)
+            config = _algo(args, args.algo).to_config(len(data), args.epochs, args.seed, args.model)
             traj = bench.cmd_run(args.model, data, config, args.out)
             terminal = ",".join(repr(float(v)) for v in traj.terminal_theta)
             print(f"wrote {args.out} terminal_iter={traj.terminal_iter} theta=[{terminal}]")
         else:
-            algos = tuple(
-                bench.AlgoSpec(
-                    variant=v.strip(),
-                    gamma=args.gamma,
-                    rho=args.rho,
-                    mc_samples=args.mc_samples,
-                    epoch_len=args.epoch_len,
-                )
-                for v in args.algos.split(",")
-                if v.strip()
-            )
+            algos = tuple(_algo(args, v.strip()) for v in args.algos.split(",") if v.strip())
             spec = bench.ExperimentSpec(
                 model=args.model,
                 n=args.n,

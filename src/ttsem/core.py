@@ -17,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "ConfigError",
+    "check_seed",
     "SamplingError",
     "StepSchedule",
     "PerSampleStatTable",
@@ -29,6 +30,12 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Invalid configuration, rejected before any work starts."""
+
+
+def check_seed(seed: int) -> None:
+    """Reject a root seed that does not fit in 64 unsigned bits."""
+    if not 0 <= seed <= 2**64 - 1:
+        raise ConfigError(f"seed must fit in 64 unsigned bits, got {seed}")
 
 
 class SamplingError(RuntimeError):
@@ -48,7 +55,7 @@ class SamplingError(RuntimeError):
 # Stepsize schedules
 # ---------------------------------------------------------------------------
 
-_SCHEDULE_KINDS = ("constant", "polynomial", "warmup-polynomial")
+_SCHEDULE_KINDS = ("constant", "polynomial")
 
 
 @dataclass(frozen=True)
@@ -56,13 +63,13 @@ class StepSchedule:
     """Stepsize sequence gamma_k in (0, 1].
 
     kinds:
-      constant            -- gamma_k = c
-      polynomial          -- gamma_k = c / (k + 1)**a
-      warmup-polynomial   -- gamma_k = 1 for k < warmup_iters, then the
-                             polynomial restarted at the end of the warmup:
-                             c / (k - warmup_iters + 1)**a
+      constant     -- gamma_k = c
+      polynomial   -- gamma_k = 1 for k < warmup_iters, then the polynomial
+                      started at the end of the warmup:
+                      c / (k - warmup_iters + 1)**a
 
-    The polynomial is indexed from k + 1 so the value at k = 0 is defined.
+    The polynomial is indexed from k + 1 so the value at k = 0 is defined;
+    with no warmup it is c / (k + 1)**a.
     """
 
     kind: str
@@ -79,8 +86,6 @@ class StepSchedule:
             raise ConfigError(f"polynomial exponent a must be in (0, 1), got {self.a}")
         if self.warmup_iters < 0:
             raise ConfigError("warmup_iters must be nonnegative")
-        if self.kind == "polynomial" and self.warmup_iters != 0:
-            raise ConfigError("plain polynomial schedule takes no warmup")
 
     def eval(self, k: int) -> float:
         """Stepsize at iteration k >= 0; always in (0, 1]."""
@@ -103,8 +108,7 @@ class StepSchedule:
 
     @staticmethod
     def polynomial(a: float, c: float = 1.0, warmup_iters: int = 0) -> "StepSchedule":
-        kind = "warmup-polynomial" if warmup_iters > 0 else "polynomial"
-        return StepSchedule(kind=kind, c=c, a=a, warmup_iters=warmup_iters)
+        return StepSchedule(kind="polynomial", c=c, a=a, warmup_iters=warmup_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +124,7 @@ class PerSampleStatTable:
     recomputation over any update sequence of practical length.
     """
 
-    def __init__(self, entries: np.ndarray, iteration: int = 0):
+    def __init__(self, entries: np.ndarray):
         entries = np.asarray(entries, dtype=np.float64)
         if entries.ndim != 2 or entries.shape[0] == 0:
             raise ValueError("table entries must be a nonempty (n, k) array")
@@ -128,17 +132,15 @@ class PerSampleStatTable:
             raise ValueError("table entries must be finite")
         self.entries = entries.copy()
         self.mean = entries.mean(axis=0)
-        self.refresh_iter = np.full(entries.shape[0], iteration, dtype=np.int64)
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def replace(self, i: int, vec: np.ndarray, iteration: int) -> None:
+    def replace(self, i: int, vec: np.ndarray) -> None:
         """Replace entry i and fold the change into the running mean."""
         self.mean = self.mean + (vec - self.entries[i]) / self.n
         self.entries[i] = vec
-        self.refresh_iter[i] = iteration
 
     def recomputed_mean(self) -> np.ndarray:
         """From-scratch mean of the entries (oracle for the running mean)."""
@@ -195,8 +197,7 @@ class RunConfig:
             raise ConfigError("total_iters must be nonnegative")
         if self.mc_samples < 1:
             raise ConfigError("mc_samples must be a positive integer")
-        if self.seed < 0 or self.seed > 2**64 - 1:
-            raise ConfigError("seed must fit in 64 unsigned bits")
+        check_seed(self.seed)
 
         spec = VARIANTS[self.variant]
         if spec.unit_gamma:

@@ -43,6 +43,7 @@ function of (model data, config, theta0).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -58,6 +59,7 @@ from .core import (
     SamplingError,
 )
 from .rng import named_stream
+from .samplers import categorical_sample
 
 __all__ = [
     "mc_step",
@@ -123,7 +125,7 @@ def gap_delta_s(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def proxy_isaem(table: PerSampleStatTable, i_k: int, s_new: np.ndarray, iteration: int = 0) -> np.ndarray:
+def proxy_isaem(table: PerSampleStatTable, i_k: int, s_new: np.ndarray) -> np.ndarray:
     """Replace-one running-mean proxy (SAGA-style).
 
     Returns the table mean after entry i_k is replaced by ``s_new`` and
@@ -131,7 +133,7 @@ def proxy_isaem(table: PerSampleStatTable, i_k: int, s_new: np.ndarray, iteratio
     """
     assert 0 <= i_k < table.n
     out = table.mean + (s_new - table.entries[i_k]) / table.n
-    table.replace(i_k, s_new, iteration)
+    table.replace(i_k, s_new)
     return out
 
 
@@ -147,7 +149,6 @@ def proxy_fi(
     j_k: int,
     s_new_i: np.ndarray,
     s_new_j: np.ndarray,
-    iteration: int = 0,
 ) -> np.ndarray:
     """Two-stream proxy: the i-stream reads the table, the j-stream writes it.
 
@@ -157,7 +158,7 @@ def proxy_fi(
     """
     assert 0 <= i_k < table.n and 0 <= j_k < table.n
     out = table.mean + (s_new_i - table.entries[i_k])
-    table.replace(j_k, s_new_j, iteration)
+    table.replace(j_k, s_new_j)
     return out
 
 
@@ -179,7 +180,8 @@ def _estep(model: ModelSpec, i: int, theta, n_samples: int, rngs, chains, iterat
             raise
         except Exception as exc:
             raise SamplingError(f"posterior sampling failed: {exc}", i, iteration) from exc
-    if not np.all(np.isfinite(s)):
+    # plain floats: numpy dispatch costs more than the test on k elements
+    if not all(map(math.isfinite, s.tolist())):
         raise SamplingError("non-finite statistic", i, iteration)
     return s
 
@@ -224,9 +226,7 @@ def draw_termination(gammas, rng: np.random.Generator) -> int:
         raise ValueError("need at least one stepsize to draw a termination index")
     if np.any(g <= 0.0):
         raise ValueError("termination weights must be strictly positive")
-    cdf = np.cumsum(g / g.sum())
-    cdf[-1] = 1.0
-    return int(np.searchsorted(cdf, rng.random(), side="right"))
+    return categorical_sample(g / g.sum(), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +411,7 @@ def run(
         elif kind == "table":
             i_k = int(idx_rng.integers(n))
             s_new = estep(i_k, theta, k)
-            proxy = proxy_isaem(table, i_k, s_new, iteration=k)
+            proxy = proxy_isaem(table, i_k, s_new)
             extra_draws += 1
         elif kind == "anchor":
             i_k = int(idx_rng.integers(n))
@@ -430,7 +430,7 @@ def run(
             j_k = int(jdx_rng.integers(n))
             s_new_i = estep(i_k, theta, k)
             s_new_j = estep(j_k, theta, k, role="mc_j")
-            proxy = proxy_fi(table, i_k, j_k, s_new_i, s_new_j, iteration=k)
+            proxy = proxy_fi(table, i_k, j_k, s_new_i, s_new_j)
             extra_draws += 1
 
         stt = inc_step(stt, proxy, rho)
@@ -438,7 +438,7 @@ def run(
         if rho == 1.0:
             assert delta == 0.0, "rho = 1 must pin stt to the proxy"
         s_hat = sa_step(s_hat, stt, config.gamma.eval(k))
-        assert np.all(np.isfinite(s_hat)) and np.all(np.isfinite(stt))
+        assert all(map(math.isfinite, s_hat.tolist() + stt.tolist()))
         s_hat = model.project(s_hat)
         theta = model.m_step(s_hat)
 

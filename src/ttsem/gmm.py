@@ -173,9 +173,12 @@ class GmmModel(ModelSpec):
         self.data = data
         self.n_components = n_components
         self.reg = reg if reg is not None else GmmRegularizer()
-        # data range as plain floats for the per-iteration membership test
+        # data range as plain floats for the per-iteration membership test;
+        # a NaN or an infinity in the data shows in one of them
         self._ymin = float(data.min())
         self._ymax = float(data.max())
+        if not (math.isfinite(self._ymin) and math.isfinite(self._ymax)):
+            raise ValueError("data must be finite")
 
     @property
     def n(self) -> int:

@@ -23,6 +23,7 @@ The moment M-step reads the population mean and covariance straight off
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,10 +109,12 @@ class PkIndividual:
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=np.float64))
         object.__setattr__(self, "obs", np.asarray(self.obs, dtype=np.float64))
-        if self.dose <= 0.0:
-            raise ValueError("dose must be positive")
+        if not 0.0 < self.dose < math.inf:
+            raise ValueError(f"dose must be positive and finite, got {self.dose}")
         if self.times.ndim != 1 or len(self.times) < 1 or len(self.times) != len(self.obs):
             raise ValueError("times and obs must be equal-length nonempty vectors")
+        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.obs))):
+            raise ValueError("times and obs must be finite")
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("times must be strictly increasing")
 
@@ -280,11 +283,10 @@ class PkModel(ModelSpec):
     PROPOSAL_FACTOR = 0.4
     MIN_PROPOSAL_SCALE = 1e-4
 
-    def __init__(self, individuals: list[PkIndividual], diagonal_omega: bool = True):
+    def __init__(self, individuals: list[PkIndividual]):
         if not individuals:
             raise ValueError("cohort must be nonempty")
         self.individuals = list(individuals)
-        self.diagonal_omega = diagonal_omega
 
     @property
     def n(self) -> int:
@@ -329,7 +331,7 @@ class PkModel(ModelSpec):
         return suff_stat(self.individuals[i], self.sample_posterior(i, theta, n_samples, rng, chains))
 
     def m_step(self, s):
-        return m_step(s, diagonal=self.diagonal_omega)
+        return m_step(s)
 
 
 def read_cohort(path) -> list[PkIndividual]:

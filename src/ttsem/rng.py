@@ -27,7 +27,6 @@ _LABELS = {
     "mc": 4,          # per-sample posterior sampling, primary role
     "mc_j": 5,        # per-sample posterior sampling, j-stream role
     "term": 6,        # randomized termination draw
-    "init": 7,        # model/bench initialization randomness
     "rep": 8,         # replicate fan-out in the benchmark harness
     "test": 9,        # scratch streams in tests
 }

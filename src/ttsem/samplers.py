@@ -1,5 +1,5 @@
-"""Posterior sampling primitives: exact categorical draws, a random-walk
-Metropolis-Hastings kernel, and the log-space helpers both rely on.
+"""Posterior sampling primitives: exact categorical draws and a random-walk
+Metropolis-Hastings kernel.
 
 Everything here is stateless over a caller-owned generator, so chains for
 different samples can run in parallel without sharing anything.
@@ -12,19 +12,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-__all__ = ["logsumexp", "categorical_sample", "MhConfig", "mh_chain"]
-
-
-def logsumexp(values) -> float:
-    """log(sum(exp(values))) via max-shift; exact for a single element."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("logsumexp of an empty sequence")
-    m = np.max(v)
-    if not np.isfinite(m):
-        # all -inf stays -inf; a +inf or nan propagates as-is
-        return float(m)
-    return float(m + np.log(np.sum(np.exp(v - m))))
+__all__ = ["categorical_sample", "MhConfig", "mh_chain"]
 
 
 def categorical_sample(weights, rng: np.random.Generator, size: Optional[int] = None) -> Union[int, np.ndarray]:
@@ -51,22 +39,18 @@ class MhConfig:
     """Random-walk Metropolis-Hastings settings.
 
     ``init`` is the starting latent (a warm start from the previous
-    retained sample, or a prior draw on first use).  ``burn_in`` only
-    matters when collecting a batch of states.
+    retained sample, or a prior draw on first use).
     """
 
     chain_len: int
     proposal_scales: np.ndarray
     init: np.ndarray
-    burn_in: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "proposal_scales", np.asarray(self.proposal_scales, dtype=np.float64))
         object.__setattr__(self, "init", np.asarray(self.init, dtype=np.float64))
         if self.chain_len < 1:
             raise ValueError("chain_len must be a positive integer")
-        if not (0 <= self.burn_in < self.chain_len):
-            raise ValueError("burn_in must lie in [0, chain_len)")
         if np.any(self.proposal_scales <= 0.0):
             raise ValueError("proposal scales must be strictly positive")
         if self.proposal_scales.shape != self.init.shape:
@@ -88,8 +72,8 @@ def mh_chain(
     so no raw density is ever exponentiated.  A proposal where the target
     is -inf is auto-rejected; NaN aborts.
 
-    With ``collect=True`` also returns the array of post-burn-in states,
-    one row per step.
+    With ``collect=True`` also returns the array of states, one row per
+    step.
     """
     z = config.init.copy()
     lp = float(log_target(z))
@@ -102,7 +86,7 @@ def mh_chain(
     steps = rng.standard_normal((m,) + z.shape) * config.proposal_scales
     log_u = np.log(rng.random(m))
 
-    kept = np.empty((m - config.burn_in,) + z.shape) if collect else None
+    kept = np.empty((m,) + z.shape) if collect else None
     for t in range(m):
         proposal = z + steps[t]
         lp_prop = float(log_target(proposal))
@@ -111,8 +95,8 @@ def mh_chain(
         if log_u[t] < lp_prop - lp:
             z = proposal
             lp = lp_prop
-        if collect and t >= config.burn_in:
-            kept[t - config.burn_in] = z
+        if collect:
+            kept[t] = z
     if collect:
         return z, kept
     return z

@@ -195,10 +195,11 @@ class TestCriterion6MhCorrectness:
         occupancy = np.bincount(np.round(kept[:, 0]).astype(int), minlength=5) / steps
         tv = 0.5 * np.sum(np.abs(occupancy - target))
 
-        config_n = MhConfig(chain_len=steps + 10_000, burn_in=10_000,
-                            proposal_scales=np.array([2.4]), init=np.array([0.0]))
+        config_n = MhConfig(chain_len=steps + 10_000, proposal_scales=np.array([2.4]),
+                            init=np.array([0.0]))
         _, kept_n = mh_chain(lambda z: float(-0.5 * z[0] * z[0]), config_n,
                              named_stream(7, "test"), collect=True)
+        kept_n = kept_n[10_000:]  # burn-in
         mean = float(kept_n.mean())
         var = float(kept_n.var())
         ok = tv <= 0.01 and abs(mean) <= 0.02 and abs(var - 1.0) <= 0.05

@@ -12,31 +12,31 @@ from ttsem.rng import named_stream
 
 class TestGammaParsing:
     def test_plain_number_is_constant(self):
-        spec = bench.parse_gamma("1")
-        assert spec.kind == "constant" and spec.c == 1.0
+        assert bench.parse_gamma("1", 100, "iSAEM") == StepSchedule.constant(1.0)
 
     def test_const_prefix(self):
-        assert bench.parse_gamma("const:0.5").c == 0.5
+        assert bench.parse_gamma("const:0.5", 100, "iSAEM") == StepSchedule.constant(0.5)
 
     def test_poly_with_warmup_epochs(self):
-        spec = bench.parse_gamma("poly:0.5:warmup=1ep")
-        assert spec.kind == "polynomial" and spec.a == 0.5
-        assert spec.warmup == 1.0 and spec.warmup_in_epochs
+        sched = bench.parse_gamma("poly:0.5:warmup=1ep", 100, "iSAEM")
+        assert sched == StepSchedule.polynomial(0.5, warmup_iters=100)
 
     def test_poly_with_iteration_warmup_and_c(self):
-        spec = bench.parse_gamma("poly:0.7:c=0.9:warmup=25")
-        assert spec.a == 0.7 and spec.c == 0.9
-        assert spec.warmup == 25.0 and not spec.warmup_in_epochs
+        sched = bench.parse_gamma("poly:0.7:c=0.9:warmup=25", 100, "iSAEM")
+        assert sched == StepSchedule.polynomial(0.7, c=0.9, warmup_iters=25)
+        assert bench.parse_gamma("poly:0.7:warmup=2.4", 100, "iSAEM").warmup_iters == 2
 
     def test_bad_specs_rejected(self):
-        for bad in ("poly", "poly:abc", "linear:0.5", "poly:0.5:foo=1"):
+        for bad in ("poly", "poly:abc", "linear:0.5", "poly:0.5:foo=1", "const",
+                    "const:0.5:warmup=3", "0.5:0.5", "poly:0.5:warmup=nan",
+                    "poly:0.5:warmup=inf", "poly:0.5:warmup=1e400ep", "poly:0.5:warmup=-1",
+                    "poly:0.5:warmup=1e306ep", "poly:0.5:c=2", "2"):
             with pytest.raises(ConfigError):
-                bench.parse_gamma(bad)
+                bench.parse_gamma(bad, 1000, "iSAEM")
 
     def test_epoch_warmup_resolution_depends_on_variant(self):
-        spec = bench.parse_gamma("poly:0.5:warmup=1ep")
-        incr = bench.resolve_gamma(spec, n=100, variant="iSAEM")
-        batch = bench.resolve_gamma(spec, n=100, variant="SAEM")
+        incr = bench.parse_gamma("poly:0.5:warmup=1ep", n=100, variant="iSAEM")
+        batch = bench.parse_gamma("poly:0.5:warmup=1ep", n=100, variant="SAEM")
         assert incr.warmup_iters == 100
         assert batch.warmup_iters == 1
 
@@ -281,6 +281,16 @@ class TestCli:
         (["replicate", "--jobs", "-3"], None, 1),
         (["simulate", "--n", "-5"], None, 1),
         (["simulate", "--n", "0"], None, 1),
+        (["run", "--algo", "iSAEM", "--gamma", "const:0.5:warmup=3"], None, 1),
+        (["run", "--algo", "iSAEM", "--gamma", "poly:0.5:warmup=nan"], None, 1),
+        (["run", "--algo", "iSAEM", "--gamma", "poly:0.5:warmup=inf"], None, 1),
+        (["run", "--algo", "iSAEM", "--gamma", "poly:0.5:warmup=1e400ep"], None, 1),
+        (["run", "--algo", "iSAEM", "--seed", "-1"], None, 1),
+        (["simulate", "--seed", "-1"], None, 1),
+        (["simulate", "--seed", str(2**64)], None, 1),
+        (["replicate", "--seed", "-1"], None, 1),
+        (["replicate", "--seed", str(2**64)], None, 1),
+        (["replicate", "--algos", "SAEM,SAEM"], None, 1),
     ])
     def test_bad_values_are_usage_errors(self, tmp_path, capsys, argv, config, code):
         data = tmp_path / "d.txt"

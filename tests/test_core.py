@@ -12,10 +12,9 @@ class TestPerSampleStatTable:
 
     def test_replace_updates_mean_incrementally(self):
         table = PerSampleStatTable(np.array([[0.0], [2.0]]))
-        table.replace(0, np.array([4.0]), iteration=1)
+        table.replace(0, np.array([4.0]))
         np.testing.assert_allclose(table.mean, [3.0])
         np.testing.assert_array_equal(table.entries[:, 0], [4.0, 2.0])
-        assert table.refresh_iter[0] == 1
 
     def test_rejects_bad_entries(self):
         with pytest.raises(ValueError):
@@ -39,7 +38,7 @@ class TestPerSampleStatTable:
             i = data.draw(st.integers(min_value=0, max_value=n - 1))
             vec = np.array(data.draw(st.lists(vals, min_size=k, max_size=k)))
             magnitude = max(magnitude, float(np.max(np.abs(vec))))
-            table.replace(i, vec, iteration=0)
+            table.replace(i, vec)
         exact = table.recomputed_mean()
         # relative to the size of the statistics that flowed through the
         # table (near-total cancellation can leave a tiny exact mean)

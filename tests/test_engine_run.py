@@ -311,10 +311,12 @@ class TestEpochRefresh:
 
 
 class _NoExactModel(ModelSpec):
-    """Minimal model without an exact E-step, failing sampling on demand."""
+    """Minimal model without an exact E-step, failing sampling or returning
+    a NaN statistic on demand (counted in calls)."""
 
-    def __init__(self, fail_at=None):
+    def __init__(self, fail_at=None, nan_at=None):
         self.fail_at = fail_at
+        self.nan_at = nan_at
         self.calls = 0
 
     @property
@@ -340,6 +342,8 @@ class _NoExactModel(ModelSpec):
         self.calls += 1
         if self.fail_at is not None and self.calls >= self.fail_at:
             raise ValueError("target blew up")
+        if self.calls == self.nan_at:
+            return np.array([np.nan])
         return np.array([rng.standard_normal(n_samples).mean()])
 
     def m_step(self, s):
@@ -359,3 +363,13 @@ class TestErrorPaths:
             run(model, cfg)
         assert exc.value.sample_index == 1  # n = 3, init consumed 3 calls
         assert exc.value.iteration == 0
+
+    # n = 3 and SAEM makes one full pass per iteration: calls 1-3 are the
+    # initialization pass (iteration -1), calls 7-9 iteration 1
+    @pytest.mark.parametrize("nan_at, iteration", [(2, -1), (8, 1)])
+    def test_non_finite_statistic_carries_context(self, nan_at, iteration):
+        cfg = RunConfig(variant="SAEM", total_iters=4, seed=0, gamma=GAMMA, mc_samples=1)
+        with pytest.raises(SamplingError, match="non-finite statistic") as exc:
+            run(_NoExactModel(nan_at=nan_at), cfg)
+        assert exc.value.sample_index == 1
+        assert exc.value.iteration == iteration

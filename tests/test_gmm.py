@@ -342,3 +342,10 @@ class TestDatasetIo:
         np.testing.assert_array_equal(gmm.read_dataset(path), data)
         raw = path.read_bytes()
         assert raw.endswith(b"\n") and b"\r" not in raw
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_data_rejected(self, tmp_path, bad):
+        path = tmp_path / "data.txt"
+        path.write_text(f"0.5\n{bad}\n-0.5\n")
+        with pytest.raises(ValueError, match="data must be finite"):
+            GmmModel(gmm.read_dataset(path))

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from ttsem import pk
 from ttsem.core import RunConfig, StepSchedule
 from ttsem.engine import run
 from ttsem.pk import PkIndividual, PkModel, PkParams
 from ttsem.rng import named_stream
-from ttsem.samplers import logsumexp
 
 
 class TestParams:
@@ -43,6 +43,18 @@ class TestIndividual:
             PkIndividual(dose=1.0, times=[], obs=[])
         with pytest.raises(ValueError):
             PkIndividual(dose=0.0, times=[1.0], obs=[0.0])
+
+    @pytest.mark.parametrize("dose, times, obs, message", [
+        (float("nan"), [1.0, 2.0], [0.0, 0.0], "dose"),
+        (float("inf"), [1.0, 2.0], [0.0, 0.0], "dose"),
+        (1.0, [float("nan")], [0.0], "finite"),
+        (1.0, [1.0, float("nan")], [0.0, 0.0], "finite"),
+        (1.0, [1.0, float("inf")], [0.0, 0.0], "finite"),
+        (1.0, [1.0, 2.0], [0.0, float("nan")], "finite"),
+    ])
+    def test_non_finite_values_rejected(self, dose, times, obs, message):
+        with pytest.raises(ValueError, match=message):
+            PkIndividual(dose=dose, times=times, obs=obs)
 
 
 class TestStructural:
