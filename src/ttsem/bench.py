@@ -376,8 +376,8 @@ def _replicate_worker(spec: ExperimentSpec, r: int) -> dict:
 def cmd_replicate(spec: ExperimentSpec, metrics_path, summary_path) -> dict:
     """Run the whole study and write the aggregated metrics CSV plus a
     summary JSON.  Any replicate failure aborts the experiment."""
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+    if (workers := min(spec.jobs, spec.replicates)) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate_worker, [spec] * spec.replicates, range(spec.replicates)))
     else:
         results = [_replicate_worker(spec, r) for r in range(spec.replicates)]

@@ -18,6 +18,11 @@ Statistic layout (k = 15):
 
 The moment M-step reads the population mean and covariance straight off
 (s1, s2) and the residual variance off s3.
+
+Each MH chain evaluates one log target prepared per (patient, theta) by
+``_log_target``: it factors the prior once and runs every step on plain
+floats, through the scalar structural formula that ``suff_stat`` and
+``simulate`` share; ``log_posterior`` is a call into it.
 """
 
 from __future__ import annotations
@@ -82,12 +87,17 @@ class PkParams:
             raise ValueError("log_pop must have length 4")
         if self.omega2.shape != (LATENT_DIM, LATENT_DIM):
             raise ValueError("omega2 must be 4x4 (or a length-4 diagonal)")
-        if not np.allclose(self.omega2, self.omega2.T):
+        # plain floats, cheaper than numpy on a 4x4: np.allclose(omega2, omega2.T)
+        om = self.omega2.tolist()
+        pairs = [(om[r][c], om[c][r], r == c) for r in range(LATENT_DIM) for c in range(LATENT_DIM)]
+        if not all(x == y or abs(x - y) <= 1e-8 + 1e-5 * abs(y) < math.inf for x, y, _ in pairs):
             raise ValueError("omega2 must be symmetric")
         # Positive semidefinite is enough to carry the parameters around
         # (degenerate values are legal for simulation); estimation paths
         # that need a proper prior fail loudly on a singular omega2.
-        if np.linalg.eigvalsh(self.omega2)[0] < -1e-12:
+        diag = None if any(x for x, _, on in pairs if not on) else [x for x, _, on in pairs if on]
+        object.__setattr__(self, "_diag", diag)  # the eigenvalues, when omega2 is diagonal
+        if (min(diag) if diag else np.linalg.eigvalsh(self.omega2)[0]) < -1e-12:
             raise ValueError("omega2 must be positive semidefinite")
         if self.sigma2 < 0.0:
             raise ValueError("sigma2 must be nonnegative")
@@ -119,40 +129,67 @@ class PkIndividual:
             raise ValueError("times must be strictly increasing")
 
 
-def _washout_over_gap(ka, k, dt):
+def _conc_general(t, tlag, ka, v, k, dose):
+    # At time t, or at each time of a list t; zero at and before the lag.
     # (e^{-k dt} - e^{-ka dt}) / (ka - k), factored through the smaller rate
     # so expm1 only ever sees nonpositive arguments: no overflow for any
     # positive rates, and no cancellation when the rates nearly coincide.
-    gap = abs(ka - k)
-    return np.exp(-min(ka, k) * dt) * -np.expm1(-gap * dt) / gap
-
-
-def _conc_general(t, tlag, ka, v, k, dose):
-    dt = np.maximum(t - tlag, 0.0)
-    return np.where(t > tlag, dose * ka / v * _washout_over_gap(ka, k, dt), 0.0)
+    if not isinstance(t, list):
+        return _conc_general([t], tlag, ka, v, k, dose)[0]
+    c, lo, gap = dose * ka / v, -min(ka, k), -abs(ka - k)
+    return [c * (math.exp(lo * dt) * math.expm1(gap * dt) / gap) if (dt := s - tlag) > 0.0 else 0.0 for s in t]
 
 
 def _conc_limit(t, tlag, ka, v, k, dose):
     # ka -> k limit of the general branch: D ka dt e^{-k dt} / V.
-    dt = np.maximum(t - tlag, 0.0)
-    return np.where(t > tlag, dose * ka * dt * np.exp(-k * dt) / v, 0.0)
+    if not isinstance(t, list):
+        return _conc_limit([t], tlag, ka, v, k, dose)[0]
+    return [dose * ka * dt * math.exp(-k * dt) / v if (dt := s - tlag) > 0.0 else 0.0 for s in t]
 
 
 def structural(t, z, dose: float):
     """Predicted concentration at time(s) t for latent z = (T_lag, ka, V, k).
 
     Zero at and before the lag time; continuous across the ka = k branch
-    switch.  Scalar t in, scalar out.
+    switch.  Scalar t in, float out; an array of times gives an array.
     """
-    tlag, ka, v, k = (float(c) for c in np.asarray(z, dtype=np.float64))
+    tlag, ka, v, k = np.asarray(z, dtype=np.float64).tolist()
     if min(tlag, ka, v, k) <= 0.0:
         raise ValueError("latent PK parameters must be strictly positive")
-    t_arr = np.asarray(t, dtype=np.float64)
-    if abs(ka - k) < _BRANCH_RTOL * max(ka, k):
-        out = _conc_limit(t_arr, tlag, ka, v, k, dose)
-    else:
-        out = _conc_general(t_arr, tlag, ka, v, k, dose)
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+    conc = _conc_limit if abs(ka - k) < _BRANCH_RTOL * max(ka, k) else _conc_general
+    out = conc(np.asarray(t, dtype=np.float64).tolist(), tlag, ka, v, k, dose)  # a float for a scalar t
+    return out if np.ndim(t) == 0 else np.array(out)
+
+
+def _log_target(indiv: PkIndividual, params: PkParams):
+    """``log_posterior`` of one patient at fixed params, prepared for a chain:
+    the prior factored once (a singular omega2 raises LinAlgError here), then
+    every call on plain floats."""
+    times, obs, dose = indiv.times.tolist(), indiv.obs.tolist(), indiv.dose
+    mu, sigma2, diag = params.log_pop.tolist(), params.sigma2, params._diag
+    if diag is not None and not min(diag) > 0.0:
+        raise np.linalg.LinAlgError("omega2 is singular")
+    # the reciprocal diagonal, else the rows of the inverse Cholesky factor
+    prior = [1.0 / x for x in diag] if diag else np.linalg.inv(np.linalg.cholesky(params.omega2)).tolist()
+
+    def log_target(z_log: np.ndarray) -> float:
+        zl = z_log.tolist()
+        if not all(-700.0 < c < 700.0 for c in zl):
+            return -math.inf  # exp would over/underflow; signal auto-reject
+        tlag, ka, v, k = np.exp(z_log).tolist()
+        conc = _conc_limit if abs(ka - k) < _BRANCH_RTOL * max(ka, k) else _conc_general
+        rss = math.dist(obs, conc(times, tlag, ka, v, k, dose))
+        rss *= rss  # a product, which overflows to inf, not a power, which raises
+        if not math.isfinite(rss):
+            return -math.inf  # structurally absurd latent; auto-reject
+        if diag:
+            quad = sum([(a - b) * (a - b) * p for a, b, p in zip(zl, mu, prior)])
+        else:
+            d = [a - b for a, b in zip(zl, mu)]
+            quad = sum([w * w for w in (sum([c * x for c, x in zip(row, d)]) for row in prior)])
+        return -0.5 * rss / sigma2 - 0.5 * quad
+
+    return log_target
 
 
 def log_posterior(indiv: PkIndividual, z_log: np.ndarray, params: PkParams) -> float:
@@ -162,19 +199,7 @@ def log_posterior(indiv: PkIndividual, z_log: np.ndarray, params: PkParams) -> f
     form; additive constants in z are dropped, so the value is exactly zero
     at a perfect fit evaluated at the prior mode.
     """
-    z_log = np.asarray(z_log, dtype=np.float64)
-    if not np.all(np.abs(z_log) < 700.0):
-        return -np.inf  # exp would over/underflow; signal auto-reject
-    z = np.exp(z_log)
-    with np.errstate(over="ignore"):
-        resid = indiv.obs - structural(indiv.times, z, indiv.dose)
-        rss = float(resid @ resid)
-    if not np.isfinite(rss):
-        return -np.inf  # structurally absurd latent; auto-reject
-    data_term = -0.5 * rss / params.sigma2
-    d = z_log - params.log_pop
-    sol = np.linalg.solve(params.omega2, d)
-    return data_term - 0.5 * float(d @ sol)
+    return _log_target(indiv, params)(np.asarray(z_log, dtype=np.float64))
 
 
 def suff_stat(indiv: PkIndividual, z_log: np.ndarray) -> np.ndarray:
@@ -236,7 +261,11 @@ def simulate(
     dose, times = design
     times = np.asarray(times, dtype=np.float64)
     cohort = []
-    chol = _safe_factor(params.omega2)
+    try:
+        chol = np.linalg.cholesky(params.omega2)
+    except np.linalg.LinAlgError:  # a singular covariance is legal here
+        vals, vecs = np.linalg.eigh(params.omega2)
+        chol = vecs * np.sqrt(np.maximum(vals, 0.0))
     sd = float(np.sqrt(params.sigma2))
     for _ in range(n):
         z_log = params.log_pop + chol @ rng.standard_normal(LATENT_DIM)
@@ -244,15 +273,6 @@ def simulate(
         obs = mean + sd * rng.standard_normal(len(times))
         cohort.append(PkIndividual(dose=dose, times=times, obs=obs))
     return cohort
-
-
-def _safe_factor(omega2: np.ndarray) -> np.ndarray:
-    """Square root of a PSD matrix; tolerates singular covariances."""
-    try:
-        return np.linalg.cholesky(omega2)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(omega2)
-        return vecs * np.sqrt(np.maximum(vals, 0.0))
 
 
 def default_design() -> tuple[float, np.ndarray]:
@@ -314,15 +334,13 @@ class PkModel(ModelSpec):
     def sample_posterior(self, i, theta: PkParams, n_samples, rng, chains=None) -> np.ndarray:
         """Final log-latent state of ``n_samples`` MH transitions for patient
         i, started from ``chains[i]`` when present and stored back there."""
-        indiv = self.individuals[i]
-        init = chains.get(i) if chains is not None else None
-        if init is None:
-            init = theta.log_pop.copy()
+        target = _log_target(self.individuals[i], theta)  # fails first on a singular prior
+        init = (chains or {}).get(i, theta.log_pop)  # mh_chain copies it
         scales = np.maximum(
             self.PROPOSAL_FACTOR * np.sqrt(np.diag(theta.omega2)), self.MIN_PROPOSAL_SCALE
         )
         config = MhConfig(chain_len=int(n_samples), proposal_scales=scales, init=init)
-        final = mh_chain(lambda z: log_posterior(indiv, z, theta), config, rng)
+        final = mh_chain(target, config, rng)
         if chains is not None:
             chains[i] = final
         return final
@@ -336,8 +354,7 @@ class PkModel(ModelSpec):
 
 def read_cohort(path) -> list[PkIndividual]:
     """CSV with header id,dose,time,obs; one row per observation."""
-    groups: dict[str, dict] = {}
-    order: list[str] = []
+    groups: dict[str, dict] = {}  # in first-appearance order
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != "id,dose,time,obs":
@@ -346,15 +363,12 @@ def read_cohort(path) -> list[PkIndividual]:
             if not line.strip():
                 continue
             pid, dose, t, y = line.strip().split(",")
-            if pid not in groups:
-                groups[pid] = {"dose": float(dose), "times": [], "obs": []}
-                order.append(pid)
-            groups[pid]["times"].append(float(t))
-            groups[pid]["obs"].append(float(y))
-    return [
-        PkIndividual(dose=groups[pid]["dose"], times=groups[pid]["times"], obs=groups[pid]["obs"])
-        for pid in order
-    ]
+            group = groups.setdefault(pid, {"dose": float(dose), "times": [], "obs": []})
+            if float(dose) != group["dose"]:
+                raise ValueError(f"patient {pid!r} has conflicting doses {group['dose']!r} and {float(dose)!r}")
+            group["times"].append(float(t))
+            group["obs"].append(float(y))
+    return [PkIndividual(**group) for group in groups.values()]
 
 
 def write_cohort(path, cohort: list[PkIndividual]) -> None:

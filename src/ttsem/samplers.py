@@ -7,6 +7,7 @@ different samples can run in parallel without sharing anything.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -77,7 +78,7 @@ def mh_chain(
     """
     z = config.init.copy()
     lp = float(log_target(z))
-    if np.isnan(lp):
+    if math.isnan(lp):
         raise ValueError("log_target is NaN at the chain start")
     if lp == -np.inf:
         raise ValueError("log_target must be finite at the chain start")
@@ -90,7 +91,7 @@ def mh_chain(
     for t in range(m):
         proposal = z + steps[t]
         lp_prop = float(log_target(proposal))
-        if np.isnan(lp_prop):
+        if math.isnan(lp_prop):
             raise ValueError("log_target returned NaN at a proposal")
         if log_u[t] < lp_prop - lp:
             z = proposal

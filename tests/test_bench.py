@@ -190,6 +190,34 @@ class TestReplicateCommand:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_worker_pool_capped_at_replicates(self, tmp_path, monkeypatch):
+        opened = []
+
+        class InlinePool:
+            """Records the pool size asked for and runs the work in this process."""
+
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", InlinePool)
+        bench.cmd_replicate(self._spec(jobs=4, replicates=1), tmp_path / "a.csv", tmp_path / "a.json")
+        assert opened == []  # one replicate runs inline, with no pool at all
+        bench.cmd_replicate(self._spec(jobs=4, replicates=2), tmp_path / "b.csv", tmp_path / "b.json")
+        assert opened == [2]
+        bench.cmd_replicate(self._spec(jobs=1, replicates=2), tmp_path / "c.csv", tmp_path / "c.json")
+        assert opened == [2]
+        for ext in ("csv", "json"):
+            assert (tmp_path / f"b.{ext}").read_bytes() == (tmp_path / f"c.{ext}").read_bytes()
+
     def test_summary_contents(self, tmp_path):
         spec = self._spec()
         mpath, spath = tmp_path / "m.csv", tmp_path / "s.json"
@@ -246,6 +274,15 @@ class TestCli:
                        "--algo", "EM", "--epochs", "1", "--out", str(tmp_path / "o.csv")])
         assert rc == 1  # exact E-step unavailable: rejected before any work
         capsys.readouterr()
+
+    def test_conflicting_cohort_doses_exit_two(self, tmp_path, capsys):
+        pk_path = tmp_path / "pk.csv"
+        pk_path.write_text("id,dose,time,obs\n0,100.0,1.0,2.5\n0,50.0,2.0,3.0\n1,100.0,1.0,2.0\n")
+        rc = cli.main(["run", "--model", "pk", "--data", str(pk_path),
+                       "--algo", "SAEM", "--epochs", "1", "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert "conflicting doses" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_config_file_overrides_flags(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

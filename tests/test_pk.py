@@ -3,7 +3,7 @@ import pytest
 from scipy.special import logsumexp
 
 from ttsem import pk
-from ttsem.core import RunConfig, StepSchedule
+from ttsem.core import RunConfig, SamplingError, StepSchedule
 from ttsem.engine import run
 from ttsem.pk import PkIndividual, PkModel, PkParams
 from ttsem.rng import named_stream
@@ -25,6 +25,35 @@ class TestParams:
             PkParams(log_pop=np.zeros(4), omega2=-np.eye(4), sigma2=1.0)
         with pytest.raises(ValueError):
             PkParams(log_pop=np.zeros(4), omega2=np.eye(4), sigma2=-0.5)
+
+    def test_checks_match_numpy_on_finite_matrices(self):
+        # the plain-float checks agree with np.allclose and eigvalsh on
+        # near-symmetric, diagonal, indefinite and rescaled matrices
+        rng = named_stream(39, "test")
+        for case in range(600):
+            a = rng.standard_normal((4, 4))
+            near = a @ a.T + rng.standard_normal((4, 4)) * 10.0 ** rng.uniform(-9.0, -4.0)
+            om = [a @ a.T, near, np.diag(rng.uniform(-1e-11, 1.0, 4)),
+                  a @ a.T - rng.uniform(0.0, 5.0) * np.eye(4)][case % 4]
+            om = om * 10.0 ** rng.uniform(-300, 300) if case % 5 == 0 else om
+            if not np.allclose(om, om.T):
+                expected = "symmetric"
+            elif np.linalg.eigvalsh(om)[0] < -1e-12:
+                expected = "semidefinite"
+            else:
+                expected = None
+            if expected is None:
+                PkParams(log_pop=np.zeros(4), omega2=om, sigma2=1.0)
+            else:
+                with pytest.raises(ValueError, match=expected):
+                    PkParams(log_pop=np.zeros(4), omega2=om, sigma2=1.0)
+
+    def test_nan_covariance_rejected(self):
+        for r, c in [(0, 0), (1, 2)]:
+            om = np.eye(4)
+            om[r, c] = om[c, r] = np.nan
+            with pytest.raises(ValueError, match="symmetric"):
+                PkParams(log_pop=np.zeros(4), omega2=om, sigma2=1.0)
 
     def test_natural_scale_pop(self):
         p = pk.paper_truth()
@@ -61,6 +90,7 @@ class TestStructural:
     def test_zero_at_and_before_lag(self):
         z = np.array([2.0, 1.0, 8.0, 0.1])
         assert pk.structural(2.0, z, 100.0) == 0.0
+        assert pk.structural(np.nextafter(2.0, 0.0), z, 100.0) == 0.0
         assert pk.structural(0.5, z, 100.0) == 0.0
 
     def test_hand_value(self):
@@ -169,6 +199,82 @@ class TestLogPosterior:
         indiv = self._perfect_individual(params, params.log_pop)
         assert pk.log_posterior(indiv, np.full(4, 800.0), params) == -np.inf
         assert pk.log_posterior(indiv, np.array([0.0, 0.0, -710.0, 0.0]), params) == -np.inf
+
+
+class TestKernelParity:
+    """pk.log_posterior against the model written out here in numpy: the
+    Bateman curve D ka / (V (ka - k)) (e^{-k dt} - e^{-ka dt}) after the lag
+    (D ka dt e^{-k dt} / V when ka and k agree to 1e-8), zero at and before
+    it, plus the Gaussian prior; -inf off |z| < 700 or for a non-finite RSS."""
+
+    @staticmethod
+    def _oracle(indiv, z_log, params):
+        z_log = np.asarray(z_log, dtype=np.float64)
+        if not np.all(np.abs(z_log) < 700.0):
+            return -np.inf
+        tlag, ka, v, k = np.exp(z_log)
+        dt = np.maximum(indiv.times - tlag, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if abs(ka - k) < 1e-8 * max(ka, k):
+                f = indiv.dose * ka * dt * np.exp(-k * dt) / v
+            else:
+                f = indiv.dose * ka / (v * (ka - k)) * (np.exp(-k * dt) - np.exp(-ka * dt))
+            rss = np.sum((indiv.obs - np.where(indiv.times > tlag, f, 0.0)) ** 2)
+        if not np.isfinite(rss):
+            return -np.inf
+        d = z_log - params.log_pop
+        return -0.5 * rss / params.sigma2 - 0.5 * d @ np.linalg.solve(params.omega2, d)
+
+    @staticmethod
+    def _noisy_individual(params, seed, extra_time=None):
+        _, times = pk.default_design()
+        if extra_time is not None:
+            times = np.sort(np.append(times, extra_time))
+        rng = named_stream(seed, "test")
+        obs = pk.structural(times, params.pop, 100.0) + 0.7 * rng.standard_normal(len(times))
+        return PkIndividual(dose=100.0, times=times, obs=obs)
+
+    def _check(self, indiv, zs, params):
+        for z in zs:
+            ours, oracle = pk.log_posterior(indiv, z, params), self._oracle(indiv, z, params)
+            assert isinstance(ours, float)
+            np.testing.assert_allclose(ours, oracle, rtol=1e-12, atol=0.0, err_msg=str(z))
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_random_latents(self, full):
+        params = pk.paper_truth()
+        if full:
+            a = named_stream(55, "test").standard_normal((4, 4))
+            params = PkParams(log_pop=params.log_pop, omega2=0.05 * a @ a.T + 0.02 * np.eye(4), sigma2=0.3)
+        indiv = self._noisy_individual(params, 56)
+        rng = named_stream(57, "test")
+        self._check(indiv, params.log_pop + 0.6 * rng.standard_normal((300, 4)), params)
+
+    def test_branch_switch(self):
+        params = pk.paper_truth()
+        indiv = self._noisy_individual(params, 58)
+        zs = []
+        for log_k in (-2.3, -0.5, 0.4):
+            for rel in (0.0, 1e-9, -1e-9, 1e-3, -1e-3):
+                zs.append([0.1, log_k + np.log1p(rel), 2.0, log_k])
+        self._check(indiv, zs, params)
+
+    def test_time_at_the_lag(self):
+        params = pk.paper_truth()
+        z = params.log_pop + np.array([0.3, 0.1, -0.1, 0.2])
+        tlag = float(np.exp(z)[0])
+        indiv = self._noisy_individual(params, 59, extra_time=tlag)
+        assert tlag in indiv.times
+        self._check(indiv, [z], params)
+
+    def test_auto_reject(self):
+        params = pk.paper_truth()
+        indiv = self._noisy_individual(params, 60)
+        rejected = [[700.0, 0.0, 2.0, -2.3], [0.0, -700.0, 2.0, -2.3],
+                    [0.0, 0.0, -690.0, -2.3]]  # the last overflows the residual sum of squares
+        for z in rejected:
+            assert pk.log_posterior(indiv, z, params) == -np.inf
+        self._check(indiv, rejected + [[0.0, 0.0, 2.0, 699.0], [-699.0, 0.0, 2.0, -2.3]], params)
 
 
 class TestSuffStat:
@@ -316,6 +422,18 @@ class TestModel:
         fresh = run(PkModel(cohort), fi, theta0=theta0)
         assert used.thetas.tobytes() == fresh.thetas.tobytes()
 
+    @pytest.mark.parametrize("omega2, message", [
+        (np.diag([0.1, 0.0, 0.1, 0.1]), "omega2 is singular"),
+        (np.diag([0.1, -1e-13, 0.1, 0.1]), "omega2 is singular"),
+        (np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+         "not positive definite"),
+    ])
+    def test_singular_prior_fails_loudly(self, omega2, message):
+        theta0 = PkParams(log_pop=pk.paper_truth().log_pop, omega2=omega2, sigma2=0.5)
+        cfg = RunConfig(variant="SAEM", total_iters=2, seed=61, gamma=StepSchedule.polynomial(0.6), mc_samples=5)
+        with pytest.raises(SamplingError, match=f"posterior sampling failed: .*{message}"):
+            run(PkModel(self._small_cohort()), cfg, theta0=theta0)
+
     def test_no_exact_expectation(self):
         model = PkModel(self._small_cohort())
         assert model.exact_expectation(0, pk.paper_truth()) is None
@@ -339,6 +457,26 @@ class TestModel:
         assert final[-1] < 1e-2  # residual variance detected as tiny
 
 
+class TestReductions:
+    """The PK family collapses bit for bit under shared seeds, as GMM's does."""
+
+    @staticmethod
+    def _thetas(cohort, **kwargs):
+        cfg = RunConfig(total_iters=6, seed=62, mc_samples=20, **kwargs)
+        return run(PkModel(cohort), cfg, theta0=pk.paper_truth()).thetas
+
+    def test_vrttem_rho1_m1_is_saem_and_saem_gamma1_is_mcem(self):
+        cohort = pk.simulate(20, pk.paper_truth(), pk.default_design(), named_stream(63, "data"))
+        gamma = StepSchedule.polynomial(0.6)
+        saem = self._thetas(cohort, variant="SAEM", gamma=gamma)
+        vr = self._thetas(cohort, variant="vrTTEM", gamma=gamma, rho=1.0, epoch_len=1)
+        assert np.array_equal(saem, vr)
+        saem1 = self._thetas(cohort, variant="SAEM", gamma=StepSchedule.constant(1.0))
+        mcem = self._thetas(cohort, variant="MCEM")
+        assert np.array_equal(saem1, mcem)
+        assert not np.array_equal(saem, saem1)  # the two identities are not one
+
+
 class TestCohortIo:
     def test_round_trip(self, tmp_path):
         cohort = pk.simulate(4, pk.paper_truth(), pk.default_design(), named_stream(52, "data"))
@@ -356,3 +494,12 @@ class TestCohortIo:
         path.write_text("patient,dose,t,y\n")
         with pytest.raises(ValueError):
             pk.read_cohort(path)
+
+    def test_conflicting_doses_rejected(self, tmp_path):
+        path = tmp_path / "doses.csv"
+        path.write_text("id,dose,time,obs\n0,100.0,1.0,2.5\n0,50.0,2.0,3.0\n1,100.0,1.0,2.0\n")
+        with pytest.raises(ValueError, match="conflicting doses"):
+            pk.read_cohort(path)
+        # the same dose spelled differently is one dose
+        path.write_text("id,dose,time,obs\n0,100.0,1.0,2.5\n0,100,2.0,3.0\n")
+        assert [indiv.dose for indiv in pk.read_cohort(path)] == [100.0]

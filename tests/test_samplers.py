@@ -45,6 +45,26 @@ class TestCategoricalSample:
 
 
 class TestMhChain:
+    def test_draws_all_normals_then_all_uniforms(self):
+        # the order perfbench's accept-rate replay relies on: replaying it by
+        # hand gives the chain's final state and leaves the stream in step
+        m = 30
+        config = MhConfig(chain_len=m, proposal_scales=np.full(3, 0.8), init=np.zeros(3))
+
+        def target(z):
+            return float(-0.5 * z @ z)
+
+        rng, replay = named_stream(12, "test"), named_stream(12, "test")
+        final = mh_chain(target, config, rng)
+        steps = replay.standard_normal((m, 3)) * config.proposal_scales
+        log_u = np.log(replay.random(m))
+        z = config.init
+        for step, lu in zip(steps, log_u):
+            if lu < target(z + step) - target(z):
+                z = z + step
+        np.testing.assert_array_equal(final, z)
+        np.testing.assert_array_equal(rng.bit_generator.random_raw(8), replay.bit_generator.random_raw(8))
+
     def test_flat_target_accepts_everything(self):
         history = []
 
