@@ -270,14 +270,15 @@ class ModelSpec(ABC):
     ) -> np.ndarray:
         """Monte Carlo E-step: estimate of E[S(z_i, y_i) | y_i; theta].
 
-        Draws from p(z_i | y_i; theta) on ``rng`` only.  An exact sampler
-        averages the statistic over ``n_samples`` draws; an MCMC-backed
-        model may instead run ``n_samples`` transitions and return the
-        statistic of the final state.  ``chains`` is owned by the caller
-        (the engine keeps one per posterior stream and run): such a model
-        starts sample i's chain from ``chains[i]`` when present and stores
-        the final state there.  ``None`` means a cold start that keeps
-        nothing.
+        Draws from p(z_i | y_i; theta) on ``rng`` only (the engine passes one
+        generator per posterior role, read by every E-step in visit order).
+        An exact sampler averages the statistic over ``n_samples`` draws; an
+        MCMC-backed model may instead run ``n_samples`` transitions and
+        return the statistic of the final state.  ``chains`` is owned by the
+        caller (the engine keeps one per posterior stream and run): such a
+        model starts sample i's chain from ``chains[i]`` when present and
+        stores the final state there.  ``None`` means a cold start that
+        keeps nothing.
         """
 
     def exact_expectation(self, i: int, theta) -> Optional[np.ndarray]:

@@ -32,13 +32,13 @@ Andrieu, Moulines & Priouret (2005).  stt is never projected, so the
 recorded timescale gap is the raw one.  The projection is the identity on
 the set, so runs that stay inside it are unchanged bit for bit.
 
-Randomness: index draws, per-sample posterior draws, and the termination
-draw all live on separate named streams of the run seed, so e.g. the
-Monte Carlo sample count never perturbs the index sequence.  MCMC chain
-states are part of the run's iterate (as in MCMC-SAEM, Kuhn & Lavielle
-2004): the engine keeps one chain dict per posterior-stream role, starts
-each run with empty ones and hands them to the model, so ``run`` is a pure
-function of (model data, config, theta0).
+Randomness: index draws, posterior draws, and the termination draw live
+on separate named streams of the run seed (so the Monte Carlo sample count
+never perturbs the index sequence); each posterior role's E-steps draw
+from one stream in visit order.  MCMC chain states are part of the run's
+iterate (as in MCMC-SAEM, Kuhn & Lavielle 2004): the engine keeps one chain
+dict per role, starts each run with empty ones and hands them to the model,
+so ``run`` is a pure function of (model data, config, theta0).
 """
 
 from __future__ import annotations
@@ -128,13 +128,12 @@ def gap_delta_s(a: np.ndarray, b: np.ndarray) -> float:
 def proxy_isaem(table: PerSampleStatTable, i_k: int, s_new: np.ndarray) -> np.ndarray:
     """Replace-one running-mean proxy (SAGA-style).
 
-    Returns the table mean after entry i_k is replaced by ``s_new`` and
-    commits the replacement.
+    Commits the replacement of entry i_k by ``s_new`` and returns the new
+    table mean.
     """
     assert 0 <= i_k < table.n
-    out = table.mean + (s_new - table.entries[i_k]) / table.n
     table.replace(i_k, s_new)
-    return out
+    return table.mean
 
 
 def proxy_vr(anchor_stt: np.ndarray, anchor_entry_i: np.ndarray, s_new: np.ndarray) -> np.ndarray:
@@ -167,15 +166,15 @@ def proxy_fi(
 # ---------------------------------------------------------------------------
 
 
-def _estep(model: ModelSpec, i: int, theta, n_samples: int, rngs, chains, iteration: int) -> np.ndarray:
-    """One E-step for sample i, exact when ``rngs`` is None, else Monte Carlo
-    on ``rngs[i]`` and ``chains``; failures raise SamplingError carrying i and
+def _estep(model: ModelSpec, i: int, theta, n_samples: int, rng, chains, iteration: int) -> np.ndarray:
+    """One E-step for sample i, exact when ``rng`` is None, else Monte Carlo
+    on ``rng`` and ``chains``; failures raise SamplingError carrying i and
     the iteration (-1 is the initialization pass)."""
-    if rngs is None:
+    if rng is None:
         s = model.exact_expectation(i, theta)
     else:
         try:
-            s = mc_step(model, i, theta, n_samples, rngs[i], chains)
+            s = mc_step(model, i, theta, n_samples, rng, chains)
         except (SamplingError, ConfigError):
             raise
         except Exception as exc:
@@ -186,11 +185,11 @@ def _estep(model: ModelSpec, i: int, theta, n_samples: int, rngs, chains, iterat
     return s
 
 
-def _full_pass(model: ModelSpec, theta, n_samples: int, rngs, chains, iteration: int) -> np.ndarray:
+def _full_pass(model: ModelSpec, theta, n_samples: int, rng, chains, iteration: int) -> np.ndarray:
     """E-step rows for every sample, in index order."""
     rows = np.empty((model.n, model.stat_dim()))
     for i in range(model.n):
-        rows[i] = _estep(model, i, theta, n_samples, rngs, chains, iteration)
+        rows[i] = _estep(model, i, theta, n_samples, rng, chains, iteration)
     return rows
 
 
@@ -198,19 +197,19 @@ def epoch_refresh(
     model: ModelSpec,
     theta,
     n_samples: int,
-    rngs: list,
+    rng: np.random.Generator,
     iteration: int = 0,
     chains: Optional[dict] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full-pass anchor refresh at an epoch start.
 
     Recomputes every sample's Monte Carlo statistic under the current
-    parameters on the per-sample posterior streams and returns the anchor
-    pair (batch mean of the fresh entries, the entries themselves).  With
-    rho = 1 the subsequent Inc-step pins stt to that anchor exactly, which
-    collapses the epoch-length-1 case onto the full-batch algorithm.
+    parameters, in index order on ``rng``, and returns the anchor pair
+    (batch mean of the fresh entries, the entries themselves).  With rho = 1
+    the subsequent Inc-step pins stt to that anchor exactly, which collapses
+    the epoch-length-1 case onto the full-batch algorithm.
     """
-    entries = _full_pass(model, theta, n_samples, rngs, chains, iteration)
+    entries = _full_pass(model, theta, n_samples, rng, chains, iteration)
     return entries.mean(axis=0), entries
 
 
@@ -364,9 +363,9 @@ def run(
     # Posterior-stream roles: "mc" serves the initialization pass, the
     # i-stream, batch passes and anchor refreshes; fiTTEM's j-draws get their
     # own so that i_k = j_k still yields independent draws.  Each role has
-    # one persistent stream per sample and its own fresh MCMC chain states.
+    # one stream, drawn in visit order, and its own fresh MCMC chain states.
     roles = ("mc", "mc_j") if kind == "two_stream" else ("mc",)
-    rngs = {r: None if exact else [named_stream(seed, r, i) for i in range(n)] for r in roles}
+    rngs = {r: None if exact else named_stream(seed, r) for r in roles}
     chains = {r: {} for r in roles}
     mc = config.mc_samples
 

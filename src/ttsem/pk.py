@@ -92,6 +92,8 @@ class PkParams:
         pairs = [(om[r][c], om[c][r], r == c) for r in range(LATENT_DIM) for c in range(LATENT_DIM)]
         if not all(x == y or abs(x - y) <= 1e-8 + 1e-5 * abs(y) < math.inf for x, y, _ in pairs):
             raise ValueError("omega2 must be symmetric")
+        if not all(map(math.isfinite, self.log_pop.tolist() + sum(om, []) + [float(self.sigma2)])):
+            raise ValueError("log_pop, omega2 and sigma2 must be finite")
         # Positive semidefinite is enough to carry the parameters around
         # (degenerate values are legal for simulation); estimation paths
         # that need a proper prior fail loudly on a singular omega2.

@@ -1,14 +1,14 @@
 """Deterministic derivation of independent random streams from one root seed.
 
-Every source of randomness in a run (index sampling, per-sample posterior
-draws, data simulation, termination draw) gets its own named stream keyed by
-``(root_seed, label, *indices)``.  Streams are Philox counter-based
-generators whose 128-bit keys come from a BLAKE2b hash of the full path, so
-any two distinct paths are independent for all practical purposes and the
-draws consumed on one stream never shift another.  In particular, changing
-the number of Monte Carlo samples per E-step leaves the index-draw sequence
-untouched, which is what makes the algorithm-reduction identities testable
-bit for bit.
+Every source of randomness in a run (index draws, posterior draws, data
+simulation, termination draw) gets its own named stream keyed by
+``(root_seed, label, *indices)``; a run builds one per label, and each
+posterior role draws its E-steps from its stream in visit order.  Streams
+are Philox counter-based generators whose 128-bit keys come from a BLAKE2b
+hash of the full path, so distinct paths are independent for all practical
+purposes and the draws consumed on one stream never shift another: changing
+the Monte Carlo sample count leaves the index draws untouched, which makes
+the algorithm-reduction identities testable bit for bit.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ _LABELS = {
     "data": 1,        # dataset simulation
     "index_i": 2,     # primary per-iteration index draws
     "index_j": 3,     # secondary index draws (fiTTEM j-stream)
-    "mc": 4,          # per-sample posterior sampling, primary role
-    "mc_j": 5,        # per-sample posterior sampling, j-stream role
+    "mc": 4,          # posterior sampling, primary role
+    "mc_j": 5,        # posterior sampling, fiTTEM j-stream role
     "term": 6,        # randomized termination draw
     "rep": 8,         # replicate fan-out in the benchmark harness
     "test": 9,        # scratch streams in tests

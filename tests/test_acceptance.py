@@ -119,9 +119,8 @@ class TestCriterion3RunningMean:
         seed = 11
         cfg = RunConfig(variant="iSAEM", total_iters=10 * n, seed=seed,
                         gamma=GAMMA_HALF, mc_samples=10)
-        init = np.stack(
-            [mc_step(model, i, theta0, 10, named_stream(seed, "mc", i)) for i in range(n)]
-        )
+        mc_rng = named_stream(seed, "mc")  # the init pass draws on it in index order
+        init = np.stack([mc_step(model, i, theta0, 10, mc_rng) for i in range(n)])
         prev = init.mean(axis=0)
         worst = 0.0
 

@@ -284,6 +284,21 @@ class TestCli:
         assert "conflicting doses" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "replicate"])
+    def test_non_finite_pk_truth_exits_two_before_work(self, command, tmp_path, capsys, monkeypatch):
+        theta = tmp_path / "theta.json"
+        theta.write_text('{"log_pop": [0, 0, 2, -2], "omega2": [0.1, 0.1, 0.1, 0.1], "sigma2": NaN}')
+
+        def no_simulation(*args):
+            raise AssertionError("simulated from a non-finite truth")
+
+        monkeypatch.setattr(pk, "simulate", no_simulation)
+        out = tmp_path / "out"
+        rc = cli.main([command, "--model", "pk", "--n", "3", "--theta", str(theta), "--out", str(out)])
+        assert rc == 2
+        assert "sigma2 must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [theta]
+
     def test_config_file_overrides_flags(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"n": 7, "seed": 5}))

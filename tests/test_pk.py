@@ -55,6 +55,22 @@ class TestParams:
             with pytest.raises(ValueError, match="symmetric"):
                 PkParams(log_pop=np.zeros(4), omega2=om, sigma2=1.0)
 
+    INF_PAIR = np.eye(4)
+    INF_PAIR[0, 3] = INF_PAIR[3, 0] = np.inf  # symmetric: only the finiteness check sees it
+
+    @pytest.mark.parametrize("log_pop, omega2, sigma2", [
+        ([np.nan] * 4, [1.0] * 4, 1.0),
+        ([0.0, np.inf, 0.0, 0.0], [1.0] * 4, 1.0),
+        ([0.0] * 4, [1.0] * 4, np.nan),
+        ([0.0] * 4, [1.0] * 4, np.inf),
+        ([0.0] * 4, [1.0, np.inf, 1.0, 1.0], 1.0),
+        ([0.0] * 4, [1.0, -np.inf, 1.0, 1.0], 1.0),
+        ([0.0] * 4, INF_PAIR, 1.0),
+    ])
+    def test_non_finite_values_rejected(self, log_pop, omega2, sigma2):
+        with pytest.raises(ValueError, match="must be finite"):
+            PkParams(log_pop=log_pop, omega2=omega2, sigma2=sigma2)
+
     def test_natural_scale_pop(self):
         p = pk.paper_truth()
         np.testing.assert_allclose(p.pop, [1.0, 1.0, 8.0, 0.1])
