@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
@@ -21,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import gmm, pk
-from .core import VARIANTS, ConfigError, ModelSpec, RunConfig, StepSchedule, check_seed
+from .core import VARIANTS, ConfigError, ModelSpec, RunConfig, StepSchedule, check_seed, set_ints
 from .engine import Trajectory, run
 from .rng import derive_seed, named_stream
 
@@ -53,8 +54,8 @@ def parse_gamma(text: str, n: int, variant: str) -> StepSchedule:
 
     "0.5" and "const:0.5" are constant; "poly:a[:c=c][:warmup=w]" is
     polynomial, with a warmup of w iterations, or of w epochs when w ends
-    in "ep" (one iteration per epoch for batch variants, n otherwise).  The
-    warmup must come out finite and nonnegative.
+    in "ep" (``Variant.iters_per_epoch`` iterations each).  The warmup must
+    come out finite and nonnegative.
     """
     head, *fields = text.split(":")
     try:
@@ -69,7 +70,7 @@ def parse_gamma(text: str, n: int, variant: str) -> StepSchedule:
                 if key == "c":
                     c = float(val)
                 elif key == "warmup" and val.endswith("ep"):
-                    warmup = float(val[:-2]) * (1 if VARIANTS[variant].proxy == "batch" else n)
+                    warmup = float(val[:-2]) * VARIANTS[variant].iters_per_epoch(n)
                 elif key == "warmup":
                     warmup = float(val)
                 else:
@@ -94,11 +95,10 @@ def resolve_rho(rho, n: int, variant: str) -> Optional[float]:
 
 
 def epochs_to_iters(epochs: float, n: int, variant: str) -> int:
-    """Iteration budget covering ``epochs``: one full pass per iteration for
-    batch variants, n iterations per epoch for incremental ones."""
+    """Iteration budget covering ``epochs`` of ``Variant.iters_per_epoch``."""
     if not 0 <= epochs < math.inf:
         raise ConfigError(f"epochs must be nonnegative and finite, got {epochs}")
-    return math.ceil(epochs) if VARIANTS[variant].proxy == "batch" else math.ceil(epochs * n)
+    return math.ceil(epochs * VARIANTS[variant].iters_per_epoch(n))
 
 
 @dataclass(frozen=True)
@@ -153,9 +153,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.model not in ("gmm", "pk"):
             raise ConfigError(f"unknown model {self.model!r}")
+        set_ints(self, "n", "replicates", "jobs")
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.replicates < 1 or self.n < 1:
             raise ConfigError("need at least one replicate and one sample")
-        check_seed(self.seed)
         if not 0 < self.epochs < math.inf:
             raise ConfigError(f"epochs must be positive and finite, got {self.epochs}")
         if self.jobs < 1:
@@ -232,16 +233,12 @@ def _simulate_dataset(model_kind: str, truth, n: int, seed: int):
     return pk.simulate(n, truth, pk.default_design(), rng), truth
 
 
-def _build_model(model_kind: str, data):
+def _model_and_init(model_kind: str, data):
+    """The model bound to ``data`` and its deterministic starting point."""
     if model_kind == "gmm":
-        return gmm.GmmModel(data)
-    return pk.PkModel(data)
-
-
-def _default_init(model_kind: str, model, data):
-    if model_kind == "gmm":
-        return model.default_init()
-    return pk_naive_init(data)
+        model = gmm.GmmModel(data)
+        return model, model.default_init()
+    return pk.PkModel(data), pk_naive_init(data)
 
 
 def _row_nll(model: ModelSpec, theta0) -> Optional[Callable[[np.ndarray], float]]:
@@ -277,19 +274,6 @@ def _series_on_grid(traj_epochs: np.ndarray, values: np.ndarray, grid: np.ndarra
     return values[np.maximum(idx, 0)]
 
 
-def _metric_axis(variant: str, traj: Trajectory, n: int) -> np.ndarray:
-    """Epochs-elapsed axis for the metric grid: iterations for batch
-    variants, iterations/n for incremental ones.
-
-    This is the axis the reference study plots against; the trajectory's
-    own epoch column stays cost-charged (anchor refreshes bill a full
-    pass there, which the reduction identities rely on).
-    """
-    if VARIANTS[variant].proxy == "batch":
-        return traj.iters.astype(np.float64)
-    return traj.iters / float(n)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -299,7 +283,7 @@ def cmd_simulate(model_kind: str, truth, n: int, seed: int, out_path) -> str:
     """Write a synthetic dataset; returns (and prints nothing) its hash."""
     if n < 1:
         raise ConfigError(f"n must be at least 1, got {n}")
-    check_seed(seed)
+    seed = check_seed(seed)
     data, _ = _simulate_dataset(model_kind, truth, n, seed)
     if model_kind == "gmm":
         gmm.write_dataset(out_path, data)
@@ -309,18 +293,9 @@ def cmd_simulate(model_kind: str, truth, n: int, seed: int, out_path) -> str:
         return _sha256(fh.read())
 
 
-def cmd_run(
-    model_kind: str,
-    data,
-    config: RunConfig,
-    out_path,
-    theta0=None,
-    epochs: Optional[float] = None,
-) -> Trajectory:
-    """One run straight to a trajectory CSV."""
-    model = _build_model(model_kind, data)
-    if theta0 is None:
-        theta0 = _default_init(model_kind, model, data)
+def cmd_run(model_kind: str, data, config: RunConfig, out_path) -> Trajectory:
+    """One run from the default start straight to a trajectory CSV."""
+    model, theta0 = _model_and_init(model_kind, data)
     traj = run(model, config, theta0=theta0)
     with open(out_path, "w", encoding="ascii", newline="\n") as fh:
         traj.write_csv(fh, nll=_row_nll(model, theta0))
@@ -333,8 +308,7 @@ def _replicate_worker(spec: ExperimentSpec, r: int) -> dict:
     run_seed = derive_seed(spec.seed, "rep", r, 1)
     data, truth = _simulate_dataset(spec.model, spec.truth, spec.n, data_seed)
 
-    model = _build_model(spec.model, data)
-    theta0 = _default_init(spec.model, model, data)
+    model, theta0 = _model_and_init(spec.model, data)
     if spec.model == "gmm":
         reference = gmm.fit_reference_em(data, init=theta0).mu
         data_hash = _sha256("\n".join(repr(float(y)) for y in data).encode())
@@ -353,7 +327,10 @@ def _replicate_worker(spec: ExperimentSpec, r: int) -> dict:
     for algo in spec.algorithms:
         config = algo.to_config(spec.n, spec.epochs, run_seed, spec.model)
         traj = run(model, config, theta0=theta0)
-        axis = _metric_axis(algo.variant, traj, spec.n)
+        # The grid counts iterations per pass (the axis the reference study
+        # plots against); the trajectory's own epoch column stays
+        # cost-charged, billing anchor refreshes a full pass.
+        axis = traj.iters / float(VARIANTS[algo.variant].iters_per_epoch(spec.n))
         metrics = _metric_values(spec.model, traj, reference)
         sampled = {
             name: _series_on_grid(axis, vals, grid) for name, vals in metrics.items()
@@ -376,74 +353,49 @@ def _replicate_worker(spec: ExperimentSpec, r: int) -> dict:
 def cmd_replicate(spec: ExperimentSpec, metrics_path, summary_path) -> dict:
     """Run the whole study and write the aggregated metrics CSV plus a
     summary JSON.  Any replicate failure aborts the experiment."""
-    if (workers := min(spec.jobs, spec.replicates)) > 1:
+    if (workers := min(spec.jobs, spec.replicates, os.cpu_count() or 1)) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate_worker, [spec] * spec.replicates, range(spec.replicates)))
     else:
         results = [_replicate_worker(spec, r) for r in range(spec.replicates)]
-    results.sort(key=lambda d: d["replicate"])
 
     grid = spec.grid()
     algo_names = [a.variant for a in spec.algorithms]
     metric_names = sorted(results[0]["series"][algo_names[0]].keys())
+    # one (replicates, grid) array per (algorithm, metric); every statistic
+    # below is read off it: the last column is the final value, and column
+    # e * GRID_RESOLUTION - 1 is whole epoch e
+    stacked = {
+        name: {metric: np.stack([res["series"][name][metric] for res in results]) for metric in metric_names}
+        for name in algo_names
+    }
+    int_epochs = list(range(1, math.ceil(spec.epochs) + 1))
+    int_idx = [e * GRID_RESOLUTION - 1 for e in int_epochs]
 
+    final: dict[str, dict[str, dict]] = {}
+    per_rep: dict[str, dict[str, list]] = {}
     # metrics CSV: one row per (algorithm, metric, grid point)
     with open(metrics_path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("algo,metric,epoch,mean,median,q25,q75\n")
         for name in algo_names:
-            for metric in metric_names:
-                stacked = np.stack([res["series"][name][metric] for res in results])
-                mean = stacked.mean(axis=0)
-                med = np.quantile(stacked, 0.5, axis=0)
-                q25 = np.quantile(stacked, 0.25, axis=0)
-                q75 = np.quantile(stacked, 0.75, axis=0)
-                for g in range(len(grid)):
-                    fh.write(
-                        ",".join(
-                            [name, metric, repr(float(grid[g]))]
-                            + [repr(float(x)) for x in (mean[g], med[g], q25[g], q75[g])]
-                        )
-                        + "\n"
-                    )
+            final[name], per_rep[name] = {}, {}
+            for metric, x in stacked[name].items():
+                stats = [x.mean(axis=0)] + [np.quantile(x, q, axis=0) for q in (0.5, 0.25, 0.75)]
+                for g, row in zip(grid.tolist(), zip(*stats)):
+                    fh.write(",".join([name, metric] + [repr(float(v)) for v in (g, *row)]) + "\n")
+                last = x[:, -1]
+                final[name][metric] = {
+                    "median": float(np.median(last)),
+                    "mean": float(np.mean(last)),
+                    "per_replicate": last.tolist(),
+                }
+                per_rep[name][metric] = x[:, int_idx].tolist()
 
-    final: dict[str, dict[str, dict]] = {}
-    for name in algo_names:
-        final[name] = {}
-        for metric in metric_names:
-            per_rep = [float(res["series"][name][metric][-1]) for res in results]
-            final[name][metric] = {
-                "median": float(np.median(per_rep)),
-                "mean": float(np.mean(per_rep)),
-                "per_replicate": per_rep,
-            }
-
-    wins: dict[str, dict[str, dict[str, int]]] = {}
+    # wins[metric][a][b]: replicates whose final value is lower under a than under b
+    wins = {metric: {a: {} for a in algo_names} for metric in metric_names}
     for metric in metric_names:
-        wins[metric] = {}
-        for a in algo_names:
-            wins[metric][a] = {}
-            for b in algo_names:
-                if a == b:
-                    continue
-                wins[metric][a][b] = int(
-                    sum(
-                        xa < xb
-                        for xa, xb in zip(
-                            final[a][metric]["per_replicate"], final[b][metric]["per_replicate"]
-                        )
-                    )
-                )
-
-    # compact per-replicate values at whole epochs, for ordering checks
-    int_epochs = [e for e in range(1, math.ceil(spec.epochs) + 1)]
-    int_idx = [e * GRID_RESOLUTION - 1 for e in int_epochs]
-    per_rep = {
-        name: {
-            metric: [[float(res["series"][name][metric][g]) for g in int_idx] for res in results]
-            for metric in metric_names
-        }
-        for name in algo_names
-    }
+        for a, b in permutations(algo_names, 2):
+            wins[metric][a][b] = int(np.sum(stacked[a][metric][:, -1] < stacked[b][metric][:, -1]))
 
     summary = {
         "model": spec.model,

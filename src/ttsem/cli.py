@@ -35,9 +35,14 @@ def _load_truth(model: str, path):
         omega = np.asarray(blob["omega"], dtype=np.float64)
         mu = np.asarray(blob["mu"], dtype=np.float64)
         if len(omega) == len(mu):  # full simplex given; drop the implied weight
+            total = float(omega.sum())
+            if abs(total - 1.0) > 1e-9:  # categorical_sample's tolerance
+                raise ValueError(f"omega: a full weight vector must sum to 1, got {total!r}")
             omega = omega[:-1]
         return gmm.GmmParams(omega=omega, mu=mu)
     pop = blob.get("pop")
+    if pop is not None and not np.all(np.asarray(pop, dtype=np.float64) > 0.0):
+        raise ValueError(f"pop entries must be positive, got {pop!r}")
     log_pop = np.log(pop) if pop is not None else np.asarray(blob["log_pop"])
     return pk.PkParams(
         log_pop=log_pop,

@@ -9,6 +9,7 @@ engine run at a time.
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -18,6 +19,7 @@ import numpy as np
 __all__ = [
     "ConfigError",
     "check_seed",
+    "set_ints",
     "SamplingError",
     "StepSchedule",
     "PerSampleStatTable",
@@ -32,10 +34,28 @@ class ConfigError(ValueError):
     """Invalid configuration, rejected before any work starts."""
 
 
-def check_seed(seed: int) -> None:
-    """Reject a root seed that does not fit in 64 unsigned bits."""
+def _as_int(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_seed(seed) -> int:
+    """The root seed as an int; rejects a non-integer and a seed that does
+    not fit in 64 unsigned bits."""
+    seed = _as_int("seed", seed)
     if not 0 <= seed <= 2**64 - 1:
         raise ConfigError(f"seed must fit in 64 unsigned bits, got {seed}")
+    return seed
+
+
+def set_ints(obj, *names: str) -> None:
+    """Normalise integer fields of a frozen dataclass with ``operator.index``
+    (None stays None); a non-integer value is a ConfigError."""
+    for name in names:
+        if (value := getattr(obj, name)) is not None:
+            object.__setattr__(obj, name, _as_int(name, value))
 
 
 class SamplingError(RuntimeError):
@@ -78,6 +98,7 @@ class StepSchedule:
     warmup_iters: int = 0
 
     def __post_init__(self):
+        set_ints(self, "warmup_iters")
         if self.kind not in _SCHEDULE_KINDS:
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
         if not (0.0 < self.c <= 1.0):
@@ -160,6 +181,11 @@ class Variant(NamedTuple):
     unit_gamma: bool  # SA-step stepsize forced to 1
     unit_rho: bool    # Inc-step stepsize forced to 1
 
+    def iters_per_epoch(self, n: int) -> int:
+        """Iterations making one epoch of n per-sample E-steps: a batch
+        iteration is a full pass, any other iteration one draw."""
+        return 1 if self.proxy == "batch" else n
+
 
 VARIANTS = {
     "EM": Variant("batch", exact=True, unit_gamma=True, unit_rho=True),
@@ -193,11 +219,12 @@ class RunConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {tuple(VARIANTS)}")
+        set_ints(self, "total_iters", "mc_samples", "epoch_len")
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.total_iters < 0:
             raise ConfigError("total_iters must be nonnegative")
         if self.mc_samples < 1:
             raise ConfigError("mc_samples must be a positive integer")
-        check_seed(self.seed)
 
         spec = VARIANTS[self.variant]
         if spec.unit_gamma:

@@ -256,7 +256,6 @@ class Trajectory:
     wall_ns: np.ndarray        # (R,) int64
     param_names: list[str]
     terminal_iter: int
-    variant: str
 
     @property
     def n_records(self) -> int:
@@ -280,30 +279,23 @@ class Trajectory:
         keep[1:] |= boundary[1:] != boundary[:-1]
         return np.flatnonzero(keep)
 
-    def write_csv(self, fh, nll: Optional[Callable[[np.ndarray], Optional[float]]] = None,
-                  max_rows: int = 10_000) -> None:
+    def write_csv(self, fh, nll: Optional[Callable[[np.ndarray], float]] = None) -> None:
         """Write records as CSV: iter, epoch, parameters, delta_s_sq[, nll].
 
         Floats are printed as shortest round-trip decimals, lines are
         LF-terminated, and the row subset is deterministic, so identical
         trajectories serialize to identical bytes.
         """
-        rows = self.select_rows(max_rows)
         header = ["iter", "epoch"] + self.param_names + ["delta_s_sq"]
-        nll_vals = None
         if nll is not None:
-            nll_vals = [nll(self.thetas[r]) for r in rows]
-            if any(v is None for v in nll_vals):
-                nll_vals = None
-        if nll_vals is not None:
             header.append("nll")
         fh.write(",".join(header) + "\n")
-        for pos, r in enumerate(rows):
+        for r in self.select_rows():
             cells = [str(int(self.iters[r])), repr(float(self.epochs[r]))]
             cells += [repr(float(v)) for v in self.thetas[r]]
             cells.append(repr(float(self.delta_s_sq[r])))
-            if nll_vals is not None:
-                cells.append(repr(float(nll_vals[pos])))
+            if nll is not None:
+                cells.append(repr(float(nll(self.thetas[r]))))
             fh.write(",".join(cells) + "\n")
 
 
@@ -342,16 +334,15 @@ def run(
     n = model.n
     if n == 0:
         raise ConfigError("model has no data")
-    variant = config.variant
-    kind = VARIANTS[variant].proxy
-    exact = VARIANTS[variant].exact
+    spec = VARIANTS[config.variant]
+    kind = spec.proxy
     if theta0 is None:
         default = getattr(model, "default_init", None)
         if default is None:
             raise ConfigError("no theta0 given and the model has no default_init()")
         theta0 = default()
-    if exact and model.exact_expectation(0, theta0) is None:
-        raise ConfigError(f"{variant} needs a model with an exact E-step")
+    if spec.exact and model.exact_expectation(0, theta0) is None:
+        raise ConfigError(f"{config.variant} needs a model with an exact E-step")
 
     seed = config.seed
     rho = config.rho
@@ -365,7 +356,7 @@ def run(
     # own so that i_k = j_k still yields independent draws.  Each role has
     # one stream, drawn in visit order, and its own fresh MCMC chain states.
     roles = ("mc", "mc_j") if kind == "two_stream" else ("mc",)
-    rngs = {r: None if exact else named_stream(seed, r) for r in roles}
+    rngs = {r: None if spec.exact else named_stream(seed, r) for r in roles}
     chains = {r: {} for r in roles}
     mc = config.mc_samples
 
@@ -391,14 +382,13 @@ def run(
         wall_ns=np.zeros(records, dtype=np.int64),
         param_names=model.param_names(),
         terminal_iter=0,
-        variant=variant,
     )
     traj.thetas[0] = model.flatten_params(theta)
     traj.wall_ns[0] = time.perf_counter_ns()
 
-    # Cost in epochs: one per iteration for batch variants, else one per n
-    # charged draws plus one per anchor refresh.  The initialization pass is
-    # not charged, a refresh iteration reuses its freshly drawn entry, and
+    # Cost in epochs: one per full pass (a batch iteration or an anchor
+    # refresh) plus one per n charged draws.  The initialization pass is not
+    # charged, a refresh iteration reuses its freshly drawn entry, and
     # fiTTEM's j-draw rides along with its iteration.
     refreshes = 0
     extra_draws = 0
@@ -407,6 +397,7 @@ def run(
     for k in range(k_f):
         if kind == "batch":
             proxy = _full_pass(model, theta, mc, rngs["mc"], chains["mc"], k).mean(axis=0)
+            refreshes += 1
         elif kind == "table":
             i_k = int(idx_rng.integers(n))
             s_new = estep(i_k, theta, k)
@@ -442,7 +433,7 @@ def run(
         theta = model.m_step(s_hat)
 
         r = k + 1
-        traj.epochs[r] = float(r) if kind == "batch" else extra_draws / n + float(refreshes)
+        traj.epochs[r] = extra_draws / n + float(refreshes)
         traj.thetas[r] = model.flatten_params(theta)
         traj.delta_s_sq[r] = delta
         traj.wall_ns[r] = time.perf_counter_ns()

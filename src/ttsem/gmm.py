@@ -284,26 +284,24 @@ class GmmModel(ModelSpec):
         return GmmParams(omega=np.full(m - 1, 1.0 / m), mu=qs)
 
 
-def fit_reference_em(
-    data: np.ndarray,
-    n_components: int = 2,
-    reg: GmmRegularizer | None = None,
-    tol: float = 1e-14,
-    max_iter: int = 200_000,
-    init: GmmParams | None = None,
-) -> GmmParams:
-    """Batch EM iterated until the parameter vector stops moving.
+_REFERENCE_TOL = 1e-14  # stop once no parameter moves by this much
+_REFERENCE_MAX_ITER = 200_000  # safety bound; a few thousand usually suffice
+
+
+def fit_reference_em(data: np.ndarray, init: GmmParams | None = None) -> GmmParams:
+    """Batch EM from ``init`` (which sets M; the two-component default start
+    when omitted), iterated until the parameter vector stops moving.
 
     Vectorized over the dataset; used to pin the maximum-likelihood
     reference the benchmark precision metric is measured against.
     """
-    model = GmmModel(data, n_components, reg)
+    model = GmmModel(data, init.n_components if init is not None else 2)
     theta = init if init is not None else model.default_init()
     prev = model.flatten_params(theta)
-    for _ in range(max_iter):
+    for _ in range(_REFERENCE_MAX_ITER):
         theta = model.m_step(model.exact_batch_stat(theta))
         cur = model.flatten_params(theta)
-        if np.max(np.abs(cur - prev)) < tol:
+        if np.max(np.abs(cur - prev)) < _REFERENCE_TOL:
             break
         prev = cur
     return theta

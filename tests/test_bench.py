@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -89,7 +90,7 @@ class TestMetricPrecision:
         theta0 = model.default_init()
         cfg = AlgoSpec("fiTTEM", mc_samples=2).to_config(n=120, epochs=2, seed=3, model_kind="gmm")
         traj = run(model, cfg, theta0=theta0)
-        mu_star = gmm.fit_reference_em(data, m, init=theta0).mu
+        mu_star = gmm.fit_reference_em(data, init=theta0).mu
         for ref in (mu_star, mu_star[::-1].copy()):
             got = bench._metric_values("gmm", traj, ref)["precision"]
             want = np.array([bench.metric_precision_gmm(row[m - 1 :], ref) for row in traj.thetas])
@@ -209,6 +210,7 @@ class TestReplicateCommand:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(bench, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 8)
         bench.cmd_replicate(self._spec(jobs=4, replicates=1), tmp_path / "a.csv", tmp_path / "a.json")
         assert opened == []  # one replicate runs inline, with no pool at all
         bench.cmd_replicate(self._spec(jobs=4, replicates=2), tmp_path / "b.csv", tmp_path / "b.json")
@@ -217,6 +219,16 @@ class TestReplicateCommand:
         assert opened == [2]
         for ext in ("csv", "json"):
             assert (tmp_path / f"b.{ext}").read_bytes() == (tmp_path / f"c.{ext}").read_bytes()
+        # nor outgrows the CPU count; one CPU, or an unknown count, runs inline
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 3)
+        bench.cmd_replicate(self._spec(jobs=4000, replicates=4), tmp_path / "d.csv", tmp_path / "d.json")
+        assert opened == [2, 3]
+        for cpus in (1, None):
+            monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
+            bench.cmd_replicate(self._spec(jobs=4000, replicates=2), tmp_path / "e.csv", tmp_path / "e.json")
+            assert opened == [2, 3]
+            for ext in ("csv", "json"):
+                assert (tmp_path / f"b.{ext}").read_bytes() == (tmp_path / f"e.{ext}").read_bytes()
 
     def test_summary_contents(self, tmp_path):
         spec = self._spec()
@@ -233,6 +245,30 @@ class TestReplicateCommand:
         assert len(blob["per_replicate_at_integer_epochs"]["SAEM"]["precision"]) == 2
         grid = summary["grid"]
         assert len(grid) == 10 and grid[-1] == 1.0
+
+    def test_summary_agrees_with_metrics_csv(self, tmp_path):
+        algos = ("SAEM", "iSAEM", "fiTTEM")
+        spec = ExperimentSpec(model="gmm", n=120, replicates=3, epochs=2.0,
+                              algorithms=tuple(AlgoSpec(a, mc_samples=2) for a in algos), seed=17)
+        bench.cmd_replicate(spec, tmp_path / "m.csv", tmp_path / "s.json")
+        blob = json.loads((tmp_path / "s.json").read_text())
+        last = {}  # (algo, metric) -> (mean, median) cells at the last grid point
+        for line in (tmp_path / "m.csv").read_text().splitlines()[1:]:
+            algo, metric, epoch, mean, median, _, _ = line.split(",")
+            if epoch == "2.0":
+                last[algo, metric] = (mean, median)
+        assert blob["integer_epochs"] == [1, 2]
+        assert set(last) == {(a, m) for a in algos for m in ("delta_s_sq", "nll", "precision")}
+        for (a, metric), (mean, median) in last.items():
+            final = blob["final"][a][metric]
+            assert (repr(final["mean"]), repr(final["median"])) == (mean, median)
+            per_rep = final["per_replicate"]
+            assert len(per_rep) == 3
+            assert per_rep == [row[-1] for row in blob["per_replicate_at_integer_epochs"][a][metric]]
+            for b in algos:
+                if b != a:
+                    other = blob["final"][b][metric]["per_replicate"]
+                    assert blob["wins"][metric][a][b] == sum(x < y for x, y in zip(per_rep, other))
 
 
 class TestPkNaiveInit:
@@ -298,6 +334,40 @@ class TestCli:
         assert rc == 2
         assert "sigma2 must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [theta]
+
+    @pytest.mark.parametrize("command", ["simulate", "replicate"])
+    @pytest.mark.parametrize("model, theta, field", [
+        pytest.param("pk", {"pop": [1.0, -1.0, 8.0, 0.1], "omega2": [0.1] * 4, "sigma2": 0.1}, "pop",
+                     id="negative-pop"),
+        pytest.param("pk", {"pop": [1.0, 0.0, 8.0, 0.1], "omega2": [0.1] * 4, "sigma2": 0.1}, "pop",
+                     id="zero-pop"),
+        pytest.param("gmm", {"omega": [0.5, 0.6], "mu": [0.5, -0.5]}, "omega", id="weights-sum-1.1"),
+    ])
+    def test_invalid_truth_exits_two_before_work(self, command, model, theta, field, tmp_path, capsys,
+                                                 monkeypatch):
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(theta))
+
+        def no_simulation(*args):
+            raise AssertionError("simulated from an invalid truth")
+
+        monkeypatch.setattr(gmm if model == "gmm" else pk, "simulate", no_simulation)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before numpy can warn
+            rc = cli.main([command, "--model", model, "--n", "3", "--theta", str(path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "runtime failure" in err and field in err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_full_gmm_weight_vector_accepted(self, tmp_path, capsys):
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps({"omega": [0.1, 0.2, 0.7], "mu": [1.0, 0.0, -1.0]}))
+        rc = cli.main(["simulate", "--model", "gmm", "--n", "3", "--theta", str(path),
+                       "--out", str(tmp_path / "d.txt")])
+        assert rc == 0
+        capsys.readouterr()
 
     def test_config_file_overrides_flags(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

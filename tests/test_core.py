@@ -119,3 +119,31 @@ class TestRunConfigConsistency:
             RunConfig(variant="EM", total_iters=1, seed=0, mc_samples=0)
         with pytest.raises(ConfigError):
             RunConfig(variant="fiTTEM", total_iters=1, seed=0, rho=0.5, gamma=None)
+
+    def test_integer_fields_checked_as_integers(self):
+        from ttsem.bench import AlgoSpec, ExperimentSpec
+
+        poly = StepSchedule.polynomial(0.5)
+        base = dict(variant="SAEM", total_iters=5, seed=0, gamma=poly)
+        vr = dict(variant="vrTTEM", total_iters=5, seed=0, gamma=poly, rho=0.5)
+        study = dict(model="gmm", n=10, replicates=2, epochs=1.0, algorithms=(AlgoSpec("SAEM"),), seed=0)
+        bad = [
+            lambda: RunConfig(**{**base, "mc_samples": 2.5}),
+            lambda: RunConfig(**{**base, "total_iters": 2.5}),
+            lambda: RunConfig(**{**base, "seed": 1.5}),
+            lambda: RunConfig(**vr, epoch_len=2.5),
+            lambda: StepSchedule.polynomial(0.5, warmup_iters=1.5),
+            lambda: ExperimentSpec(**{**study, "n": 2.5}),
+            lambda: ExperimentSpec(**{**study, "replicates": 1.5}),
+            lambda: ExperimentSpec(**{**study, "seed": 1.5}),
+            lambda: ExperimentSpec(**{**study, "jobs": 1.5}),
+        ]
+        for make in bad:
+            with pytest.raises(ConfigError, match="must be an integer"):
+                make()
+        # integer-valued numpy scalars are normalised to int
+        cfg = RunConfig(**vr, epoch_len=np.int64(2), mc_samples=np.int32(3))
+        assert (cfg.epoch_len, cfg.mc_samples) == (2, 3) and type(cfg.epoch_len) is int
+        spec = ExperimentSpec(**{**study, "n": np.int64(10), "seed": np.uint64(7)})
+        assert type(spec.n) is int and type(spec.seed) is int and spec.seed == 7
+        assert type(StepSchedule.polynomial(0.5, warmup_iters=np.int64(4)).warmup_iters) is int

@@ -223,14 +223,15 @@ class TestTrajectoryShape:
             model = GmmModel(data)
             return run(model, RunConfig(**kwargs)).epochs
 
-        np.testing.assert_array_equal(
-            epochs(variant="SAEM", total_iters=3, seed=0, gamma=GAMMA, mc_samples=2),
-            [0.0, 1.0, 2.0, 3.0],
-        )
+        # a batch iteration is one full pass, so one epoch
+        for batch in (dict(variant="EM"), dict(variant="MCEM", mc_samples=2),
+                      dict(variant="SAEM", gamma=GAMMA, mc_samples=2)):
+            np.testing.assert_array_equal(epochs(total_iters=3, seed=0, **batch), [0.0, 1.0, 2.0, 3.0])
         np.testing.assert_allclose(
             epochs(variant="iSAEM", total_iters=10, seed=0, gamma=GAMMA, mc_samples=2),
             np.arange(11) / 5.0,
         )
+        np.testing.assert_allclose(epochs(variant="iEM", total_iters=10, seed=0), np.arange(11) / 5.0)
         np.testing.assert_allclose(
             epochs(variant="fiTTEM", total_iters=10, seed=0, gamma=GAMMA, rho=0.5, mc_samples=2),
             np.arange(11) / 5.0,
