@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import gmm, pk
-from .core import VARIANTS, ConfigError, ModelSpec, RunConfig, StepSchedule, check_seed, set_ints
+from .core import VARIANTS, ConfigError, ModelSpec, RunConfig, StepSchedule, as_int, check_seed, set_ints
 from .engine import Trajectory, run
 from .rng import derive_seed, named_stream
 
@@ -281,7 +281,7 @@ def _series_on_grid(traj_epochs: np.ndarray, values: np.ndarray, grid: np.ndarra
 
 def cmd_simulate(model_kind: str, truth, n: int, seed: int, out_path) -> str:
     """Write a synthetic dataset; returns (and prints nothing) its hash."""
-    if n < 1:
+    if (n := as_int("n", n)) < 1:
         raise ConfigError(f"n must be at least 1, got {n}")
     seed = check_seed(seed)
     data, _ = _simulate_dataset(model_kind, truth, n, seed)

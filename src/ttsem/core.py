@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "ConfigError",
+    "as_int",
     "check_seed",
     "set_ints",
     "SamplingError",
@@ -34,7 +35,7 @@ class ConfigError(ValueError):
     """Invalid configuration, rejected before any work starts."""
 
 
-def _as_int(name: str, value) -> int:
+def as_int(name: str, value) -> int:
     try:
         return operator.index(value)
     except TypeError:
@@ -44,7 +45,7 @@ def _as_int(name: str, value) -> int:
 def check_seed(seed) -> int:
     """The root seed as an int; rejects a non-integer and a seed that does
     not fit in 64 unsigned bits."""
-    seed = _as_int("seed", seed)
+    seed = as_int("seed", seed)
     if not 0 <= seed <= 2**64 - 1:
         raise ConfigError(f"seed must fit in 64 unsigned bits, got {seed}")
     return seed
@@ -55,7 +56,7 @@ def set_ints(obj, *names: str) -> None:
     (None stays None); a non-integer value is a ConfigError."""
     for name in names:
         if (value := getattr(obj, name)) is not None:
-            object.__setattr__(obj, name, _as_int(name, value))
+            object.__setattr__(obj, name, as_int(name, value))
 
 
 class SamplingError(RuntimeError):

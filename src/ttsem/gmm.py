@@ -15,17 +15,19 @@ with the implied last weight included in the barrier sum, which keeps the
 closed-form M-step interior and unique for delta, epsilon > 0.
 
 Posterior masses are exponentials of log joints shifted by their maximum,
-so no raw exponential of an unnormalized term is ever taken.  One scalar
-kernel serves single-index E-steps and one vectorized kernel serves
-whole-dataset passes.  The vectorized kernel is component-major, (M, n):
-numpy reduces a short inner axis one observation at a time, so an (n, M)
-layout with M = 2 or 3 spends most of a pass on reduction overhead.
+so no raw exponential of an unnormalized term is ever taken.  Single-index
+E-steps and the M-step run on plain floats, cheaper than numpy calls on 1-3
+numbers.  Whole-dataset passes run one component-major (M, n) kernel: numpy
+reduces a short inner axis one observation at a time, so an (n, M) layout
+with M = 2 or 3 spends most of a pass on reduction overhead.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -59,14 +61,15 @@ class GmmParams:
         object.__setattr__(self, "mu", np.asarray(self.mu, dtype=np.float64))
         if self.mu.ndim != 1 or self.omega.ndim != 1 or len(self.mu) != len(self.omega) + 1:
             raise ValueError("need M means and M-1 free weights")
-        # checks in plain floats, cheaper than numpy calls on 1-3 elements on
-        # the per-iteration M-step path; a NaN weight fails both comparisons
+        # checks in plain floats, on the copies the per-sample kernels read;
+        # a NaN weight fails both comparisons
         omega, total = self.omega.tolist(), float(self.omega.sum())
         if not (all(w > 0.0 for w in omega) and total < 1.0):
             raise ValueError("weights must lie in the interior of the simplex")
-        if not all(map(math.isfinite, self.mu.tolist())):
+        object.__setattr__(self, "_wlist", omega + [1.0 - total])
+        object.__setattr__(self, "_mulist", self.mu.tolist())
+        if not all(map(math.isfinite, self._mulist)):
             raise ValueError("means must be finite")
-        object.__setattr__(self, "_wfull", np.array(omega + [1.0 - total]))
 
     @property
     def n_components(self) -> int:
@@ -74,7 +77,7 @@ class GmmParams:
 
     def full_weights(self) -> np.ndarray:
         """All M weights, the implied last one appended."""
-        return self._wfull
+        return np.array(self._wlist)
 
 
 @dataclass(frozen=True)
@@ -100,12 +103,17 @@ def m_step(s: np.ndarray, delta: float, epsilon: float, n_components: int) -> Gm
     positive; the model-level regularizer guarantees them away from zero.
     """
     m = n_components
-    s1, s2, s3 = s[: m - 1], s[m - 1 : 2 * m - 2], s[2 * m - 2]
-    omega = (s1 + epsilon) / (1.0 + epsilon * m)
-    mu = np.empty(m)
-    mu[: m - 1] = s2 / (s1 + delta)
-    mu[m - 1] = (s3 - s2.sum()) / (1.0 - s1.sum() + delta)
-    if not all(map(math.isfinite, omega.tolist() + mu.tolist())):
+    vals = s.tolist()
+    s1, s2, s3 = vals[: m - 1], vals[m - 1 : 2 * m - 2], vals[2 * m - 2]
+    # plain floats round as numpy does, and the sums run left to right as
+    # numpy's do below 8 terms; a zero denominator raises where numpy gave inf
+    try:
+        omega = [(a + epsilon) / (1.0 + epsilon * m) for a in s1]
+        mu = [b / (a + delta) for a, b in zip(s1, s2)] + [(s3 - sum(s2)) / (1.0 - sum(s1) + delta)]
+        finite = all(map(math.isfinite, omega + mu))
+    except ZeroDivisionError:
+        finite = False
+    if not finite:
         raise FloatingPointError(f"M-step produced non-finite parameters from s={s!r}")
     return GmmParams(omega=omega, mu=mu)
 
@@ -161,6 +169,11 @@ def simulate(n: int, params: GmmParams, rng: np.random.Generator) -> np.ndarray:
     return params.mu[labels] + rng.standard_normal(n)
 
 
+def _stat_row(s1: list, y: float) -> np.ndarray:
+    """One observation's statistic from its M-1 indicator means s1."""
+    return np.array(s1 + [p * y for p in s1] + [y])
+
+
 class GmmModel(ModelSpec):
     """Mixture model bound to a dataset of scalar observations."""
 
@@ -201,42 +214,27 @@ class GmmModel(ModelSpec):
     def mc_stat(self, i, theta, n_samples, rng, chains=None):
         # n_samples exact posterior label draws by inverse CDF, one uniform
         # each, averaged into the statistic; exact draws keep no chain
-        # state.  Scalar arithmetic: this runs millions of times per
-        # benchmark and numpy overhead dominates at mixture sizes of 2 or 3.
-        y = float(self.data[i])
-        probs, total = self._posterior_unnorm(y, theta)
+        # state.  Labels past the last knot (the fsum total can exceed the
+        # running sum by an ulp) are clamped to the last component.
+        y, probs, total = self._posterior_unnorm(i, theta)
         m = self.n_components
-        cdf = np.cumsum(probs)
-        labels = np.searchsorted(cdf, rng.random(n_samples) * total, side="right")
-        counts = np.bincount(np.minimum(labels, m - 1), minlength=m)
-        out = np.empty(2 * m - 1)
-        out[: m - 1] = counts[: m - 1]
-        out[: m - 1] /= n_samples
-        out[m - 1 : 2 * m - 2] = out[: m - 1] * y
-        out[-1] = y
-        return out
+        cdf = list(accumulate(probs))
+        counts = [0] * m
+        for u in rng.random(n_samples).tolist():
+            counts[bisect_right(cdf, u * total, 0, m - 1)] += 1
+        return _stat_row([c / n_samples for c in counts[: m - 1]], y)
 
-    @staticmethod
-    def _posterior_unnorm(y: float, theta: GmmParams):
-        # one observation's masses as _shifted_joint computes them, in
-        # plain floats
-        mu = theta.mu
-        w = theta.full_weights()
-        logits = [math.log(w[j]) - 0.5 * (y - mu[j]) ** 2 for j in range(len(mu))]
+    def _posterior_unnorm(self, i: int, theta: GmmParams):
+        # observation i and its masses as _shifted_joint computes them
+        y = float(self.data[i])
+        logits = [math.log(w) - 0.5 * ((y - mu) * (y - mu)) for w, mu in zip(theta._wlist, theta._mulist)]
         shift = max(logits)
         probs = [math.exp(v - shift) for v in logits]
-        return probs, math.fsum(probs)
+        return y, probs, math.fsum(probs)
 
     def exact_expectation(self, i, theta):
-        y = float(self.data[i])
-        probs, total = self._posterior_unnorm(y, theta)
-        m = self.n_components
-        out = np.empty(2 * m - 1)
-        for j in range(m - 1):
-            out[j] = probs[j] / total
-        out[m - 1 : 2 * m - 2] = out[: m - 1] * y
-        out[-1] = y
-        return out
+        y, probs, total = self._posterior_unnorm(i, theta)
+        return _stat_row([p / total for p in probs[:-1]], y)
 
     def project(self, s):
         """Map s onto the closed statistic set; the identity on that set.

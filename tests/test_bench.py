@@ -113,6 +113,13 @@ class TestSimulateCommand:
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + 3 * 10  # header plus J=10 rows per patient
 
+    @pytest.mark.parametrize("model", ["gmm", "pk"])
+    def test_non_integer_n_is_config_error(self, tmp_path, model):
+        path = tmp_path / "d.txt"
+        with pytest.raises(ConfigError, match=r"^n must be an integer, got 2\.5$"):
+            bench.cmd_simulate(model, None, 2.5, 1, path)
+        assert not path.exists()
+
 
 class TestRunCommand:
     def test_em_nll_non_increasing(self, tmp_path):

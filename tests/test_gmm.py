@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ttsem import gmm
+from ttsem import VARIANTS, bench, gmm
+from ttsem.engine import run
 from ttsem.gmm import GmmModel, GmmParams, GmmRegularizer
 from ttsem.rng import named_stream
 
@@ -120,9 +121,29 @@ class TestMStep:
         np.testing.assert_allclose(theta.mu, [1.0, 11.0])
 
     def test_non_finite_parameters_raise(self):
-        # s1 = 1 with delta = 0 leaves the last mean's denominator at zero
-        with np.errstate(divide="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
-            gmm.m_step(np.array([1.0, 0.5, 0.7]), delta=0.0, epsilon=0.0, n_components=2)
+        for s, delta in [
+            ([1.0, 0.5, 0.7], 0.0),  # s1 = 1: the last mean's denominator is zero
+            ([-0.5, 0.2, 0.1], 0.5),  # s1 = -delta: a non-last mean's denominator is zero
+            ([0.0, 0.0, 0.1], 0.0),  # 0 / 0 on a non-last mean
+            ([1e-300, 1e300, 0.0], 0.0),  # a finite quotient that overflows to inf
+        ]:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"), \
+                    pytest.raises(FloatingPointError, match="non-finite"):
+                gmm.m_step(np.array(s), delta=delta, epsilon=0.0, n_components=2)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_numpy_formula_bit_for_bit(self, m):
+        # the plain-float sums run left to right, as numpy's do below 8 terms
+        rng = named_stream(20 + m, "test")
+        for _ in range(200):
+            s1 = rng.dirichlet(np.ones(m))[: m - 1]
+            s2 = s1 * rng.uniform(-3.0, 3.0, m - 1)
+            s = np.concatenate([s1, s2, [rng.normal()]])
+            delta, epsilon = rng.uniform(1e-4, 0.1, 2)
+            theta = gmm.m_step(s, delta, epsilon, m)
+            omega, mu = _m_step_oracle(s, delta, epsilon, m)
+            assert theta.omega.tobytes() == omega.tobytes()
+            assert theta.mu.tobytes() == mu.tobytes()
 
 
 class TestProject:
@@ -257,10 +278,85 @@ def _loop_reference(data, params, reg):
     return -math.fsum(log_marg) / n + pen, np.array(stat)
 
 
+def _posterior_oracle(y, theta):
+    """One observation's shifted masses and their fsum, indexing the numpy
+    parameter arrays element by element."""
+    w, mu = theta.full_weights(), theta.mu
+    logits = [math.log(w[j]) - 0.5 * (y - mu[j]) ** 2 for j in range(len(mu))]
+    shift = max(logits)
+    probs = [math.exp(v - shift) for v in logits]
+    return probs, math.fsum(probs)
+
+
+def _mc_stat_oracle(y, theta, n_samples, rng):
+    """Inverse-CDF label draws with numpy: cumsum, searchsorted and bincount,
+    labels past the last knot clamped to the last component."""
+    probs, total = _posterior_oracle(y, theta)
+    m = len(probs)
+    cdf = np.cumsum(probs)
+    labels = np.searchsorted(cdf, rng.random(n_samples) * total, side="right")
+    counts = np.bincount(np.minimum(labels, m - 1), minlength=m)
+    out = np.empty(2 * m - 1)
+    out[: m - 1] = counts[: m - 1]
+    out[: m - 1] /= n_samples
+    out[m - 1 : 2 * m - 2] = out[: m - 1] * y
+    out[-1] = y
+    return out
+
+
+def _exact_oracle(y, theta):
+    probs, total = _posterior_oracle(y, theta)
+    m = len(probs)
+    out = np.empty(2 * m - 1)
+    for j in range(m - 1):
+        out[j] = probs[j] / total
+    out[m - 1 : 2 * m - 2] = out[: m - 1] * y
+    out[-1] = y
+    return out
+
+
+def _m_step_oracle(s, delta, epsilon, m):
+    """The closed-form M-step on numpy arrays: (omega, mu)."""
+    s1, s2, s3 = s[: m - 1], s[m - 1 : 2 * m - 2], s[2 * m - 2]
+    omega = (s1 + epsilon) / (1.0 + epsilon * m)
+    mu = np.empty(m)
+    mu[: m - 1] = s2 / (s1 + delta)
+    mu[m - 1] = (s3 - s2.sum()) / (1.0 - s1.sum() + delta)
+    return omega, mu
+
+
+class _NumpyOracleModel(GmmModel):
+    """GmmModel whose single-index E-steps and M-step are the numpy oracles."""
+
+    def mc_stat(self, i, theta, n_samples, rng, chains=None):
+        return _mc_stat_oracle(float(self.data[i]), theta, n_samples, rng)
+
+    def exact_expectation(self, i, theta):
+        return _exact_oracle(float(self.data[i]), theta)
+
+    def m_step(self, s):
+        omega, mu = _m_step_oracle(s, self.reg.delta, self.reg.epsilon, self.n_components)
+        assert np.all(np.isfinite(omega)) and np.all(np.isfinite(mu))
+        return GmmParams(omega=omega, mu=mu)
+
+
+class _Draws:
+    """A stand-in generator whose uniforms are given."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, n):
+        assert n == len(self.values)
+        return np.array(self.values)
+
+
 class TestKernelParity:
-    """The vectorized kernel against a per-observation loop, including
-    observations more than 40 units from every mean, whose masses all
-    underflow unless the log joints are shifted first."""
+    """The kernels against reference formulas.  The vectorized kernel is
+    checked against a per-observation loop, including observations more
+    than 40 units from every mean, whose masses all underflow unless the log
+    joints are shifted first; the plain-float single-index kernels are
+    checked bit for bit against the numpy formulas they replace."""
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_nll_and_batch_stat_match_loop(self, m):
@@ -275,6 +371,65 @@ class TestKernelParity:
         nll, stat = _loop_reference(data, params, reg)
         np.testing.assert_allclose(model.penalized_nll(params), nll, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(model.exact_batch_stat(params), stat, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_samples", [1, 10])
+    def test_single_index_kernels_match_numpy_formulas(self, m, n_samples):
+        rng = named_stream(30 + m, "test")
+        data = np.concatenate([rng.normal(0.0, 2.0, 60), [-60.0, 43.0]])
+        model = GmmModel(data, m)
+        for _ in range(5):
+            theta = GmmParams(omega=rng.dirichlet(np.ones(m))[: m - 1],
+                              mu=np.linspace(-2.0, 2.0, m) + rng.normal(0.0, 0.5, m))
+            seed = int(rng.integers(2**32))
+            ours, ref = named_stream(seed, "mc"), named_stream(seed, "mc")
+            for i in range(model.n):
+                y = float(data[i])
+                assert model.mc_stat(i, theta, n_samples, ours).tobytes() == \
+                    _mc_stat_oracle(y, theta, n_samples, ref).tobytes()
+                assert model.exact_expectation(i, theta).tobytes() == _exact_oracle(y, theta).tobytes()
+
+    def test_draw_on_a_cdf_knot(self):
+        theta = GmmParams(omega=[0.3, 0.2], mu=[-1.0, 0.5, 2.0])
+        model = GmmModel(np.array([0.25]), 3)
+        probs, total = _posterior_oracle(0.25, theta)
+        knot = probs[0]
+        u = knot / total
+        while u * total < knot:
+            u = np.nextafter(u, 1.0)
+        while u * total > knot:
+            u = np.nextafter(u, 0.0)
+        assert u * total == knot  # searchsorted(side="right") puts it in component 2
+        draws = [float(u), 0.0, 0.99]
+        ours = model.mc_stat(0, theta, 3, _Draws(draws))
+        np.testing.assert_array_equal(ours, _mc_stat_oracle(0.25, theta, 3, _Draws(draws)))
+        np.testing.assert_array_equal(ours[:2], [1.0 / 3.0, 1.0 / 3.0])
+
+    def test_draw_past_the_running_sum_is_clamped(self):
+        # masses 1, e^-37, e^-37: the running sum stays at 1.0 while fsum
+        # rounds up an ulp, so a draw near 1 lands past the last knot
+        far = 1.0 + math.sqrt(74.0)
+        theta = GmmParams(omega=[1.0 / 3.0, 1.0 / 3.0], mu=[1.0, far, far])
+        model = GmmModel(np.array([1.0]), 3)
+        probs, total = _posterior_oracle(1.0, theta)
+        cdf = np.cumsum(probs)
+        assert total > cdf[-1]
+        u = float(np.nextafter(1.0, 0.0))
+        assert np.searchsorted(cdf, u * total, side="right") == 3  # past the last knot
+        ours = model.mc_stat(0, theta, 1, _Draws([u]))
+        np.testing.assert_array_equal(ours, _mc_stat_oracle(1.0, theta, 1, _Draws([u])))
+        np.testing.assert_array_equal(ours, [0.0, 0.0, 0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_runs_match_numpy_oracle_model(self, m, variant):
+        truth = GmmParams(omega=np.full(m - 1, 1.0 / m), mu=np.linspace(-1.5, 1.5, m))
+        data = gmm.simulate(60, truth, named_stream(40 + m, "data"))
+        cfg = bench.AlgoSpec(variant, mc_samples=3).to_config(n=60, epochs=2, seed=7, model_kind="gmm")
+        ours = run(GmmModel(data, m), cfg)
+        ref = run(_NumpyOracleModel(data, m), cfg)
+        for name in ("thetas", "epochs", "delta_s_sq"):
+            assert np.array_equal(getattr(ours, name), getattr(ref, name)), name
 
 
 class TestPipelineIdentities:
