@@ -15,7 +15,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import permutations
 from typing import Callable, Optional
 
@@ -118,10 +118,14 @@ class AlgoSpec:
             raise ConfigError(f"unknown variant {variant!r}")
         epoch_len = None
         if VARIANTS[variant].proxy == "anchor":
-            try:
-                epoch_len = n if self.epoch_len in ("auto", None) else int(self.epoch_len)
-            except ValueError:
-                raise ConfigError(f"cannot parse epoch_len {self.epoch_len!r}") from None
+            # text (a CLI flag) is parsed here; RunConfig checks any other
+            # value as an integer
+            epoch_len = n if self.epoch_len in ("auto", None) else self.epoch_len
+            if isinstance(epoch_len, str):
+                try:
+                    epoch_len = int(epoch_len)
+                except ValueError:
+                    raise ConfigError(f"cannot parse epoch_len {epoch_len!r}") from None
         mc = self.mc_samples if self.mc_samples is not None else DEFAULT_MC_SAMPLES[model_kind]
         gamma = parse_gamma(self.gamma, n, variant)
         if VARIANTS[variant].unit_gamma and self.gamma == DEFAULT_GAMMA:
@@ -149,6 +153,9 @@ class ExperimentSpec:
     seed: int
     truth: Optional[object] = None  # model parameter object; None = built-in defaults
     jobs: int = 1
+    # one resolved RunConfig per algorithm, at the root seed; each replicate
+    # runs them with its own seed
+    configs: tuple[RunConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.model not in ("gmm", "pk"):
@@ -166,6 +173,9 @@ class ExperimentSpec:
         variants = [a.variant for a in self.algorithms]
         if len(set(variants)) != len(variants):
             raise ConfigError("algorithm variants must be unique")
+        # a setting that cannot run fails here, before any dataset is simulated
+        configs = tuple(a.to_config(self.n, self.epochs, self.seed, self.model) for a in self.algorithms)
+        object.__setattr__(self, "configs", configs)
 
     def grid(self) -> np.ndarray:
         m = math.ceil(self.epochs) * GRID_RESOLUTION
@@ -324,9 +334,8 @@ def _replicate_worker(spec: ExperimentSpec, r: int) -> dict:
 
     grid = spec.grid()
     series: dict[str, dict[str, np.ndarray]] = {}
-    for algo in spec.algorithms:
-        config = algo.to_config(spec.n, spec.epochs, run_seed, spec.model)
-        traj = run(model, config, theta0=theta0)
+    for algo, config in zip(spec.algorithms, spec.configs):
+        traj = run(model, replace(config, seed=run_seed), theta0=theta0)
         # The grid counts iterations per pass (the axis the reference study
         # plots against); the trajectory's own epoch column stays
         # cost-charged, billing anchor refreshes a full pass.

@@ -72,7 +72,6 @@ __all__ = [
     "gap_delta_s",
     "draw_termination",
     "Trajectory",
-    "EngineState",
     "run",
 ]
 
@@ -304,32 +303,13 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EngineState:
-    """Mutable state of one run, exposed to per-iteration trace hooks."""
-
-    theta: object
-    s_hat: np.ndarray
-    stt: np.ndarray
-    table: Optional[PerSampleStatTable]
-    anchor_stt: Optional[np.ndarray]
-    anchor_entries: Optional[np.ndarray]
-    k: int = 0
-
-
-def run(
-    model: ModelSpec,
-    config: RunConfig,
-    theta0=None,
-    trace: Optional[Callable[[int, EngineState], None]] = None,
-) -> Trajectory:
+def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
     """Execute one configured run and return its trajectory.
 
     Initialization computes per-sample statistics under ``theta0`` (the
     model's default start when omitted), sets both timescale iterates to
     their mean (s_hat projected), and applies the M-step, so the first
-    record already holds an M-step image.  ``trace``, when given, is called
-    after every iteration with the live state; it must not mutate it.
+    record already holds an M-step image.
     """
     n = model.n
     if n == 0:
@@ -392,7 +372,6 @@ def run(
     # fiTTEM's j-draw rides along with its iteration.
     refreshes = 0
     extra_draws = 0
-    state = EngineState(theta, s_hat, stt, table, anchor_stt, anchor_entries)
 
     for k in range(k_f):
         if kind == "batch":
@@ -437,12 +416,6 @@ def run(
         traj.thetas[r] = model.flatten_params(theta)
         traj.delta_s_sq[r] = delta
         traj.wall_ns[r] = time.perf_counter_ns()
-
-        if trace is not None:
-            state.theta, state.s_hat, state.stt = theta, s_hat, stt
-            state.table, state.anchor_stt, state.anchor_entries = table, anchor_stt, anchor_entries
-            state.k = k
-            trace(k, state)
 
     if config.randomized_termination and k_f > 0:
         weights = [config.gamma.eval(k) for k in range(k_f)]

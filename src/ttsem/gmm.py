@@ -31,7 +31,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import ModelSpec
+from .core import ModelSpec, as_int
 from .samplers import categorical_sample
 
 __all__ = [
@@ -181,7 +181,7 @@ class GmmModel(ModelSpec):
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 1 or data.size == 0:
             raise ValueError("data must be a nonempty 1-d array")
-        if n_components < 1:
+        if (n_components := as_int("n_components", n_components)) < 1:
             raise ValueError("need at least one component")
         self.data = data
         self.n_components = n_components

@@ -110,28 +110,15 @@ class TestCriterion2DeltaS:
 
 
 class TestCriterion3RunningMean:
-    def test_isaem_running_mean_equivalence(self):
+    def test_isaem_running_mean_equivalence(self, recording_gmm):
         start = time.perf_counter()
         n = 100
         data = gmm.simulate(n, bench.gmm_truth_default(), named_stream(3, "data"))
-        model = GmmModel(data)
-        theta0 = model.default_init()
-        seed = 11
-        cfg = RunConfig(variant="iSAEM", total_iters=10 * n, seed=seed,
+        model = recording_gmm(data)
+        cfg = RunConfig(variant="iSAEM", total_iters=10 * n, seed=11,
                         gamma=GAMMA_HALF, mc_samples=10)
-        mc_rng = named_stream(seed, "mc")  # the init pass draws on it in index order
-        init = np.stack([mc_step(model, i, theta0, 10, mc_rng) for i in range(n)])
-        prev = init.mean(axis=0)
-        worst = 0.0
-
-        def trace(k, state):
-            nonlocal prev, worst
-            expected = prev + cfg.gamma.eval(k) * (state.table.recomputed_mean() - prev)
-            rel = np.max(np.abs(state.s_hat - expected) / np.maximum(np.abs(expected), 1.0))
-            worst = max(worst, rel)
-            prev = state.s_hat.copy()
-
-        run(GmmModel(data), cfg, theta0=theta0, trace=trace)
+        run(model, cfg, theta0=model.default_init())
+        worst = model.isaem_worst_rel(cfg.gamma, cfg.total_iters)
         _report(3, "iSAEM running-mean equivalence (1e-10 rel)", start, worst <= 1e-10,
                 f"worst_rel={worst:.2e}")
 

@@ -68,6 +68,16 @@ class TestAlgoSpec:
         cfg = AlgoSpec("SAEM").to_config(n=50, epochs=1.0, seed=0, model_kind="pk")
         assert cfg.mc_samples == 50
 
+    @pytest.mark.parametrize("epoch_len, message", [
+        (2.5, "epoch_len must be an integer, got 2.5"),  # not truncated to 2
+        ("2.5", "cannot parse epoch_len '2.5'"),
+        ("x", "cannot parse epoch_len 'x'"),
+    ])
+    def test_epoch_len_must_be_an_integer(self, epoch_len, message):
+        with pytest.raises(ConfigError, match=message):
+            AlgoSpec("vrTTEM", epoch_len=epoch_len).to_config(n=100, epochs=1, seed=0, model_kind="gmm")
+        assert AlgoSpec("vrTTEM", epoch_len="7").to_config(100, 1, 0, "gmm").epoch_len == 7
+
 
 class TestMetricPrecision:
     def test_zero_at_truth(self):
@@ -236,6 +246,17 @@ class TestReplicateCommand:
             assert opened == [2, 3]
             for ext in ("csv", "json"):
                 assert (tmp_path / f"b.{ext}").read_bytes() == (tmp_path / f"e.{ext}").read_bytes()
+
+    def test_unrunnable_algorithm_fails_before_simulating(self, tmp_path, monkeypatch):
+        def no_simulation(*args):
+            raise AssertionError("simulated before the algorithm settings were checked")
+
+        monkeypatch.setattr(gmm, "simulate", no_simulation)
+        with pytest.raises(ConfigError, match="SAEM requires rho = 1"):
+            spec = ExperimentSpec(model="gmm", n=50, replicates=1, epochs=1,
+                                  algorithms=(AlgoSpec("SAEM", rho="0.5"),), seed=0)
+            bench.cmd_replicate(spec, tmp_path / "m.csv", tmp_path / "s.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_summary_contents(self, tmp_path):
         spec = self._spec()

@@ -169,30 +169,11 @@ class TestStreamCount:
 
 
 class TestRunningMeanEquivalence:
-    def test_isaem_sa_step_tracks_table_mean(self):
-        data = make_data(n=30)
-        model = GmmModel(data)
-        theta0 = model.default_init()
+    def test_isaem_sa_step_tracks_table_mean(self, recording_gmm):
+        model = recording_gmm(make_data(n=30))
         cfg = RunConfig(variant="iSAEM", total_iters=10 * 30, seed=11, gamma=GAMMA, mc_samples=5)
-
-        # replay the initialization pass, in index order on the "mc" stream,
-        # to recover s_hat^(0)
-        mc_rng = named_stream(11, "mc")
-        init = np.stack([mc_step(model, i, theta0, 5, mc_rng) for i in range(model.n)])
-        prev = init.mean(axis=0)
-
-        worst = 0.0
-
-        def trace(k, state):
-            nonlocal prev, worst
-            gamma = cfg.gamma.eval(k)
-            expected = prev + gamma * (state.table.recomputed_mean() - prev)
-            rel = np.max(np.abs(state.s_hat - expected) / np.maximum(np.abs(expected), 1.0))
-            worst = max(worst, rel)
-            prev = state.s_hat.copy()
-
-        run(GmmModel(data), cfg, theta0=theta0, trace=trace)
-        assert worst <= 1e-10
+        run(model, cfg, theta0=model.default_init())
+        assert model.isaem_worst_rel(cfg.gamma, cfg.total_iters) <= 1e-10
 
 
 class TestTrajectoryShape:

@@ -26,6 +26,17 @@ class TestParams:
             with pytest.raises(ValueError, match="interior of the simplex"):
                 GmmParams(omega=omega, mu=mu)
 
+    def test_model_arguments_checked(self):
+        data = np.array([0.5, -0.5])
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            GmmModel(np.empty(0))
+        with pytest.raises(ValueError, match="at least one component"):
+            GmmModel(data, n_components=0)
+        # a non-integer count fails here, not deep in a run
+        with pytest.raises(ValueError, match="n_components must be an integer, got 2.5"):
+            GmmModel(data, n_components=2.5)
+        assert GmmModel(data, n_components=np.int64(3)).stat_dim() == 5
+
     def test_regularizer_must_be_positive(self):
         with pytest.raises(ValueError):
             GmmRegularizer(delta=0.0)
