@@ -116,16 +116,17 @@ class AlgoSpec:
         variant = self.variant
         if variant not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}")
-        epoch_len = None
-        if VARIANTS[variant].proxy == "anchor":
-            # text (a CLI flag) is parsed here; RunConfig checks any other
-            # value as an integer
-            epoch_len = n if self.epoch_len in ("auto", None) else self.epoch_len
-            if isinstance(epoch_len, str):
-                try:
-                    epoch_len = int(epoch_len)
-                except ValueError:
-                    raise ConfigError(f"cannot parse epoch_len {epoch_len!r}") from None
+        # text (a CLI flag) is parsed and any value checked for every variant;
+        # only vrTTEM has an anchor, so the others leave a valid value unused
+        epoch_len = None if self.epoch_len in ("auto", None) else self.epoch_len
+        if isinstance(epoch_len, str):
+            try:
+                epoch_len = int(epoch_len)
+            except ValueError:
+                raise ConfigError(f"cannot parse epoch_len {epoch_len!r}") from None
+        elif epoch_len is not None:
+            epoch_len = as_int("epoch_len", epoch_len)
+        epoch_len = (n if epoch_len is None else epoch_len) if VARIANTS[variant].proxy == "anchor" else None
         mc = self.mc_samples if self.mc_samples is not None else DEFAULT_MC_SAMPLES[model_kind]
         gamma = parse_gamma(self.gamma, n, variant)
         if VARIANTS[variant].unit_gamma and self.gamma == DEFAULT_GAMMA:

@@ -87,7 +87,8 @@ def _add_algo_flags(command: argparse.ArgumentParser) -> None:
     command.add_argument("--gamma", default=bench.DEFAULT_GAMMA)
     command.add_argument("--rho", default="auto")
     command.add_argument("--mc-samples", type=int, default=None)
-    command.add_argument("--epoch-len", default="auto")
+    command.add_argument("--epoch-len", default="auto",
+                         help="vrTTEM anchor period (auto: n); parsed for all variants, used by vrTTEM only")
 
 
 def _algo(args: argparse.Namespace, variant: str) -> bench.AlgoSpec:

@@ -1,10 +1,10 @@
 """Shared domain types: stepsize schedules, the per-sample statistic table,
 run configuration, and the model interface every algorithm variant drives.
 
-Statistic vectors are plain 1-d float64 arrays of a model-declared length k;
-each model documents its own index layout.  The table and the schedules are
-the only stateful pieces here, and the table is mutated by exactly one
-engine run at a time.
+Statistic vectors are 1-d float64 arrays of a model-declared length k at
+the model interface; each model documents its own index layout.  The table
+and the schedules are the only stateful pieces here, and the table is
+mutated by exactly one engine run at a time.
 """
 
 from __future__ import annotations
@@ -144,6 +144,9 @@ class PerSampleStatTable:
     The mean is maintained incrementally on single-entry replacement and is
     guaranteed to stay within 1e-10 relative error of a from-scratch
     recomputation over any update sequence of practical length.
+
+    ``entries`` is an (n, k) array, while ``mean`` holds plain floats, which
+    round as numpy's element-wise operations do at a fraction of their cost.
     """
 
     def __init__(self, entries: np.ndarray):
@@ -152,21 +155,15 @@ class PerSampleStatTable:
             raise ValueError("table entries must be a nonempty (n, k) array")
         if not np.all(np.isfinite(entries)):
             raise ValueError("table entries must be finite")
+        self.n = entries.shape[0]
         self.entries = entries.copy()
-        self.mean = entries.mean(axis=0)
+        self.mean = entries.mean(axis=0).tolist()
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def replace(self, i: int, vec: np.ndarray) -> None:
-        """Replace entry i and fold the change into the running mean."""
-        self.mean = self.mean + (vec - self.entries[i]) / self.n
-        self.entries[i] = vec
-
-    def recomputed_mean(self) -> np.ndarray:
-        """From-scratch mean of the entries (oracle for the running mean)."""
-        return self.entries.mean(axis=0)
+    def replace(self, i: int, vec) -> None:
+        """Replace entry i by the k floats ``vec``; fold the change into the mean."""
+        n, row = self.n, self.entries[i]
+        self.mean = [m + (v - e) / n for m, v, e in zip(self.mean, vec, row.tolist(), strict=True)]
+        row[:] = vec
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +290,8 @@ class ModelSpec(ABC):
         """Inverse of flatten_params."""
 
     @abstractmethod
-    def mc_stat(
-        self, i: int, theta, n_samples: int, rng: np.random.Generator, chains: Optional[dict] = None
-    ) -> np.ndarray:
+    def mc_stat(self, i: int, theta, n_samples: int, rng: np.random.Generator,
+                chains: Optional[dict] = None) -> np.ndarray:
         """Monte Carlo E-step: estimate of E[S(z_i, y_i) | y_i; theta].
 
         Draws from p(z_i | y_i; theta) on ``rng`` only (the engine passes one

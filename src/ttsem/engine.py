@@ -32,10 +32,17 @@ Andrieu, Moulines & Priouret (2005).  stt is never projected, so the
 recorded timescale gap is the raw one.  The projection is the identity on
 the set, so runs that stay inside it are unchanged bit for bit.
 
+Iterates: stt, s_hat, the proxies and the table mean hold plain floats, since
+numpy dispatch on k numbers costs more than their element-wise arithmetic,
+which rounds the same; only the gap keeps np.dot's summation.  Arrays
+cross only the ModelSpec seam: E-step results, and project / m_step input.
+
 Randomness: index draws, posterior draws, and the termination draw live
 on separate named streams of the run seed (so the Monte Carlo sample count
 never perturbs the index sequence); each posterior role's E-steps draw
-from one stream in visit order.  MCMC chain states are part of the run's
+from one stream in visit order.  Nothing else reads an index stream, so
+indices are drawn ahead in blocks of at most _INDEX_CHUNK; a block reads the
+stream exactly as single draws do.  MCMC chain states are part of the run's
 iterate (as in MCMC-SAEM, Kuhn & Lavielle 2004): the engine keeps one chain
 dict per role, starts each run with empty ones and hands them to the model,
 so ``run`` is a pure function of (model data, config, theta0).
@@ -93,30 +100,31 @@ def mc_step(model: ModelSpec, i: int, theta, n_samples: int, rng: np.random.Gene
     return model.mc_stat(i, theta, n_samples, rng, chains)
 
 
-def sa_step(s_hat: np.ndarray, stt: np.ndarray, gamma: float) -> np.ndarray:
+def sa_step(s_hat: list, stt: list, gamma: float) -> list:
     """Slow-timescale update s_hat + gamma * (stt - s_hat).
 
     gamma = 1 returns stt verbatim so full-replacement reductions hold
     exactly in floating point.
     """
-    assert s_hat.shape == stt.shape, "statistic length mismatch"
-    if gamma == 1.0:
-        return stt.copy()
-    return s_hat + gamma * (stt - s_hat)
+    assert len(s_hat) == len(stt), "statistic length mismatch"
+    return list(stt) if gamma == 1.0 else [a + gamma * (b - a) for a, b in zip(s_hat, stt)]
 
 
-def inc_step(stt: np.ndarray, proxy: np.ndarray, rho: float) -> np.ndarray:
+def inc_step(stt: list, proxy: list, rho: float) -> list:
     """Fast-timescale update stt + rho * (proxy - stt); rho = 1 returns proxy."""
-    assert stt.shape == proxy.shape, "statistic length mismatch"
-    if rho == 1.0:
-        return proxy.copy()
-    return stt + rho * (proxy - stt)
+    assert len(stt) == len(proxy), "statistic length mismatch"
+    return list(proxy) if rho == 1.0 else [a + rho * (b - a) for a, b in zip(stt, proxy)]
 
 
-def gap_delta_s(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared Euclidean distance between two statistic vectors."""
-    d = a - b
-    return float(np.dot(d, d))
+def gap_delta_s(a: list, b: list) -> float:
+    """Squared Euclidean distance between two statistic vectors: +0.0 for
+    equal ones, else np.dot's BLAS sum (as ndarray.dot), whose order and FMA
+    use a Python sum would not reproduce."""
+    d = [x - y for x, y in zip(a, b, strict=True)]
+    if not any(d):
+        return 0.0
+    v = np.array(d)
+    return float(v.dot(v))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +132,7 @@ def gap_delta_s(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def proxy_isaem(table: PerSampleStatTable, i_k: int, s_new: np.ndarray) -> np.ndarray:
+def proxy_isaem(table: PerSampleStatTable, i_k: int, s_new: list) -> list:
     """Replace-one running-mean proxy (SAGA-style).
 
     Commits the replacement of entry i_k by ``s_new`` and returns the new
@@ -135,19 +143,13 @@ def proxy_isaem(table: PerSampleStatTable, i_k: int, s_new: np.ndarray) -> np.nd
     return table.mean
 
 
-def proxy_vr(anchor_stt: np.ndarray, anchor_entry_i: np.ndarray, s_new: np.ndarray) -> np.ndarray:
+def proxy_vr(anchor_stt: list, anchor_entry_i: list, s_new: list) -> list:
     """Epoch-anchored control-variate proxy (SVRG-style)."""
     assert anchor_stt is not None, "epoch anchor missing; refresh before use"
-    return anchor_stt + (s_new - anchor_entry_i)
+    return [a + (v - e) for a, v, e in zip(anchor_stt, s_new, anchor_entry_i, strict=True)]
 
 
-def proxy_fi(
-    table: PerSampleStatTable,
-    i_k: int,
-    j_k: int,
-    s_new_i: np.ndarray,
-    s_new_j: np.ndarray,
-) -> np.ndarray:
+def proxy_fi(table: PerSampleStatTable, i_k: int, j_k: int, s_new_i: list, s_new_j: list) -> list:
     """Two-stream proxy: the i-stream reads the table, the j-stream writes it.
 
     Returns mean + (s_new_i - entries[i_k]) using the pre-update state, then
@@ -155,7 +157,7 @@ def proxy_fi(
     touched by the i-stream.
     """
     assert 0 <= i_k < table.n and 0 <= j_k < table.n
-    out = table.mean + (s_new_i - table.entries[i_k])
+    out = [m + (v - e) for m, v, e in zip(table.mean, s_new_i, table.entries[i_k].tolist(), strict=True)]
     table.replace(j_k, s_new_j)
     return out
 
@@ -165,10 +167,10 @@ def proxy_fi(
 # ---------------------------------------------------------------------------
 
 
-def _estep(model: ModelSpec, i: int, theta, n_samples: int, rng, chains, iteration: int) -> np.ndarray:
-    """One E-step for sample i, exact when ``rng`` is None, else Monte Carlo
-    on ``rng`` and ``chains``; failures raise SamplingError carrying i and
-    the iteration (-1 is the initialization pass)."""
+def _estep(model: ModelSpec, i: int, theta, n_samples: int, rng, chains, iteration: int) -> list:
+    """One E-step for sample i as plain floats, exact when ``rng`` is None,
+    else Monte Carlo on ``rng`` and ``chains``; failures raise SamplingError
+    carrying i and the iteration (-1 is the initialization pass)."""
     if rng is None:
         s = model.exact_expectation(i, theta)
     else:
@@ -178,10 +180,10 @@ def _estep(model: ModelSpec, i: int, theta, n_samples: int, rng, chains, iterati
             raise
         except Exception as exc:
             raise SamplingError(f"posterior sampling failed: {exc}", i, iteration) from exc
-    # plain floats: numpy dispatch costs more than the test on k elements
-    if not all(map(math.isfinite, s.tolist())):
+    vals = s.tolist()
+    if not all(map(math.isfinite, vals)):
         raise SamplingError("non-finite statistic", i, iteration)
-    return s
+    return vals
 
 
 def _full_pass(model: ModelSpec, theta, n_samples: int, rng, chains, iteration: int) -> np.ndarray:
@@ -192,14 +194,8 @@ def _full_pass(model: ModelSpec, theta, n_samples: int, rng, chains, iteration: 
     return rows
 
 
-def epoch_refresh(
-    model: ModelSpec,
-    theta,
-    n_samples: int,
-    rng: np.random.Generator,
-    iteration: int = 0,
-    chains: Optional[dict] = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def epoch_refresh(model: ModelSpec, theta, n_samples: int, rng: np.random.Generator, iteration: int = 0,
+                  chains: Optional[dict] = None) -> tuple[np.ndarray, np.ndarray]:
     """Full-pass anchor refresh at an epoch start.
 
     Recomputes every sample's Monte Carlo statistic under the current
@@ -210,6 +206,15 @@ def epoch_refresh(
     """
     entries = _full_pass(model, theta, n_samples, rng, chains, iteration)
     return entries.mean(axis=0), entries
+
+
+_INDEX_CHUNK = 1024
+
+
+def _index_draws(rng: np.random.Generator, n: int, count: int):
+    """``count`` uniform indices in [0, n), drawn lazily in blocks of _INDEX_CHUNK."""
+    for start in range(0, count, _INDEX_CHUNK):
+        yield from rng.integers(n, size=min(_INDEX_CHUNK, count - start)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +329,10 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
     if spec.exact and model.exact_expectation(0, theta0) is None:
         raise ConfigError(f"{config.variant} needs a model with an exact E-step")
 
-    seed = config.seed
-    rho = config.rho
-    m_epoch = config.epoch_len
-    k_f = config.total_iters
+    seed, rho, m_epoch, k_f = config.seed, config.rho, config.epoch_len, config.total_iters
 
-    idx_rng = named_stream(seed, "index_i")
-    jdx_rng = named_stream(seed, "index_j") if kind == "two_stream" else None
+    draws_i = _index_draws(named_stream(seed, "index_i"), n, k_f)
+    draws_j = _index_draws(named_stream(seed, "index_j"), n, k_f) if kind == "two_stream" else None
     # Posterior-stream roles: "mc" serves the initialization pass, the
     # i-stream, batch passes and anchor refreshes; fiTTEM's j-draws get their
     # own so that i_k = j_k still yields independent draws.  Each role has
@@ -340,7 +342,7 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
     chains = {r: {} for r in roles}
     mc = config.mc_samples
 
-    def estep(i: int, theta, iteration: int, role: str = "mc") -> np.ndarray:
+    def estep(i: int, theta, iteration: int, role: str = "mc") -> list:
         return _estep(model, i, theta, mc, rngs[role], chains[role], iteration)
 
     # Initialization pass: per-sample statistics under theta0.
@@ -350,6 +352,7 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
     stt = init_rows.mean(axis=0)
     s_hat = model.project(stt.copy())
     theta = model.m_step(s_hat)
+    stt, s_hat = stt.tolist(), s_hat.tolist()
 
     anchor_stt = anchor_entries = None
     records = k_f + 1
@@ -370,36 +373,30 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
     # refresh) plus one per n charged draws.  The initialization pass is not
     # charged, a refresh iteration reuses its freshly drawn entry, and
     # fiTTEM's j-draw rides along with its iteration.
-    refreshes = 0
-    extra_draws = 0
+    refreshes = extra_draws = 0
 
     for k in range(k_f):
         if kind == "batch":
-            proxy = _full_pass(model, theta, mc, rngs["mc"], chains["mc"], k).mean(axis=0)
+            proxy = _full_pass(model, theta, mc, rngs["mc"], chains["mc"], k).mean(axis=0).tolist()
             refreshes += 1
         elif kind == "table":
-            i_k = int(idx_rng.integers(n))
-            s_new = estep(i_k, theta, k)
-            proxy = proxy_isaem(table, i_k, s_new)
+            i_k = next(draws_i)
+            proxy = proxy_isaem(table, i_k, estep(i_k, theta, k))
             extra_draws += 1
         elif kind == "anchor":
-            i_k = int(idx_rng.integers(n))
+            i_k = next(draws_i)
             if k % m_epoch == 0:
-                anchor_stt, anchor_entries = epoch_refresh(
-                    model, theta, mc, rngs["mc"], iteration=k, chains=chains["mc"]
-                )
+                anchor_stt, anchor_entries = epoch_refresh(model, theta, mc, rngs["mc"], k, chains["mc"])
+                anchor_stt = anchor_stt.tolist()
                 refreshes += 1
-                s_new = anchor_entries[i_k]  # refreshed this very iteration
+                s_new = anchor_entries[i_k].tolist()  # refreshed this very iteration
             else:
                 s_new = estep(i_k, theta, k)
                 extra_draws += 1
-            proxy = proxy_vr(anchor_stt, anchor_entries[i_k], s_new)
+            proxy = proxy_vr(anchor_stt, anchor_entries[i_k].tolist(), s_new)
         else:  # two_stream
-            i_k = int(idx_rng.integers(n))
-            j_k = int(jdx_rng.integers(n))
-            s_new_i = estep(i_k, theta, k)
-            s_new_j = estep(j_k, theta, k, role="mc_j")
-            proxy = proxy_fi(table, i_k, j_k, s_new_i, s_new_j)
+            i_k, j_k = next(draws_i), next(draws_j)
+            proxy = proxy_fi(table, i_k, j_k, estep(i_k, theta, k), estep(j_k, theta, k, role="mc_j"))
             extra_draws += 1
 
         stt = inc_step(stt, proxy, rho)
@@ -407,9 +404,10 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
         if rho == 1.0:
             assert delta == 0.0, "rho = 1 must pin stt to the proxy"
         s_hat = sa_step(s_hat, stt, config.gamma.eval(k))
-        assert all(map(math.isfinite, s_hat.tolist() + stt.tolist()))
-        s_hat = model.project(s_hat)
-        theta = model.m_step(s_hat)
+        assert all(map(math.isfinite, s_hat + stt))
+        s_proj = model.project(np.array(s_hat))
+        theta = model.m_step(s_proj)
+        s_hat = s_proj.tolist()
 
         r = k + 1
         traj.epochs[r] = extra_draws / n + float(refreshes)

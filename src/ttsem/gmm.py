@@ -51,7 +51,8 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass(frozen=True)
 class GmmParams:
-    """Mixture parameters: M-1 free weights and M means."""
+    """Mixture parameters: M-1 free weights and M means, plus the plain-float
+    copies the per-sample kernels read (weights, log weights, means)."""
 
     omega: np.ndarray  # shape (M-1,), free weights; omega_M = 1 - sum is implied
     mu: np.ndarray     # shape (M,)
@@ -62,11 +63,14 @@ class GmmParams:
         if self.mu.ndim != 1 or self.omega.ndim != 1 or len(self.mu) != len(self.omega) + 1:
             raise ValueError("need M means and M-1 free weights")
         # checks in plain floats, on the copies the per-sample kernels read;
-        # a NaN weight fails both comparisons
-        omega, total = self.omega.tolist(), float(self.omega.sum())
+        # a NaN weight fails both comparisons.  numpy sums fewer than 8 terms
+        # left to right, as sum() does; from 8 on it sums pairwise.
+        omega = self.omega.tolist()
+        total = sum(omega) if len(omega) < 8 else float(self.omega.sum())
         if not (all(w > 0.0 for w in omega) and total < 1.0):
             raise ValueError("weights must lie in the interior of the simplex")
         object.__setattr__(self, "_wlist", omega + [1.0 - total])
+        object.__setattr__(self, "_logw", [math.log(w) for w in self._wlist])
         object.__setattr__(self, "_mulist", self.mu.tolist())
         if not all(map(math.isfinite, self._mulist)):
             raise ValueError("means must be finite")
@@ -205,7 +209,7 @@ class GmmModel(ModelSpec):
         return [f"omega{j + 1}" for j in range(m - 1)] + [f"mu{j + 1}" for j in range(m)]
 
     def flatten_params(self, theta: GmmParams) -> np.ndarray:
-        return np.concatenate([theta.omega, theta.mu])
+        return np.array(theta._wlist[:-1] + theta._mulist)  # omega then mu, from the plain-float copies
 
     def unflatten_params(self, vec: np.ndarray) -> GmmParams:
         m = self.n_components
@@ -227,7 +231,7 @@ class GmmModel(ModelSpec):
     def _posterior_unnorm(self, i: int, theta: GmmParams):
         # observation i and its masses as _shifted_joint computes them
         y = float(self.data[i])
-        logits = [math.log(w) - 0.5 * ((y - mu) * (y - mu)) for w, mu in zip(theta._wlist, theta._mulist)]
+        logits = [lw - 0.5 * ((y - mu) * (y - mu)) for lw, mu in zip(theta._logw, theta._mulist)]
         shift = max(logits)
         probs = [math.exp(v - shift) for v in logits]
         return y, probs, math.fsum(probs)

@@ -10,14 +10,11 @@ import io
 import time
 
 import numpy as np
-import pytest
 
 from ttsem import bench, gmm, pk
-from ttsem.bench import AlgoSpec, ExperimentSpec
 from ttsem.core import RunConfig, StepSchedule
 from ttsem.engine import mc_step, run
 from ttsem.gmm import GmmModel, GmmParams
-from ttsem.pk import PkModel, PkParams
 from ttsem.rng import named_stream
 from ttsem.samplers import MhConfig, mh_chain
 

@@ -78,6 +78,14 @@ class TestAlgoSpec:
             AlgoSpec("vrTTEM", epoch_len=epoch_len).to_config(n=100, epochs=1, seed=0, model_kind="gmm")
         assert AlgoSpec("vrTTEM", epoch_len="7").to_config(100, 1, 0, "gmm").epoch_len == 7
 
+    @pytest.mark.parametrize("variant", ["SAEM", "iSAEM", "fiTTEM", "EM"])
+    def test_epoch_len_checked_for_every_variant(self, variant):
+        for bad in ("x", "2.5", 2.5):
+            with pytest.raises(ConfigError, match="epoch_len"):
+                AlgoSpec(variant, epoch_len=bad).to_config(100, 1, 0, "gmm")
+        # a well-formed value is left unused outside vrTTEM
+        assert AlgoSpec(variant, epoch_len="7").to_config(100, 1, 0, "gmm").epoch_len is None
+
 
 class TestMetricPrecision:
     def test_zero_at_truth(self):
@@ -441,6 +449,12 @@ class TestCli:
         (["replicate", "--seed", "-1"], None, 1),
         (["replicate", "--seed", str(2**64)], None, 1),
         (["replicate", "--algos", "SAEM,SAEM"], None, 1),
+        (["run", "--algo", "SAEM", "--epoch-len", "x"], None, 1),  # parsed even where unused
+        (["run", "--algo", "iSAEM"], {"epoch_len": "2.5"}, 1),
+        (["run", "--algo", "SAEM", "--epoch-len", "7"], None, 0),  # well-formed, unused
+        (["replicate", "--epoch-len", "x"], None, 1),
+        (["replicate", "--algos", "SAEM,vrTTEM", "--epoch-len", "x"], None, 1),
+        (["replicate", "--epoch-len", "5"], None, 0),
     ])
     def test_bad_values_are_usage_errors(self, tmp_path, capsys, argv, config, code):
         data = tmp_path / "d.txt"

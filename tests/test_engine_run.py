@@ -176,6 +176,32 @@ class TestRunningMeanEquivalence:
         assert model.isaem_worst_rel(cfg.gamma, cfg.total_iters) <= 1e-10
 
 
+class TestIndexDraws:
+    """The engine draws its indices in blocks; a block must read the stream
+    exactly as the same number of single draws does."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 10**4, 2**31 + 3, 3 * 10**9])
+    def test_block_draws_equal_single_draws(self, n):
+        # numpy behaviour the blocks rely on, across block boundaries
+        blocks, singles = named_stream(3, "index_i"), named_stream(3, "index_i")
+        for size in (1, 5, engine._INDEX_CHUNK, 3, engine._INDEX_CHUNK + 1):
+            got = blocks.integers(n, size=size).tolist()
+            assert got == [int(singles.integers(n)) for _ in range(size)]
+
+    @pytest.mark.parametrize("variant", ["iSAEM", "fiTTEM"])
+    @pytest.mark.parametrize("iters", [0, 1, engine._INDEX_CHUNK, engine._INDEX_CHUNK + 1])
+    def test_run_visits_the_single_draw_indices(self, recording_gmm, variant, iters):
+        n = 13
+        model = recording_gmm(make_data(n=n))
+        kw = dict(rho=0.5) if variant == "fiTTEM" else {}
+        run(model, RunConfig(variant=variant, total_iters=iters, seed=8, gamma=GAMMA, mc_samples=1, **kw))
+        visited = [i for i, _ in model.stats[n:]]  # after the init pass
+        streams = ["index_i", "index_j"] if variant == "fiTTEM" else ["index_i"]
+        replays = [named_stream(8, label) for label in streams]
+        # fiTTEM visits its i-index, then its j-index, in every iteration
+        assert visited == [int(g.integers(n)) for _ in range(iters) for g in replays]
+
+
 class TestTrajectoryShape:
     def test_record_count_is_iters_plus_one(self):
         data = make_data(n=10)

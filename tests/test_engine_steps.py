@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from ttsem.core import PerSampleStatTable
 from ttsem.engine import (
@@ -79,8 +78,8 @@ class TestProxyIsaem:
         table = PerSampleStatTable(rng.standard_normal((7, 3)))
         for _ in range(200):
             i = int(rng.integers(7))
-            out = proxy_isaem(table, i, rng.standard_normal(3))
-            np.testing.assert_allclose(out, table.recomputed_mean(), rtol=1e-12, atol=1e-12)
+            out = proxy_isaem(table, i, rng.standard_normal(3).tolist())
+            np.testing.assert_allclose(out, table.entries.mean(axis=0), rtol=1e-12, atol=1e-12)
 
 
 class TestProxyVr:
@@ -97,7 +96,7 @@ class TestProxyVr:
 class TestProxyFi:
     def test_zero_correction_reads_pre_update_mean(self):
         table = PerSampleStatTable(np.array([[0.0], [2.0]]))
-        out = proxy_fi(table, 0, 1, table.entries[0].copy(), np.array([5.0]))
+        out = proxy_fi(table, 0, 1, table.entries[0].tolist(), [5.0])
         np.testing.assert_array_equal(out, [1.0])  # mean before the j-update
 
     def test_hand_values(self):
@@ -112,8 +111,8 @@ class TestProxyFi:
         table = PerSampleStatTable(rng.standard_normal((6, 2)))
         for _ in range(300):
             i, j = int(rng.integers(6)), int(rng.integers(6))
-            proxy_fi(table, i, j, rng.standard_normal(2), rng.standard_normal(2))
-            np.testing.assert_allclose(table.mean, table.recomputed_mean(), rtol=1e-10, atol=1e-12)
+            proxy_fi(table, i, j, rng.standard_normal(2).tolist(), rng.standard_normal(2).tolist())
+            np.testing.assert_allclose(table.mean, table.entries.mean(axis=0), rtol=1e-10, atol=1e-12)
 
     def test_table_state_depends_only_on_j_stream(self):
         rng = named_stream(15, "test")
@@ -126,8 +125,8 @@ class TestProxyFi:
         table_a = PerSampleStatTable(init)
         table_b = PerSampleStatTable(init)
         for t in range(100):
-            proxy_fi(table_a, int(i_seq_a[t]), int(j_seq[t]), rng.standard_normal(2), j_vals[t])
-            proxy_fi(table_b, int(i_seq_b[t]), int(j_seq[t]), rng.standard_normal(2), j_vals[t])
+            proxy_fi(table_a, int(i_seq_a[t]), int(j_seq[t]), rng.standard_normal(2).tolist(), j_vals[t].tolist())
+            proxy_fi(table_b, int(i_seq_b[t]), int(j_seq[t]), rng.standard_normal(2).tolist(), j_vals[t].tolist())
             np.testing.assert_array_equal(table_a.entries, table_b.entries)
             np.testing.assert_array_equal(table_a.mean, table_b.mean)
 
@@ -171,3 +170,113 @@ class TestMcStep:
         model, theta = self._model()
         with pytest.raises(ValueError):
             mc_step(model, 0, theta, 0, named_stream(20, "test"))
+
+
+# The numpy formulas the plain-float steps replaced, kept as oracles.
+
+
+def _sa_step_oracle(s_hat, stt, gamma):
+    if gamma == 1.0:
+        return stt.copy()
+    return s_hat + gamma * (stt - s_hat)
+
+
+def _inc_step_oracle(stt, proxy, rho):
+    if rho == 1.0:
+        return proxy.copy()
+    return stt + rho * (proxy - stt)
+
+
+def _gap_oracle(a, b):
+    d = a - b
+    return float(np.dot(d, d))
+
+
+class _TableOracle:
+    """PerSampleStatTable on an (n, k) array."""
+
+    def __init__(self, entries):
+        self.entries = entries.copy()
+        self.mean = entries.mean(axis=0)
+
+    def replace(self, i, vec):
+        self.mean = self.mean + (vec - self.entries[i]) / self.entries.shape[0]
+        self.entries[i] = vec
+
+
+def _proxy_isaem_oracle(table, i, s_new):
+    table.replace(i, s_new)
+    return table.mean
+
+
+def _proxy_vr_oracle(anchor_stt, anchor_entry_i, s_new):
+    return anchor_stt + (s_new - anchor_entry_i)
+
+
+def _proxy_fi_oracle(table, i, j, s_new_i, s_new_j):
+    out = table.mean + (s_new_i - table.entries[i])
+    table.replace(j, s_new_j)
+    return out
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _stat(rng, k):
+    """k floats spread over sixteen decades, so sums and differences round."""
+    return rng.standard_normal(k) * 10.0 ** rng.integers(-8, 8, size=k)
+
+
+class TestStepsMatchNumpyOracles:
+    """The plain-float steps bit for bit against the numpy formulas they
+    replaced, on random statistics, including unit gamma and unit rho."""
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 15])
+    def test_sa_inc_and_gap(self, k):
+        rng = named_stream(21, "test", k)
+        for t in range(400):
+            a, b = _stat(rng, k), _stat(rng, k)
+            step = 1.0 if t % 4 == 0 else float(rng.uniform(1e-6, 1.0))
+            assert _bits(sa_step(a.tolist(), b.tolist(), step)) == _bits(_sa_step_oracle(a, b, step))
+            assert _bits(inc_step(a.tolist(), b.tolist(), step)) == _bits(_inc_step_oracle(a, b, step))
+            assert _bits(gap_delta_s(a.tolist(), b.tolist())) == _bits(_gap_oracle(a, b))
+            assert _bits(gap_delta_s(a.tolist(), a.tolist())) == _bits(_gap_oracle(a, a.copy()))
+
+    def test_unit_rho_gap_is_positive_zero(self):
+        rng = named_stream(22, "test")
+        for _ in range(100):
+            proxy = _stat(rng, 3).tolist()
+            gap = gap_delta_s(inc_step(_stat(rng, 3).tolist(), proxy, 1.0), proxy)
+            assert _bits(gap) == _bits(0.0)
+
+    @pytest.mark.parametrize("k", [1, 3, 15])
+    def test_table_and_proxies(self, k):
+        rng = named_stream(23, "test", k)
+        n = 9
+        init = np.stack([_stat(rng, k) for _ in range(n)])
+        table, oracle = PerSampleStatTable(init), _TableOracle(init)
+        fi_table, fi_oracle = PerSampleStatTable(init), _TableOracle(init)
+        assert _bits(table.mean) == _bits(oracle.mean)
+        for _ in range(300):
+            i, j = int(rng.integers(n)), int(rng.integers(n))
+            s_i, s_j = _stat(rng, k), _stat(rng, k)
+            assert _bits(proxy_isaem(table, i, s_i.tolist())) == _bits(_proxy_isaem_oracle(oracle, i, s_i))
+            assert _bits(table.entries) == _bits(oracle.entries)
+            got = proxy_fi(fi_table, i, j, s_i.tolist(), s_j.tolist())
+            assert _bits(got) == _bits(_proxy_fi_oracle(fi_oracle, i, j, s_i, s_j))
+            assert _bits(fi_table.mean) == _bits(fi_oracle.mean)
+            assert _bits(fi_table.entries) == _bits(fi_oracle.entries)
+            anchor, entry = _stat(rng, k), init[i]
+            got = proxy_vr(anchor.tolist(), entry.tolist(), s_i.tolist())
+            assert _bits(got) == _bits(_proxy_vr_oracle(anchor, entry, s_i))
+            assert _bits(proxy_vr(anchor.tolist(), entry.tolist(), entry.tolist())) == _bits(anchor)
+
+    def test_length_mismatch_is_caught(self):
+        table = PerSampleStatTable(np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            table.replace(0, [1.0, 2.0])
+        with pytest.raises(ValueError):
+            proxy_vr([0.0, 0.0], [0.0, 0.0], [1.0])
+        with pytest.raises(AssertionError):
+            inc_step([0.0], [0.0, 1.0], 0.5)

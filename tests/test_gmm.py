@@ -26,6 +26,20 @@ class TestParams:
             with pytest.raises(ValueError, match="interior of the simplex"):
                 GmmParams(omega=omega, mu=mu)
 
+    @pytest.mark.parametrize("m", range(2, 14))
+    def test_implied_weight_and_logs_match_numpy(self, m):
+        # the implied weight uses sum() below 8 free weights, ndarray.sum() from 8
+        rng = named_stream(50 + m, "test")
+        for _ in range(200):
+            w = rng.dirichlet(np.full(m, 0.3)) * rng.uniform(0.5, 1.0)
+            w = np.where(w > 0.0, w, 1e-300)
+            p = GmmParams(omega=w[: m - 1], mu=np.zeros(m))
+            implied = 1.0 - float(np.asarray(w[: m - 1]).sum())
+            assert np.array_equal(p.full_weights(), np.append(w[: m - 1], implied))
+            assert p._logw == [math.log(v) for v in p.full_weights().tolist()]
+            flat = GmmModel(np.zeros(1), m).flatten_params(p)
+            assert flat.tobytes() == np.concatenate([p.omega, p.mu]).tobytes()
+
     def test_model_arguments_checked(self):
         data = np.array([0.5, -0.5])
         with pytest.raises(ValueError, match="nonempty 1-d"):
