@@ -12,7 +12,7 @@ One run alternates, for K_f iterations:
 
 Proxy kinds (``core.VARIANTS`` maps each variant to one):
 
-  batch        EM / MCEM / SAEM: full pass per iteration (exact for EM)
+  batch        EM / MCEM / SAEM: the anchor refreshed every iteration
   table        iEM / iSAEM: per-sample table, replace-one running mean
   anchor       vrTTEM: epoch anchor refreshed every epoch_len iterations
   two_stream   fiTTEM: table read by the i-stream, written only by the j-stream
@@ -40,7 +40,8 @@ cross only the ModelSpec seam: E-step results, and project / m_step input.
 Randomness: index draws, posterior draws, and the termination draw live
 on separate named streams of the run seed (so the Monte Carlo sample count
 never perturbs the index sequence); each posterior role's E-steps draw
-from one stream in visit order.  Nothing else reads an index stream, so
+from one stream in visit order.  Batch variants draw index_i too, unused,
+which moves no other stream.  Nothing else reads an index stream, so
 indices are drawn ahead in blocks of at most _INDEX_CHUNK; a block reads the
 stream exactly as single draws do.  MCMC chain states are part of the run's
 iterate (as in MCMC-SAEM, Kuhn & Lavielle 2004): the engine keeps one chain
@@ -163,7 +164,7 @@ def proxy_fi(table: PerSampleStatTable, i_k: int, j_k: int, s_new_i: list, s_new
 
 
 # ---------------------------------------------------------------------------
-# Per-sample E-steps and full passes
+# Per-sample E-steps and the whole pass
 # ---------------------------------------------------------------------------
 
 
@@ -186,25 +187,18 @@ def _estep(model: ModelSpec, i: int, theta, n_samples: int, rng, chains, iterati
     return vals
 
 
-def _full_pass(model: ModelSpec, theta, n_samples: int, rng, chains, iteration: int) -> np.ndarray:
-    """E-step rows for every sample, in index order."""
-    rows = np.empty((model.n, model.stat_dim()))
-    for i in range(model.n):
-        rows[i] = _estep(model, i, theta, n_samples, rng, chains, iteration)
-    return rows
-
-
 def epoch_refresh(model: ModelSpec, theta, n_samples: int, rng: np.random.Generator, iteration: int = 0,
                   chains: Optional[dict] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Full-pass anchor refresh at an epoch start.
-
-    Recomputes every sample's Monte Carlo statistic under the current
-    parameters, in index order on ``rng``, and returns the anchor pair
-    (batch mean of the fresh entries, the entries themselves).  With rho = 1
-    the subsequent Inc-step pins stt to that anchor exactly, which collapses
-    the epoch-length-1 case onto the full-batch algorithm.
+    """The one whole pass: initialization, each batch iteration and each
+    anchor refresh.  Recomputes every sample's statistic under the current
+    parameters, in index order on ``rng`` (exact when it is None), and
+    returns (the batch mean of the fresh entries, the entries).  With rho = 1
+    the Inc-step pins stt to that mean, so batch variants are the anchor
+    proxy refreshed every iteration.
     """
-    entries = _full_pass(model, theta, n_samples, rng, chains, iteration)
+    entries = np.empty((model.n, model.stat_dim()))
+    for i in range(model.n):
+        entries[i] = _estep(model, i, theta, n_samples, rng, chains, iteration)
     return entries.mean(axis=0), entries
 
 
@@ -227,8 +221,8 @@ def draw_termination(gammas, rng: np.random.Generator) -> int:
     g = np.asarray(gammas, dtype=np.float64)
     if g.size == 0:
         raise ValueError("need at least one stepsize to draw a termination index")
-    if np.any(g <= 0.0):
-        raise ValueError("termination weights must be strictly positive")
+    if not np.all(np.isfinite(g) & (g > 0.0)):
+        raise ValueError("termination weights must be finite and strictly positive")
     return categorical_sample(g / g.sum(), rng)
 
 
@@ -329,12 +323,13 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
     if spec.exact and model.exact_expectation(0, theta0) is None:
         raise ConfigError(f"{config.variant} needs a model with an exact E-step")
 
-    seed, rho, m_epoch, k_f = config.seed, config.rho, config.epoch_len, config.total_iters
+    seed, rho, k_f = config.seed, config.rho, config.total_iters
+    period = 1 if kind == "batch" else config.epoch_len
 
     draws_i = _index_draws(named_stream(seed, "index_i"), n, k_f)
     draws_j = _index_draws(named_stream(seed, "index_j"), n, k_f) if kind == "two_stream" else None
     # Posterior-stream roles: "mc" serves the initialization pass, the
-    # i-stream, batch passes and anchor refreshes; fiTTEM's j-draws get their
+    # i-stream and every later whole pass; fiTTEM's j-draws get their
     # own so that i_k = j_k still yields independent draws.  Each role has
     # one stream, drawn in visit order, and its own fresh MCMC chain states.
     roles = ("mc", "mc_j") if kind == "two_stream" else ("mc",)
@@ -346,10 +341,9 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
         return _estep(model, i, theta, mc, rngs[role], chains[role], iteration)
 
     # Initialization pass: per-sample statistics under theta0.
-    init_rows = _full_pass(model, theta0, mc, rngs["mc"], chains["mc"], -1)
+    stt, init_rows = epoch_refresh(model, theta0, mc, rngs["mc"], -1, chains["mc"])
 
     table = PerSampleStatTable(init_rows) if kind in ("table", "two_stream") else None
-    stt = init_rows.mean(axis=0)
     s_hat = model.project(stt.copy())
     theta = model.m_step(s_hat)
     stt, s_hat = stt.tolist(), s_hat.tolist()
@@ -369,23 +363,20 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
     traj.thetas[0] = model.flatten_params(theta)
     traj.wall_ns[0] = time.perf_counter_ns()
 
-    # Cost in epochs: one per full pass (a batch iteration or an anchor
-    # refresh) plus one per n charged draws.  The initialization pass is not
-    # charged, a refresh iteration reuses its freshly drawn entry, and
-    # fiTTEM's j-draw rides along with its iteration.
+    # Cost in epochs: one per whole pass after initialization (each batch
+    # iteration or anchor refresh) plus one per n charged draws.  A refresh
+    # iteration reuses its freshly drawn entry, and fiTTEM's j-draw rides
+    # along with its iteration.
     refreshes = extra_draws = 0
 
     for k in range(k_f):
-        if kind == "batch":
-            proxy = _full_pass(model, theta, mc, rngs["mc"], chains["mc"], k).mean(axis=0).tolist()
-            refreshes += 1
-        elif kind == "table":
+        if kind == "table":
             i_k = next(draws_i)
             proxy = proxy_isaem(table, i_k, estep(i_k, theta, k))
             extra_draws += 1
-        elif kind == "anchor":
+        elif kind in ("batch", "anchor"):
             i_k = next(draws_i)
-            if k % m_epoch == 0:
+            if k % period == 0:
                 anchor_stt, anchor_entries = epoch_refresh(model, theta, mc, rngs["mc"], k, chains["mc"])
                 anchor_stt = anchor_stt.tolist()
                 refreshes += 1

@@ -25,7 +25,7 @@ def categorical_sample(weights, rng: np.random.Generator, size: Optional[int] = 
     if np.any(w < 0.0):
         raise ValueError("categorical weights must be nonnegative")
     total = w.sum()
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # NaN and infinite totals fail too
         raise ValueError(f"categorical weights must sum to 1, got {total!r}")
     cdf = np.cumsum(w)
     cdf[-1] = 1.0

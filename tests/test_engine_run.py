@@ -291,6 +291,9 @@ class TestTermination:
             draw_termination([], rng)
         with pytest.raises(ValueError):
             draw_termination([1.0, 0.0], rng)
+        for weights in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]):
+            with pytest.raises(ValueError, match="termination weights must be finite"):
+                draw_termination(weights, rng)
 
     def test_randomized_termination_in_run(self):
         data = make_data(n=10)
@@ -389,10 +392,15 @@ class TestErrorPaths:
         assert exc.value.iteration == 0
 
     # n = 3 and SAEM makes one full pass per iteration: calls 1-3 are the
-    # initialization pass (iteration -1), calls 7-9 iteration 1
-    @pytest.mark.parametrize("nan_at, iteration", [(2, -1), (8, 1)])
-    def test_non_finite_statistic_carries_context(self, nan_at, iteration):
-        cfg = RunConfig(variant="SAEM", total_iters=4, seed=0, gamma=GAMMA, mc_samples=1)
+    # initialization pass (iteration -1), calls 7-9 iteration 1.  vrTTEM with
+    # epoch_len=2 refreshes at iterations 0 (calls 4-6) and 2 (calls 8-10)
+    # around iteration 1's single E-step (call 7).
+    @pytest.mark.parametrize("nan_at, iteration, cfg", [
+        (2, -1, RunConfig(variant="SAEM", total_iters=4, seed=0, gamma=GAMMA, mc_samples=1)),
+        (8, 1, RunConfig(variant="SAEM", total_iters=4, seed=0, gamma=GAMMA, mc_samples=1)),
+        (9, 2, RunConfig("vrTTEM", total_iters=4, seed=0, gamma=GAMMA, rho=0.5, epoch_len=2, mc_samples=1)),
+    ], ids=["2--1", "8-1", "vrTTEM-9-2"])
+    def test_non_finite_statistic_carries_context(self, nan_at, iteration, cfg):
         with pytest.raises(SamplingError, match="non-finite statistic") as exc:
             run(_NoExactModel(nan_at=nan_at), cfg)
         assert exc.value.sample_index == 1

@@ -34,6 +34,9 @@ class TestCategoricalSample:
             categorical_sample([0.5, 0.6], rng)
         with pytest.raises(ValueError):
             categorical_sample([0.9, -0.1, 0.2], rng)
+        for weights in ([np.nan, 1.0], [np.inf, 1.0], [1.0, np.nan, 0.0]):
+            with pytest.raises(ValueError, match="sum to 1"):
+                categorical_sample(weights, rng)
 
     def test_single_uniform_per_draw(self):
         # inverse-CDF sampling consumes exactly one uniform per draw
