@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import permutations
 from typing import Callable, Optional
@@ -364,6 +363,7 @@ def cmd_replicate(spec: ExperimentSpec, metrics_path, summary_path) -> dict:
     """Run the whole study and write the aggregated metrics CSV plus a
     summary JSON.  Any replicate failure aborts the experiment."""
     if (workers := min(spec.jobs, spec.replicates, os.cpu_count() or 1)) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it imports multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate_worker, [spec] * spec.replicates, range(spec.replicates)))
     else:

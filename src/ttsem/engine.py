@@ -216,14 +216,15 @@ def _index_draws(rng: np.random.Generator, n: int, count: int):
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore")  # a sum that overflows is rejected below, not warned about
 def draw_termination(gammas, rng: np.random.Generator) -> int:
     """Draw the reported iteration K with P(K = k) proportional to gamma_k."""
     g = np.asarray(gammas, dtype=np.float64)
     if g.size == 0:
         raise ValueError("need at least one stepsize to draw a termination index")
-    if not np.all(np.isfinite(g) & (g > 0.0)):
-        raise ValueError("termination weights must be finite and strictly positive")
-    return categorical_sample(g / g.sum(), rng)
+    if not (np.all(np.isfinite(g) & (g > 0.0)) and math.isfinite(total := g.sum())):
+        raise ValueError("termination weights must be finite and strictly positive, with a finite sum")
+    return categorical_sample(g / total, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -287,26 +287,47 @@ class GmmModel(ModelSpec):
 
 
 _REFERENCE_TOL = 1e-14  # stop once no parameter moves by this much
-_REFERENCE_MAX_ITER = 200_000  # safety bound; a few thousand usually suffice
+_REFERENCE_MAX_ITER = 200_000  # bound on EM map evaluations; 40-500 usually suffice
 
 
 def fit_reference_em(data: np.ndarray, init: GmmParams | None = None) -> GmmParams:
-    """Batch EM from ``init`` (which sets M; the two-component default start
-    when omitted), iterated until the parameter vector stops moving.
+    """Penalized-EM fixed point from ``init`` (which sets M; the two-component
+    default start when omitted), the reference of the precision metric.
 
-    Vectorized over the dataset; used to pin the maximum-likelihood
-    reference the benchmark precision metric is measured against.
+    SQUAREM (Varadhan & Roland, Scand. J. Statist. 2008, SqS3) over the EM map
+    F: with r = F(x) - x, v = F(F(x)) - 2 F(x) + x and a = min(-|r|/|v|, -1)
+    (-1 when v = 0), a cycle keeps F(x - 2a r + a^2 v) when that point is valid
+    and its image's penalized NLL is at most F(F(x))'s, else moves a halfway
+    to -1; after two tries it keeps F(F(x)).  Stops as plain EM does, at the
+    first EM step that moves no parameter by ``_REFERENCE_TOL``, and raises
+    FloatingPointError after ``_REFERENCE_MAX_ITER`` evaluations of F.
     """
     model = GmmModel(data, init.n_components if init is not None else 2)
     theta = init if init is not None else model.default_init()
-    prev = model.flatten_params(theta)
-    for _ in range(_REFERENCE_MAX_ITER):
-        theta = model.m_step(model.exact_batch_stat(theta))
-        cur = model.flatten_params(theta)
-        if np.max(np.abs(cur - prev)) < _REFERENCE_TOL:
-            break
-        prev = cur
-    return theta
+    evals = 0
+    while evals < _REFERENCE_MAX_ITER:
+        xs = [model.flatten_params(theta)]
+        for _ in range(2):
+            theta = model.m_step(model.exact_batch_stat(theta))
+            xs.append(model.flatten_params(theta))
+            if (step := float(np.max(np.abs(xs[-1] - xs[-2])))) < _REFERENCE_TOL:
+                return theta
+        evals += 2
+        r, v = xs[1] - xs[0], xs[2] - 2.0 * xs[1] + xs[0]
+        alpha = min(-float(np.linalg.norm(r)) / (float(np.linalg.norm(v)) or math.inf), -1.0)
+        target = model.penalized_nll(theta)
+        for _ in range(2):  # four tries took 5% more maps over 40 datasets at n = 2000
+            try:
+                point = model.unflatten_params(xs[0] - 2.0 * alpha * r + alpha * alpha * v)
+                evals += 1
+                trial = model.m_step(model.exact_batch_stat(point))
+            except (ValueError, FloatingPointError):
+                trial = None  # the point left the parameter set
+            if trial is not None and model.penalized_nll(trial) <= target:
+                theta = trial
+                break
+            alpha = (alpha - 1.0) / 2.0
+    raise FloatingPointError(f"reference EM on n={model.n} unconverged in {evals} EM maps; last step {step:.3g}")
 
 
 def read_dataset(path) -> np.ndarray:

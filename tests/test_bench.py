@@ -1,4 +1,8 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -234,7 +238,7 @@ class TestReplicateCommand:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(bench.os, "cpu_count", lambda: 8)
         bench.cmd_replicate(self._spec(jobs=4, replicates=1), tmp_path / "a.csv", tmp_path / "a.json")
         assert opened == []  # one replicate runs inline, with no pool at all
@@ -254,6 +258,15 @@ class TestReplicateCommand:
             assert opened == [2, 3]
             for ext in ("csv", "json"):
                 assert (tmp_path / f"b.{ext}").read_bytes() == (tmp_path / f"e.{ext}").read_bytes()
+
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        # only a replicate with jobs > 1 needs the pool, and importing it
+        # pulls multiprocessing, socket and subprocess into every process
+        src = os.path.dirname(os.path.dirname(bench.__file__))
+        code = "import sys, ttsem.cli; print('concurrent.futures.process' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "False"
 
     def test_unrunnable_algorithm_fails_before_simulating(self, tmp_path, monkeypatch):
         def no_simulation(*args):
@@ -396,6 +409,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "runtime failure" in err and field in err
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_unconverged_reference_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(gmm, "_REFERENCE_MAX_ITER", 2)
+        out = tmp_path / "out"
+        rc = cli.main(["replicate", "--model", "gmm", "--n", "120", "--replicates", "1", "--algos", "SAEM",
+                       "--mc-samples", "1", "--epochs", "1", "--seed", "8", "--out", str(out)])
+        assert rc == 2
+        assert "reference EM on n=120 unconverged" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_full_gmm_weight_vector_accepted(self, tmp_path, capsys):
         path = tmp_path / "theta.json"

@@ -295,6 +295,15 @@ class TestTermination:
             with pytest.raises(ValueError, match="termination weights must be finite"):
                 draw_termination(weights, rng)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sum_rejected_without_warning(self):
+        rng = named_stream(33, "test")
+        with pytest.raises(ValueError, match="termination weights .* with a finite sum"):
+            draw_termination([1e308, 1e308], rng)
+        # a sum just below the overflow still draws, by the same normalisation
+        g = np.array([8e307, 8e307])
+        assert draw_termination(g, rng) in (0, 1)
+
     def test_randomized_termination_in_run(self):
         data = make_data(n=10)
         cfg = RunConfig(variant="SAEM", total_iters=12, seed=9, gamma=GAMMA,

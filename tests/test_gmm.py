@@ -495,6 +495,78 @@ class TestPipelineIdentities:
             assert converged
 
 
+def _plain_reference_em(data, init=None):
+    """Plain EM to the reference stopping rule: the loop fit_reference_em
+    ran before SQUAREM, kept as its oracle."""
+    model = GmmModel(data, init.n_components if init is not None else 2)
+    theta = init if init is not None else model.default_init()
+    prev = model.flatten_params(theta)
+    for _ in range(200_000):
+        theta = model.m_step(model.exact_batch_stat(theta))
+        cur = model.flatten_params(theta)
+        if np.max(np.abs(cur - prev)) < 1e-14:
+            return theta
+        prev = cur
+    raise AssertionError("plain EM did not converge")
+
+
+_REF_TRUTHS = {2: GmmParams(omega=[0.5], mu=[0.5, -0.5]), 3: GmmParams(omega=[1 / 3, 1 / 3], mu=[-1.5, 0.0, 1.5])}
+
+
+def _ref_case(m, seed, start):
+    data = gmm.simulate(1000, _REF_TRUTHS[m], named_stream(seed, "test"))
+    return data, GmmModel(data, m).default_init() if start is None else start
+
+
+class TestReferenceEm:
+    @pytest.mark.parametrize("m, seed, start", [
+        (2, 70, None), (2, 71, None), (2, 72, None),
+        (2, 73, GmmParams(omega=[0.25], mu=[3.0, -2.0])), (2, 74, GmmParams(omega=[0.25], mu=[3.0, -2.0])),
+        (3, 75, None), (3, 76, None), (3, 77, GmmParams(omega=[0.1, 0.2], mu=[4.0, -3.0, 0.5])),
+    ])
+    def test_matches_plain_em(self, m, seed, start):
+        data, init = _ref_case(m, seed, start)
+        model = GmmModel(data, m)
+        got = model.flatten_params(gmm.fit_reference_em(data, init))
+        want = model.flatten_params(_plain_reference_em(data, init))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    @pytest.fixture
+    def map_log(self, monkeypatch):
+        """Logs each EM-map pass ("S") and each extrapolated point ("U")."""
+        log = []
+        stat, unflatten = GmmModel.exact_batch_stat, GmmModel.unflatten_params
+        monkeypatch.setattr(GmmModel, "exact_batch_stat",
+                            lambda self, theta: log.append("S") or stat(self, theta))
+        monkeypatch.setattr(GmmModel, "unflatten_params",
+                            lambda self, vec: log.append("U") or unflatten(self, vec))
+        return log
+
+    def test_backtracks(self, map_log):
+        # Extrapolated points of one cycle are separated by at most the one
+        # EM map of the rejected try; a new cycle first takes two plain maps.
+        data, init = _ref_case(2, 70, None)
+        theta = gmm.fit_reference_em(data, init)
+        tries = [i for i, e in enumerate(map_log) if e == "U"]
+        backtracks = sum(map_log[a:b].count("S") <= 1 for a, b in zip(tries, tries[1:]))
+        assert backtracks > 0
+        np.testing.assert_allclose(theta.mu, _plain_reference_em(data, init).mu, rtol=0, atol=1e-10)
+
+    def test_a_tenth_of_the_plain_maps(self, map_log):
+        data = gmm.simulate(2000, GmmParams(omega=[0.5], mu=[0.5, -0.5]), named_stream(78, "test"))
+        gmm.fit_reference_em(data)
+        squarem = map_log.count("S")
+        map_log.clear()
+        _plain_reference_em(data)
+        assert 0 < squarem <= map_log.count("S") / 10
+
+    def test_unconverged_raises(self, monkeypatch):
+        data, init = _ref_case(2, 70, None)
+        monkeypatch.setattr(gmm, "_REFERENCE_MAX_ITER", 2)
+        with pytest.raises(FloatingPointError, match=r"n=1000 unconverged in [34] EM maps; last step \d"):
+            gmm.fit_reference_em(data, init)
+
+
 class TestSimulate:
     def test_degenerate_weights_single_component(self):
         p = GmmParams(omega=[1.0 - 1e-12], mu=[2.5, -9.0])
