@@ -329,7 +329,7 @@ def _replicate_worker(spec: ExperimentSpec, r: int) -> dict:
                 repr(float(v)) for ind in data for v in np.concatenate([ind.times, ind.obs])
             ).encode()
         )
-    theta0_hash = _sha256(np.ascontiguousarray(model.flatten_params(theta0)).tobytes())
+    theta0_hash = _sha256(np.array(model.flatten_params(theta0)).tobytes())
     nll = _row_nll(model, theta0)
 
     grid = spec.grid()

@@ -31,9 +31,13 @@ def _load_truth(model: str, path):
         return None
     with open(path, "r", encoding="ascii") as fh:
         blob = json.load(fh)
+    if not isinstance(blob, dict):
+        raise ValueError("the truth file must hold a JSON object")
     if model == "gmm":
-        omega = np.asarray(blob["omega"], dtype=np.float64)
-        mu = np.asarray(blob["mu"], dtype=np.float64)
+        omega, mu = (np.asarray(blob[key], dtype=np.float64) for key in ("omega", "mu"))
+        for key, vec in (("omega", omega), ("mu", mu)):
+            if vec.ndim != 1:
+                raise ValueError(f"{key} must be a list of numbers, got {blob[key]!r}")
         if len(omega) == len(mu):  # full simplex given; drop the implied weight
             total = float(omega.sum())
             if abs(total - 1.0) > 1e-9:  # categorical_sample's tolerance

@@ -1,8 +1,8 @@
 """Shared domain types: stepsize schedules, the per-sample statistic table,
 run configuration, and the model interface every algorithm variant drives.
 
-Statistic vectors are 1-d float64 arrays of a model-declared length k at
-the model interface; each model documents its own index layout.  The table
+Statistic vectors are lists of k floats (k model-declared) at the model
+interface; each model documents its own index layout.  The table
 and the schedules are the only stateful pieces here, and the table is
 mutated by exactly one engine run at a time.
 """
@@ -261,9 +261,10 @@ class ModelSpec(ABC):
     """Operations a latent-variable model must provide to the engine.
 
     A model instance is bound to one dataset; sample indices refer to it.
-    Statistic vectors are flat float64 arrays of length ``stat_dim()`` whose
-    layout the model documents.  ``project`` maps a statistic back onto the
-    set ``m_step`` is defined on, and ``m_step`` must be deterministic.  Data
+    Statistic vectors and flattened parameters cross it as lists of Python
+    floats, in the layout the model documents, which the engine steps on
+    without converting.  ``project`` maps a statistic back onto the set
+    ``m_step`` is defined on, and ``m_step`` must be deterministic.  Data
     simulation lives next to each model as a module-level function rather
     than on this interface, since a model instance already owns a dataset.
     """
@@ -282,16 +283,16 @@ class ModelSpec(ABC):
         """Names of the flattened parameter components, for reporting."""
 
     @abstractmethod
-    def flatten_params(self, theta) -> np.ndarray:
-        """Flatten a parameter object into the vector param_names describes."""
+    def flatten_params(self, theta) -> list[float]:
+        """Flatten a parameter object into the floats param_names describes."""
 
     @abstractmethod
-    def unflatten_params(self, vec: np.ndarray):
-        """Inverse of flatten_params."""
+    def unflatten_params(self, vec):
+        """Inverse of flatten_params, from any float sequence (a trajectory row)."""
 
     @abstractmethod
     def mc_stat(self, i: int, theta, n_samples: int, rng: np.random.Generator,
-                chains: Optional[dict] = None) -> np.ndarray:
+                chains: Optional[dict] = None) -> list[float]:
         """Monte Carlo E-step: estimate of E[S(z_i, y_i) | y_i; theta].
 
         Draws from p(z_i | y_i; theta) on ``rng`` only (the engine passes one
@@ -305,11 +306,11 @@ class ModelSpec(ABC):
         keeps nothing.
         """
 
-    def exact_expectation(self, i: int, theta) -> Optional[np.ndarray]:
+    def exact_expectation(self, i: int, theta) -> Optional[list[float]]:
         """Exact posterior expectation of the statistics, or None."""
         return None
 
-    def project(self, s: np.ndarray) -> np.ndarray:
+    def project(self, s: list[float]) -> list[float]:
         """Map s onto the closed set of statistics the M-step is defined on.
 
         Must be the exact identity on that set (returning ``s`` itself is
@@ -321,7 +322,7 @@ class ModelSpec(ABC):
         return s
 
     @abstractmethod
-    def m_step(self, s: np.ndarray):
+    def m_step(self, s: list[float]):
         """Parameters maximizing the penalized complete-data objective at s."""
 
     def penalized_nll(self, theta) -> Optional[float]:

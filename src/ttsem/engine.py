@@ -34,8 +34,10 @@ the set, so runs that stay inside it are unchanged bit for bit.
 
 Iterates: stt, s_hat, the proxies and the table mean hold plain floats, since
 numpy dispatch on k numbers costs more than their element-wise arithmetic,
-which rounds the same; only the gap keeps np.dot's summation.  Arrays
-cross only the ModelSpec seam: E-step results, and project / m_step input.
+which rounds the same; only the gap keeps np.dot's summation.  The ModelSpec
+seam passes plain floats too (E-step results, project / m_step input and
+flattened parameters), so no iterate makes an array round trip; arrays hold
+only whole passes' entries and the trajectory, whose rows are written in place.
 
 Randomness: index draws, posterior draws, and the termination draw live
 on separate named streams of the run seed (so the Monte Carlo sample count
@@ -90,7 +92,7 @@ __all__ = [
 
 
 def mc_step(model: ModelSpec, i: int, theta, n_samples: int, rng: np.random.Generator,
-            chains: Optional[dict] = None) -> np.ndarray:
+            chains: Optional[dict] = None) -> list:
     """Monte Carlo E-step for one sample: the model's ``mc_stat``.
 
     ``chains`` is the caller's chain-state dict for this posterior stream;
@@ -181,25 +183,24 @@ def _estep(model: ModelSpec, i: int, theta, n_samples: int, rng, chains, iterati
             raise
         except Exception as exc:
             raise SamplingError(f"posterior sampling failed: {exc}", i, iteration) from exc
-    vals = s.tolist()
-    if not all(map(math.isfinite, vals)):
+    if not all(map(math.isfinite, s)):
         raise SamplingError("non-finite statistic", i, iteration)
-    return vals
+    return s
 
 
 def epoch_refresh(model: ModelSpec, theta, n_samples: int, rng: np.random.Generator, iteration: int = 0,
-                  chains: Optional[dict] = None) -> tuple[np.ndarray, np.ndarray]:
+                  chains: Optional[dict] = None) -> tuple[list, np.ndarray]:
     """The one whole pass: initialization, each batch iteration and each
     anchor refresh.  Recomputes every sample's statistic under the current
     parameters, in index order on ``rng`` (exact when it is None), and
-    returns (the batch mean of the fresh entries, the entries).  With rho = 1
-    the Inc-step pins stt to that mean, so batch variants are the anchor
-    proxy refreshed every iteration.
+    returns (the batch mean of the fresh entries as floats, the (n, k)
+    entries).  With rho = 1 the Inc-step pins stt to that mean, so batch
+    variants are the anchor proxy refreshed every iteration.
     """
     entries = np.empty((model.n, model.stat_dim()))
     for i in range(model.n):
         entries[i] = _estep(model, i, theta, n_samples, rng, chains, iteration)
-    return entries.mean(axis=0), entries
+    return entries.mean(axis=0).tolist(), entries
 
 
 _INDEX_CHUNK = 1024
@@ -345,22 +346,14 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
     stt, init_rows = epoch_refresh(model, theta0, mc, rngs["mc"], -1, chains["mc"])
 
     table = PerSampleStatTable(init_rows) if kind in ("table", "two_stream") else None
-    s_hat = model.project(stt.copy())
+    s_hat = model.project(stt)
     theta = model.m_step(s_hat)
-    stt, s_hat = stt.tolist(), s_hat.tolist()
 
     anchor_stt = anchor_entries = None
-    records = k_f + 1
-    p = len(model.param_names())
-    traj = Trajectory(
-        iters=np.arange(records, dtype=np.int64),
-        epochs=np.zeros(records),
-        thetas=np.empty((records, p)),
-        delta_s_sq=np.zeros(records),
-        wall_ns=np.zeros(records, dtype=np.int64),
-        param_names=model.param_names(),
-        terminal_iter=0,
-    )
+    records, names = k_f + 1, model.param_names()
+    traj = Trajectory(iters=np.arange(records, dtype=np.int64), epochs=np.zeros(records),
+                      thetas=np.empty((records, len(names))), delta_s_sq=np.zeros(records),
+                      wall_ns=np.zeros(records, dtype=np.int64), param_names=names, terminal_iter=0)
     traj.thetas[0] = model.flatten_params(theta)
     traj.wall_ns[0] = time.perf_counter_ns()
 
@@ -379,7 +372,6 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
             i_k = next(draws_i)
             if k % period == 0:
                 anchor_stt, anchor_entries = epoch_refresh(model, theta, mc, rngs["mc"], k, chains["mc"])
-                anchor_stt = anchor_stt.tolist()
                 refreshes += 1
                 s_new = anchor_entries[i_k].tolist()  # refreshed this very iteration
             else:
@@ -397,9 +389,8 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
             assert delta == 0.0, "rho = 1 must pin stt to the proxy"
         s_hat = sa_step(s_hat, stt, config.gamma.eval(k))
         assert all(map(math.isfinite, s_hat + stt))
-        s_proj = model.project(np.array(s_hat))
-        theta = model.m_step(s_proj)
-        s_hat = s_proj.tolist()
+        s_hat = model.project(s_hat)
+        theta = model.m_step(s_hat)
 
         r = k + 1
         traj.epochs[r] = extra_draws / n + float(refreshes)

@@ -16,17 +16,19 @@ closed-form M-step interior and unique for delta, epsilon > 0.
 
 Posterior masses are exponentials of log joints shifted by their maximum,
 so no raw exponential of an unnormalized term is ever taken.  Single-index
-E-steps and the M-step run on plain floats, cheaper than numpy calls on 1-3
-numbers.  Whole-dataset passes run one component-major (M, n) kernel: numpy
-reduces a short inner axis one observation at a time, so an (n, M) layout
-with M = 2 or 3 spends most of a pass on reduction overhead.
+E-steps, the projection and the M-step run on the plain floats the model
+interface passes, cheaper than numpy calls on 1-3 numbers.  Whole-dataset
+passes run one component-major (M, n) kernel: numpy reduces a short inner
+axis one observation at a time, so an (n, M) layout with M = 2 or 3 spends
+most of a pass on reduction overhead.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -49,35 +51,40 @@ __all__ = [
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-@dataclass(frozen=True)
 class GmmParams:
-    """Mixture parameters: M-1 free weights and M means, plus the plain-float
-    copies the per-sample kernels read (weights, log weights, means)."""
+    """Immutable mixture parameters: M-1 free weights ``omega`` (omega_M = 1 -
+    sum is implied) and M means ``mu``, float64 arrays built on first use from
+    the plain floats the kernels read (all M weights, their logs, the means)."""
 
-    omega: np.ndarray  # shape (M-1,), free weights; omega_M = 1 - sum is implied
-    mu: np.ndarray     # shape (M,)
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=np.float64))
-        object.__setattr__(self, "mu", np.asarray(self.mu, dtype=np.float64))
-        if self.mu.ndim != 1 or self.omega.ndim != 1 or len(self.mu) != len(self.omega) + 1:
+    def __init__(self, omega, mu):
+        omega, mu = np.asarray(omega, dtype=np.float64), np.asarray(mu, dtype=np.float64)
+        if mu.ndim != 1 or omega.ndim != 1 or len(mu) != len(omega) + 1:
             raise ValueError("need M means and M-1 free weights")
-        # checks in plain floats, on the copies the per-sample kernels read;
-        # a NaN weight fails both comparisons.  numpy sums fewer than 8 terms
-        # left to right, as sum() does; from 8 on it sums pairwise.
-        omega = self.omega.tolist()
-        total = sum(omega) if len(omega) < 8 else float(self.omega.sum())
-        if not (all(w > 0.0 for w in omega) and total < 1.0):
-            raise ValueError("weights must lie in the interior of the simplex")
-        object.__setattr__(self, "_wlist", omega + [1.0 - total])
-        object.__setattr__(self, "_logw", [math.log(w) for w in self._wlist])
-        object.__setattr__(self, "_mulist", self.mu.tolist())
+        self._fill(omega.tolist(), mu.tolist())
         if not all(map(math.isfinite, self._mulist)):
             raise ValueError("means must be finite")
 
-    @property
-    def n_components(self) -> int:
-        return len(self.mu)
+    def _fill(self, omega: list, mu: list) -> GmmParams:
+        # m_step builds here, from floats it has checked finite.  A NaN weight
+        # fails both comparisons.  numpy sums fewer than 8 terms left to right,
+        # as sum() does; from 8 on it sums pairwise.
+        total = sum(omega) if len(omega) < 8 else float(np.sum(omega))
+        if not (all(w > 0.0 for w in omega) and total < 1.0):
+            raise ValueError("weights must lie in the interior of the simplex")
+        w = omega + [1.0 - total]
+        vars(self).update(_wlist=w, _logw=[math.log(v) for v in w], _mulist=mu, n_components=len(mu))
+        return self
+
+    def __setattr__(self, name, *_):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return f"GmmParams(omega={self.omega!r}, mu={self.mu!r})"
+
+    omega = cached_property(lambda self: np.array(self._wlist[:-1]))
+    mu = cached_property(lambda self: np.array(self._mulist))
 
     def full_weights(self) -> np.ndarray:
         """All M weights, the implied last one appended."""
@@ -96,7 +103,7 @@ class GmmRegularizer:
             raise ValueError("delta and epsilon must be strictly positive")
 
 
-def m_step(s: np.ndarray, delta: float, epsilon: float, n_components: int) -> GmmParams:
+def m_step(s: list, delta: float, epsilon: float, n_components: int) -> GmmParams:
     """Closed-form regularized M-step.
 
     omega_m = (s1_m + epsilon) / (1 + epsilon*M)            for m < M
@@ -105,10 +112,11 @@ def m_step(s: np.ndarray, delta: float, epsilon: float, n_components: int) -> Gm
 
     Tolerates the delta = epsilon = 0 edge as long as the denominators stay
     positive; the model-level regularizer guarantees them away from zero.
+    The parameters are checked once: finite here, interior weights in _fill,
+    which builds them without the constructor's array round trip.
     """
     m = n_components
-    vals = s.tolist()
-    s1, s2, s3 = vals[: m - 1], vals[m - 1 : 2 * m - 2], vals[2 * m - 2]
+    s1, s2, s3 = s[: m - 1], s[m - 1 : 2 * m - 2], s[2 * m - 2]
     # plain floats round as numpy does, and the sums run left to right as
     # numpy's do below 8 terms; a zero denominator raises where numpy gave inf
     try:
@@ -119,7 +127,7 @@ def m_step(s: np.ndarray, delta: float, epsilon: float, n_components: int) -> Gm
         finite = False
     if not finite:
         raise FloatingPointError(f"M-step produced non-finite parameters from s={s!r}")
-    return GmmParams(omega=omega, mu=mu)
+    return object.__new__(GmmParams)._fill(omega, mu)
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -173,9 +181,9 @@ def simulate(n: int, params: GmmParams, rng: np.random.Generator) -> np.ndarray:
     return params.mu[labels] + rng.standard_normal(n)
 
 
-def _stat_row(s1: list, y: float) -> np.ndarray:
+def _stat_row(s1: list, y: float) -> list:
     """One observation's statistic from its M-1 indicator means s1."""
-    return np.array(s1 + [p * y for p in s1] + [y])
+    return s1 + [p * y for p in s1] + [y]
 
 
 class GmmModel(ModelSpec):
@@ -208,10 +216,10 @@ class GmmModel(ModelSpec):
         m = self.n_components
         return [f"omega{j + 1}" for j in range(m - 1)] + [f"mu{j + 1}" for j in range(m)]
 
-    def flatten_params(self, theta: GmmParams) -> np.ndarray:
-        return np.array(theta._wlist[:-1] + theta._mulist)  # omega then mu, from the plain-float copies
+    def flatten_params(self, theta: GmmParams) -> list:
+        return theta._wlist[:-1] + theta._mulist  # omega then mu
 
-    def unflatten_params(self, vec: np.ndarray) -> GmmParams:
+    def unflatten_params(self, vec) -> GmmParams:
         m = self.n_components
         return GmmParams(omega=vec[: m - 1], mu=vec[m - 1 :])
 
@@ -251,20 +259,15 @@ class GmmModel(ModelSpec):
         """
         m1 = self.n_components - 1
         lo, hi = self._ymin, self._ymax
-        # membership test in plain floats: this runs once per iteration
-        vals = s.tolist()
-        s1 = vals[:m1]
-        for a, b in zip(s1, vals[m1 : 2 * m1]):
+        s1, s2 = s[:m1], s[m1 : 2 * m1]
+        for a, b in zip(s1, s2):
             if not (0.0 <= a and a * lo <= b <= a * hi):
                 break
         else:
             if sum(s1) <= 1.0:
                 return s
-        w = _project_simplex(s[:m1])
-        out = s.copy()
-        out[:m1] = w
-        out[m1 : 2 * m1] = np.clip(s[m1 : 2 * m1], w * lo, w * hi)
-        return out
+        w = _project_simplex(np.array(s1))
+        return w.tolist() + np.clip(s2, w * lo, w * hi).tolist() + s[2 * m1 :]
 
     def m_step(self, s):
         return m_step(s, self.reg.delta, self.reg.epsilon, self.n_components)
@@ -272,12 +275,12 @@ class GmmModel(ModelSpec):
     def penalized_nll(self, theta):
         return penalized_nll(self.data, theta, self.reg)
 
-    def exact_batch_stat(self, theta: GmmParams) -> np.ndarray:
+    def exact_batch_stat(self, theta: GmmParams) -> list:
         """Mean of exact_expectation over the whole dataset, vectorized."""
         p, _ = _shifted_joint(self.data, theta)
         wt = p[:-1]
         wt /= p.sum(axis=0)
-        return np.concatenate([wt.mean(axis=1), (wt * self.data).mean(axis=1), [self.data.mean()]])
+        return np.concatenate([wt.mean(axis=1), (wt * self.data).mean(axis=1), [self.data.mean()]]).tolist()
 
     def default_init(self) -> GmmParams:
         """Deterministic starting point: quantile means, uniform weights."""
@@ -306,10 +309,10 @@ def fit_reference_em(data: np.ndarray, init: GmmParams | None = None) -> GmmPara
     theta = init if init is not None else model.default_init()
     evals = 0
     while evals < _REFERENCE_MAX_ITER:
-        xs = [model.flatten_params(theta)]
+        xs = [np.array(model.flatten_params(theta))]
         for _ in range(2):
             theta = model.m_step(model.exact_batch_stat(theta))
-            xs.append(model.flatten_params(theta))
+            xs.append(np.array(model.flatten_params(theta)))
             if (step := float(np.max(np.abs(xs[-1] - xs[-2])))) < _REFERENCE_TOL:
                 return theta
         evals += 2

@@ -225,13 +225,14 @@ def unpack_sym(flat: np.ndarray) -> np.ndarray:
     return mat + np.triu(mat, 1).T
 
 
-def m_step(s: np.ndarray, diagonal: bool = True) -> PkParams:
+def m_step(s, diagonal: bool = True) -> PkParams:
     """Moment M-step: mean, covariance and residual variance from (s1, s2, s3).
 
     A degenerate covariance estimate is floored (diagonal entries, or
     eigenvalues in full-matrix mode) and the event logged; s3 is floored at
     a tiny positive value so the next E-step target stays proper.
     """
+    s = np.asarray(s, dtype=np.float64)  # the k floats, converted once
     s1 = s[:LATENT_DIM]
     cov = unpack_sym(s[LATENT_DIM : LATENT_DIM + 10]) - np.outer(s1, s1)
     if diagonal:
@@ -323,10 +324,10 @@ class PkModel(ModelSpec):
         names.append("sigma2")
         return names
 
-    def flatten_params(self, theta: PkParams) -> np.ndarray:
-        return np.concatenate([theta.log_pop, pack_sym(theta.omega2), [theta.sigma2]])
+    def flatten_params(self, theta: PkParams) -> list:
+        return theta.log_pop.tolist() + pack_sym(theta.omega2).tolist() + [float(theta.sigma2)]
 
-    def unflatten_params(self, vec: np.ndarray) -> PkParams:
+    def unflatten_params(self, vec) -> PkParams:
         return PkParams(
             log_pop=vec[:LATENT_DIM],
             omega2=unpack_sym(vec[LATENT_DIM : LATENT_DIM + 10]),
@@ -348,7 +349,7 @@ class PkModel(ModelSpec):
         return final
 
     def mc_stat(self, i, theta, n_samples, rng, chains=None):
-        return suff_stat(self.individuals[i], self.sample_posterior(i, theta, n_samples, rng, chains))
+        return suff_stat(self.individuals[i], self.sample_posterior(i, theta, n_samples, rng, chains)).tolist()
 
     def m_step(self, s):
         return m_step(s)

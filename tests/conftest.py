@@ -9,7 +9,7 @@ class RecordingGmm(GmmModel):
 
     ``stats`` holds (i, statistic) for every ``mc_stat`` call in call order;
     ``m_inputs`` holds every ``m_step`` input, which is the projected s_hat
-    of that record.  Each call then defers to GmmModel, so a run on this
+    of that record.  Both keep the seam's floats as arrays.  Each call then defers to GmmModel, so a run on this
     model draws and returns exactly what it would on a plain one.
     """
 
@@ -20,11 +20,11 @@ class RecordingGmm(GmmModel):
 
     def mc_stat(self, i, theta, n_samples, rng, chains=None):
         s = super().mc_stat(i, theta, n_samples, rng, chains)
-        self.stats.append((i, s.copy()))
+        self.stats.append((i, np.array(s)))
         return s
 
     def m_step(self, s):
-        self.m_inputs.append(s.copy())
+        self.m_inputs.append(np.array(s))
         return super().m_step(s)
 
     def isaem_worst_rel(self, gamma, total_iters: int) -> float:

@@ -69,7 +69,7 @@ class TestCriterion1Reductions:
         thetas = []
         for _ in range(iters + 1):
             rows = np.stack([model.exact_expectation(i, theta) for i in range(model.n)])
-            theta = model.m_step(rows.mean(axis=0))
+            theta = model.m_step(rows.mean(axis=0).tolist())
             thetas.append(model.flatten_params(theta))
         oracle = traj  # reuse the record/epoch skeleton, replace the content
         oracle.thetas = np.stack(thetas)
@@ -131,8 +131,8 @@ class TestCriterion4McUnbiasedness:
 
         total = passed = 0
         for i in range(20):
-            s = mc_step(model, i, theta, m, named_stream(4, "mc", i))
-            exact = model.exact_expectation(i, theta)
+            s = np.array(mc_step(model, i, theta, m, named_stream(4, "mc", i)))
+            exact = np.array(model.exact_expectation(i, theta))
             p = exact[0]
             se_ind = np.sqrt(p * (1 - p) / m)
             ses = np.array([se_ind, se_ind * abs(data[i]), 0.0])

@@ -391,6 +391,12 @@ class TestCli:
         pytest.param("pk", {"pop": [1.0, 0.0, 8.0, 0.1], "omega2": [0.1] * 4, "sigma2": 0.1}, "pop",
                      id="zero-pop"),
         pytest.param("gmm", {"omega": [0.5, 0.6], "mu": [0.5, -0.5]}, "omega", id="weights-sum-1.1"),
+        # a field or a whole file of the wrong shape fails as a runtime failure, not a traceback
+        pytest.param("gmm", {"omega": 0.5, "mu": [0.5, -0.5]}, "omega must be a list", id="scalar-omega"),
+        pytest.param("gmm", {"omega": [0.5], "mu": 0.5}, "mu must be a list", id="scalar-mu"),
+        pytest.param("gmm", {"omega": [[0.5]], "mu": [0.5, -0.5]}, "omega must be a list", id="nested-omega"),
+        pytest.param("gmm", [0.5, 0.5], "must hold a JSON object", id="gmm-array-file"),
+        pytest.param("pk", [1.0, 1.0, 8.0, 0.1], "must hold a JSON object", id="pk-array-file"),
     ])
     def test_invalid_truth_exits_two_before_work(self, command, model, theta, field, tmp_path, capsys,
                                                  monkeypatch):

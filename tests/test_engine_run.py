@@ -1,9 +1,11 @@
 import io
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ttsem import engine
+from ttsem import engine, pk
 from ttsem.core import ConfigError, ModelSpec, RunConfig, SamplingError, StepSchedule
 from ttsem.engine import draw_termination, epoch_refresh, mc_step, run
 from ttsem.gmm import GmmModel, GmmParams, simulate
@@ -65,7 +67,7 @@ class TestReductions:
         oracle = []
         for _ in range(21):
             rows = np.stack([model.exact_expectation(i, theta) for i in range(model.n)])
-            theta = model.m_step(rows.mean(axis=0))
+            theta = model.m_step(rows.mean(axis=0).tolist())
             oracle.append(model.flatten_params(theta))
         np.testing.assert_array_equal(traj.thetas, np.stack(oracle))
 
@@ -220,7 +222,7 @@ class TestTrajectoryShape:
         # the single record is the M-step image of the initial statistics
         mc_rng = named_stream(4, "mc")
         init = np.stack([mc_step(model, i, theta0, 2, mc_rng) for i in range(model.n)])
-        expected = model.flatten_params(model.m_step(init.mean(axis=0)))
+        expected = model.flatten_params(model.m_step(init.mean(axis=0).tolist()))
         np.testing.assert_array_equal(traj.thetas[0], expected)
 
     def test_epoch_accounting(self):
@@ -318,6 +320,73 @@ class TestTermination:
         assert run(GmmModel(data), cfg).terminal_iter == 11
 
 
+class TestSeamTypes:
+    """Statistics and flattened parameters cross the ModelSpec seam as lists
+    of Python floats, which the engine uses without converting."""
+
+    @staticmethod
+    def assert_floats(vals, length):
+        assert type(vals) is list and len(vals) == length
+        assert all(type(v) is float for v in vals)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_gmm(self, m):
+        model = GmmModel(make_data(n=30), m)
+        theta, k, p = model.default_init(), model.stat_dim(), len(model.param_names())
+        rng = named_stream(3, "mc")
+        for i in range(model.n):
+            for s in (model.mc_stat(i, theta, 3, rng), model.exact_expectation(i, theta)):
+                self.assert_floats(s, k)
+                assert model.project(s) is s  # in the set: the argument itself
+        batch = model.exact_batch_stat(theta)
+        self.assert_floats(batch, k)
+        assert model.project(batch) is batch
+        self.assert_floats(model.flatten_params(theta), p)
+        self.assert_floats(model.flatten_params(model.m_step(batch)), p)
+        if m > 1:  # out of the set: a new list of floats, the input untouched
+            s = [-0.25] + batch[1:]
+            out = model.project(s)
+            self.assert_floats(out, k)
+            assert out is not s and s == [-0.25] + batch[1:]
+
+    def test_pk(self):
+        cohort = pk.simulate(4, pk.paper_truth(), pk.default_design(), named_stream(48, "data"))
+        model, theta = pk.PkModel(cohort), pk.paper_truth()
+        k, p = model.stat_dim(), len(model.param_names())
+        rng = named_stream(4, "mc")
+        stats = [model.mc_stat(i, theta, 20, rng) for i in range(model.n)]
+        for s in stats:
+            self.assert_floats(s, k)
+            assert model.project(s) is s
+        assert model.exact_expectation(0, theta) is None
+        self.assert_floats(model.flatten_params(theta), p)
+        self.assert_floats(model.flatten_params(model.m_step(np.mean(stats, axis=0).tolist())), p)
+
+
+class TestRunMemory:
+    def test_long_run_holds_no_python_object_per_record(self):
+        # iSAEM at n = 2000 for 20,000 iterations.  What the run must hold:
+        # the five trajectory arrays (1.12 MB here) and the per-sample table
+        # (2 * 48 kB, the init pass's entries and the table's copy).  Measured
+        # peak 1,267,935 B against those arrays' 1,216,056 B; the bound allows
+        # 256 kB more, while a Python list of rows would add about 150 B per
+        # record (3 MB here).  A short run first does numpy's lazy imports.
+        n, iters = 2000, 20_000
+        model = GmmModel(make_data(n=n))
+        cfg = RunConfig(variant="iSAEM", total_iters=iters, seed=5, gamma=GAMMA, mc_samples=1)
+        run(model, RunConfig(variant="iSAEM", total_iters=10, seed=5, gamma=GAMMA))
+        tracemalloc.start()
+        try:
+            traj = run(model, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        records, k, p = iters + 1, model.stat_dim(), len(model.param_names())
+        arrays = records * (p + 4) * 8 + 2 * n * k * 8
+        assert traj.thetas.nbytes + traj.epochs.nbytes + traj.delta_s_sq.nbytes == records * (p + 2) * 8
+        assert peak < arrays + 256 * 1024, (peak, arrays)
+
+
 class TestEpochRefresh:
     def test_single_sample_anchor(self):
         data = make_data(n=1)
@@ -366,7 +435,7 @@ class _NoExactModel(ModelSpec):
         return ["theta"]
 
     def flatten_params(self, theta):
-        return np.array([theta])
+        return [theta]
 
     def unflatten_params(self, vec):
         return float(vec[0])
@@ -379,8 +448,8 @@ class _NoExactModel(ModelSpec):
         if self.fail_at is not None and self.calls >= self.fail_at:
             raise ValueError("target blew up")
         if self.calls == self.nan_at:
-            return np.array([np.nan])
-        return np.array([rng.standard_normal(n_samples).mean()])
+            return [math.nan]
+        return [float(rng.standard_normal(n_samples).mean())]
 
     def m_step(self, s):
         return float(s[0])

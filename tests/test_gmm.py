@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -38,7 +40,60 @@ class TestParams:
             assert np.array_equal(p.full_weights(), np.append(w[: m - 1], implied))
             assert p._logw == [math.log(v) for v in p.full_weights().tolist()]
             flat = GmmModel(np.zeros(1), m).flatten_params(p)
-            assert flat.tobytes() == np.concatenate([p.omega, p.mu]).tobytes()
+            assert np.array(flat).tobytes() == np.concatenate([p.omega, p.mu]).tobytes()
+
+    @pytest.mark.parametrize("omega, mu, message", [
+        ([0.5], [0.0], "need M means and M-1 free weights"),
+        ([[0.5]], [0.0, 1.0], "need M means and M-1 free weights"),
+        ([0.0], [0.0, 1.0], "weights must lie in the interior of the simplex"),
+        ([0.6, 0.4], [0.0, 1.0, 2.0], "weights must lie in the interior of the simplex"),
+        ([np.nan], [np.nan, 0.0], "weights must lie in the interior of the simplex"),  # weights first
+        ([0.5], [np.inf, 0.0], "means must be finite"),
+        ([0.5], [0.0, np.nan], "means must be finite"),
+    ])
+    def test_constructor_messages(self, omega, mu, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GmmParams(omega=omega, mu=mu)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 9, 12])
+    def test_m_step_params_match_the_constructor(self, m):
+        # m_step checks its floats once and builds the parameters itself; the
+        # constructor, given the same floats, must build the same parameters
+        # (from 8 free weights on, both take the implied weight's pairwise sum)
+        rng = named_stream(60 + m, "test")
+        model = GmmModel(np.zeros(1), m)
+        for _ in range(100):
+            s1 = rng.dirichlet(np.ones(m))[: m - 1]
+            s = np.concatenate([s1, s1 * rng.uniform(-3.0, 3.0, m - 1), [rng.normal()]])
+            delta, epsilon = rng.uniform(1e-4, 0.1, 2)
+            built = gmm.m_step(s.tolist(), delta, epsilon, m)
+            public = GmmParams(omega=built.omega.tolist(), mu=built.mu.tolist())
+            for p in (built, public):
+                assert p.omega.dtype == p.mu.dtype == np.float64 and p.n_components == m
+            assert built.omega.tobytes() == public.omega.tobytes()
+            assert built.mu.tobytes() == public.mu.tobytes()
+            assert built.full_weights().tobytes() == public.full_weights().tobytes()
+            assert built._logw == public._logw
+            assert np.array(model.flatten_params(built)).tobytes() == np.array(model.flatten_params(public)).tobytes()
+
+    def test_m_step_checks_its_output_once(self):
+        # an unprojected statistic whose weights leave the simplex, then non-finite output
+        for s in ([-0.5, 0.1, 0.0], [0.7, 0.6, 0.1, 0.1, 0.0]):
+            with pytest.raises(ValueError, match="^weights must lie in the interior of the simplex$"):
+                gmm.m_step(s, 1e-3, 1e-3, (len(s) + 1) // 2)
+        for s in ([np.nan, 0.1, 0.0], [0.5, np.inf, 0.0], [0.5, 0.1, np.nan]):
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                gmm.m_step(s, 1e-3, 1e-3, 2)
+
+    def test_immutable(self):
+        for p in (GmmParams(omega=[0.3], mu=[1.0, -1.0]), gmm.m_step([0.3, 0.3, 0.0], 1e-3, 1e-3, 2)):
+            before = [p.omega.tobytes(), p.mu.tobytes(), p.full_weights().tobytes()]  # arrays now built
+            for name in ("omega", "mu", "_wlist", "other"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(p, name, [0.5])
+                with pytest.raises(FrozenInstanceError):
+                    delattr(p, name)
+            assert [p.omega.tobytes(), p.mu.tobytes(), p.full_weights().tobytes()] == before
 
     def test_model_arguments_checked(self):
         data = np.array([0.5, -0.5])
@@ -59,8 +114,8 @@ class TestParams:
 
 
 def _exact(y, params):
-    """exact_expectation for a single observation y."""
-    return GmmModel(np.array([y]), params.n_components).exact_expectation(0, params)
+    """exact_expectation for a single observation y, as an array."""
+    return np.array(GmmModel(np.array([y]), params.n_components).exact_expectation(0, params))
 
 
 class TestPosteriorWeights:
@@ -124,16 +179,16 @@ class TestSuffStat:
 
 class TestMStep:
     def test_unregularized_hand_values(self):
-        theta = gmm.m_step(np.array([0.4, 0.2, 0.1]), delta=0.0, epsilon=0.0, n_components=2)
+        theta = gmm.m_step([0.4, 0.2, 0.1], delta=0.0, epsilon=0.0, n_components=2)
         np.testing.assert_allclose(theta.omega, [0.4])
         np.testing.assert_allclose(theta.mu, [0.5, -1.0 / 6.0])
 
     def test_weight_shrinkage(self):
-        theta = gmm.m_step(np.array([0.4, 0.2, 0.1]), delta=0.0, epsilon=0.1, n_components=2)
+        theta = gmm.m_step([0.4, 0.2, 0.1], delta=0.0, epsilon=0.1, n_components=2)
         np.testing.assert_allclose(theta.omega, [0.5 / 1.2])
 
     def test_zero_numerators_zero_means(self):
-        theta = gmm.m_step(np.array([0.4, 0.0, 0.0]), delta=0.5, epsilon=0.0, n_components=2)
+        theta = gmm.m_step([0.4, 0.0, 0.0], delta=0.5, epsilon=0.0, n_components=2)
         np.testing.assert_array_equal(theta.mu, [0.0, 0.0])
 
     def test_hard_assignment_recovers_class_stats(self):
@@ -141,7 +196,7 @@ class TestMStep:
         ys = np.array([0.0, 1.0, 2.0, 10.0, 11.0, 12.0])
         zs = [1, 1, 1, 2, 2, 2]
         rows = np.array([[1.0, y, y] if z == 1 else [0.0, 0.0, y] for y, z in zip(ys, zs)])
-        theta = gmm.m_step(rows.mean(axis=0), delta=0.0, epsilon=0.0, n_components=2)
+        theta = gmm.m_step(rows.mean(axis=0).tolist(), delta=0.0, epsilon=0.0, n_components=2)
         np.testing.assert_allclose(theta.omega, [0.5])
         np.testing.assert_allclose(theta.mu, [1.0, 11.0])
 
@@ -154,7 +209,7 @@ class TestMStep:
         ]:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"), \
                     pytest.raises(FloatingPointError, match="non-finite"):
-                gmm.m_step(np.array(s), delta=delta, epsilon=0.0, n_components=2)
+                gmm.m_step(s, delta=delta, epsilon=0.0, n_components=2)
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_matches_numpy_formula_bit_for_bit(self, m):
@@ -165,7 +220,7 @@ class TestMStep:
             s2 = s1 * rng.uniform(-3.0, 3.0, m - 1)
             s = np.concatenate([s1, s2, [rng.normal()]])
             delta, epsilon = rng.uniform(1e-4, 0.1, 2)
-            theta = gmm.m_step(s, delta, epsilon, m)
+            theta = gmm.m_step(s.tolist(), delta, epsilon, m)
             omega, mu = _m_step_oracle(s, delta, epsilon, m)
             assert theta.omega.tobytes() == omega.tobytes()
             assert theta.mu.tobytes() == mu.tobytes()
@@ -180,7 +235,7 @@ class TestProject:
     @staticmethod
     def in_set(model, s):
         m1 = model.n_components - 1
-        s1, s2 = s[:m1], s[m1 : 2 * m1]
+        s1, s2 = np.array(s[:m1]), np.array(s[m1 : 2 * m1])
         y = model.data
         return bool(
             np.all(s1 >= 0.0) and sum(s1.tolist()) <= 1.0
@@ -189,7 +244,7 @@ class TestProject:
 
     @staticmethod
     def assert_bit_equal(a, b):
-        assert a.tobytes() == b.tobytes()
+        assert np.array(a).tobytes() == np.array(b).tobytes()
 
     def test_identity_on_exact_and_monte_carlo_stats(self):
         for m in (2, 3):
@@ -201,7 +256,7 @@ class TestProject:
                 for s in (model.exact_expectation(i, theta), model.mc_stat(i, theta, 3, rng)):
                     self.assert_bit_equal(model.project(s), s)
                     rows.append(s)
-            mean = np.mean(rows, axis=0)
+            mean = np.mean(rows, axis=0).tolist()
             self.assert_bit_equal(model.project(mean), mean)
             batch = model.exact_batch_stat(theta)
             self.assert_bit_equal(model.project(batch), batch)
@@ -211,21 +266,21 @@ class TestProject:
         lo, hi, ybar = model.data.min(), model.data.max(), model.data.mean()
         for s in ([0.0, 0.0, ybar], [1.0, hi, ybar], [1.0, lo, ybar],
                   [0.3, 0.3 * hi, ybar], [0.3, 0.3 * lo, ybar]):
-            s = np.array(s)
+            s = np.array(s).tolist()
             self.assert_bit_equal(model.project(s), s)
         model3 = self.model(3)
-        s = np.array([0.25, 0.75, 0.25 * hi, 0.75 * lo, ybar])
+        s = np.array([0.25, 0.75, 0.25 * hi, 0.75 * lo, ybar]).tolist()
         self.assert_bit_equal(model3.project(s), s)
 
     def test_out_of_set_point_lands_in_set_and_m_step_accepts_it(self):
         model = self.model()
-        s = np.array([-0.0319, 0.1837, -0.0582])  # the iterate acceptance 02 died on
+        s = [-0.0319, 0.1837, -0.0582]  # the iterate acceptance 02 died on
         with pytest.raises(ValueError):
             model.m_step(s)
         out = model.project(s)
         assert self.in_set(model, out)
         np.testing.assert_array_equal(out, [0.0, 0.0, -0.0582])
-        assert s.tolist() == [-0.0319, 0.1837, -0.0582]  # input untouched
+        assert s == [-0.0319, 0.1837, -0.0582]  # input untouched
         theta = model.m_step(out)
         assert np.all(np.isfinite(theta.mu))
 
@@ -238,10 +293,10 @@ class TestProject:
             ([-0.5, 0.3], [0.0, 0.3]),
         ]
         for s1, want in cases:
-            s = np.array(s1 + [0.0, 0.0, 0.1])
+            s = s1 + [0.0, 0.0, 0.1]
             np.testing.assert_allclose(model.project(s)[:2], want, rtol=0, atol=1e-15)
         # s2 is clipped against the projected s1
-        out = model.project(np.array([0.5, 0.25, 10.0 * hi, -10.0 * hi, 0.1]))
+        out = model.project(np.array([0.5, 0.25, 10.0 * hi, -10.0 * hi, 0.1]).tolist())
         np.testing.assert_array_equal(out[2:4], [0.5 * hi, 0.25 * model.data.min()])
 
     def test_random_points_land_in_set_and_projection_is_idempotent(self):
@@ -249,7 +304,7 @@ class TestProject:
         for m in (2, 3, 5):
             model = self.model(m)
             for _ in range(200):
-                s = rng.normal(0.0, 2.0, 2 * m - 1)
+                s = rng.normal(0.0, 2.0, 2 * m - 1).tolist()
                 out = model.project(s)
                 assert self.in_set(model, out)
                 self.assert_bit_equal(model.project(out), out)
@@ -354,13 +409,13 @@ class _NumpyOracleModel(GmmModel):
     """GmmModel whose single-index E-steps and M-step are the numpy oracles."""
 
     def mc_stat(self, i, theta, n_samples, rng, chains=None):
-        return _mc_stat_oracle(float(self.data[i]), theta, n_samples, rng)
+        return _mc_stat_oracle(float(self.data[i]), theta, n_samples, rng).tolist()
 
     def exact_expectation(self, i, theta):
-        return _exact_oracle(float(self.data[i]), theta)
+        return _exact_oracle(float(self.data[i]), theta).tolist()
 
     def m_step(self, s):
-        omega, mu = _m_step_oracle(s, self.reg.delta, self.reg.epsilon, self.n_components)
+        omega, mu = _m_step_oracle(np.array(s), self.reg.delta, self.reg.epsilon, self.n_components)
         assert np.all(np.isfinite(omega)) and np.all(np.isfinite(mu))
         return GmmParams(omega=omega, mu=mu)
 
@@ -410,9 +465,9 @@ class TestKernelParity:
             ours, ref = named_stream(seed, "mc"), named_stream(seed, "mc")
             for i in range(model.n):
                 y = float(data[i])
-                assert model.mc_stat(i, theta, n_samples, ours).tobytes() == \
+                assert np.array(model.mc_stat(i, theta, n_samples, ours)).tobytes() == \
                     _mc_stat_oracle(y, theta, n_samples, ref).tobytes()
-                assert model.exact_expectation(i, theta).tobytes() == _exact_oracle(y, theta).tobytes()
+                assert np.array(model.exact_expectation(i, theta)).tobytes() == _exact_oracle(y, theta).tobytes()
 
     def test_draw_on_a_cdf_knot(self):
         theta = GmmParams(omega=[0.3, 0.2], mu=[-1.0, 0.5, 2.0])
@@ -483,11 +538,11 @@ class TestPipelineIdentities:
         model = GmmModel(data)
         for start in (model.default_init(), GmmParams(omega=[0.25], mu=[3.0, -2.0])):
             theta = start
-            prev = model.flatten_params(theta)
+            prev = np.array(model.flatten_params(theta))
             converged = False
             for _ in range(2500):
                 theta = model.m_step(model.exact_batch_stat(theta))
-                cur = model.flatten_params(theta)
+                cur = np.array(model.flatten_params(theta))
                 if np.max(np.abs(cur - prev)) < 1e-9:
                     converged = True
                     break
@@ -500,10 +555,10 @@ def _plain_reference_em(data, init=None):
     ran before SQUAREM, kept as its oracle."""
     model = GmmModel(data, init.n_components if init is not None else 2)
     theta = init if init is not None else model.default_init()
-    prev = model.flatten_params(theta)
+    prev = np.array(model.flatten_params(theta))
     for _ in range(200_000):
         theta = model.m_step(model.exact_batch_stat(theta))
-        cur = model.flatten_params(theta)
+        cur = np.array(model.flatten_params(theta))
         if np.max(np.abs(cur - prev)) < 1e-14:
             return theta
         prev = cur
