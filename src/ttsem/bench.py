@@ -259,29 +259,27 @@ def _row_nll(model: ModelSpec, theta0) -> Optional[Callable[[np.ndarray], float]
     return lambda vec: model.penalized_nll(model.unflatten_params(vec))
 
 
-def _metric_values(model_kind: str, traj: Trajectory, reference) -> dict[str, np.ndarray]:
-    """Per-record metric arrays for one trajectory."""
-    out = {"delta_s_sq": traj.delta_s_sq.copy()}
+def _metric_values(model_kind: str, traj: Trajectory, rows: np.ndarray, reference,
+                   nll: Optional[Callable[[np.ndarray], float]]) -> dict[str, np.ndarray]:
+    """Metric arrays over the records ``rows`` of one trajectory; an ``nll``
+    from ``_row_nll`` adds the penalized NLL of each."""
+    thetas = traj.thetas[rows]
+    out = {"delta_s_sq": traj.delta_s_sq[rows]}
     if model_kind == "gmm":
-        m = (traj.thetas.shape[1] + 1) // 2
-        mus, mu_star = traj.thetas[:, m - 1 :], reference  # (R, M) means, (M,) reference
+        m = (thetas.shape[1] + 1) // 2
+        mus, mu_star = thetas[:, m - 1 :], reference  # (rows, M) means, (M,) reference
         # metric_precision_gmm of every row at once, bit for bit
         out["precision"] = np.min(
             [((mus - mu_star[list(p)]) ** 2).sum(axis=1) for p in permutations(range(m))], axis=0
         )
     else:
         pop_star = reference  # (4,) natural-scale fixed effects
-        pops = np.exp(traj.thetas[:, :4])
+        pops = np.exp(thetas[:, :4])
         for c, name in enumerate(pk.LATENT_NAMES):
             out[f"sqerr_{name}"] = (pops[:, c] - pop_star[c]) ** 2
+    if nll is not None:
+        out["nll"] = np.array([nll(theta) for theta in thetas])
     return out
-
-
-def _series_on_grid(traj_epochs: np.ndarray, values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Step-function sample: value of the last record at or before each
-    grid point."""
-    idx = np.searchsorted(traj_epochs, grid, side="right") - 1
-    return values[np.maximum(idx, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -336,20 +334,14 @@ def _replicate_worker(spec: ExperimentSpec, r: int) -> dict:
     series: dict[str, dict[str, np.ndarray]] = {}
     for algo, config in zip(spec.algorithms, spec.configs):
         traj = run(model, replace(config, seed=run_seed), theta0=theta0)
-        # The grid counts iterations per pass (the axis the reference study
-        # plots against); the trajectory's own epoch column stays
-        # cost-charged, billing anchor refreshes a full pass.
+        # Every metric is read at the last record at or before each grid
+        # point; the first record, at 0, precedes them all.  The grid counts
+        # iterations per pass (the axis the reference study plots against);
+        # the trajectory's own epoch column stays cost-charged, billing
+        # anchor refreshes a full pass.
         axis = traj.iters / float(VARIANTS[algo.variant].iters_per_epoch(spec.n))
-        metrics = _metric_values(spec.model, traj, reference)
-        sampled = {
-            name: _series_on_grid(axis, vals, grid) for name, vals in metrics.items()
-        }
-        if nll is not None:
-            # NLL is only sampled on the grid, so evaluate it on the thinned rows.
-            nll_rows = traj.select_rows(max_rows=len(grid) * 4)
-            nll_vals = np.array([nll(traj.thetas[i]) for i in nll_rows])
-            sampled["nll"] = _series_on_grid(axis[nll_rows], nll_vals, grid)
-        series[algo.variant] = sampled
+        rows = np.searchsorted(axis, grid, side="right") - 1
+        series[algo.variant] = _metric_values(spec.model, traj, rows, reference, nll)
 
     return {
         "replicate": r,

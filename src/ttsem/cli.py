@@ -48,17 +48,23 @@ def _load_truth(model: str, path):
     if pop is not None and not np.all(np.asarray(pop, dtype=np.float64) > 0.0):
         raise ValueError(f"pop entries must be positive, got {pop!r}")
     log_pop = np.log(pop) if pop is not None else np.asarray(blob["log_pop"])
+    try:
+        sigma2 = float(blob["sigma2"])
+    except (TypeError, ValueError):
+        raise ValueError(f"sigma2 must be a number, got {blob['sigma2']!r}") from None
     return pk.PkParams(
         log_pop=log_pop,
         omega2=np.asarray(blob["omega2"], dtype=np.float64),
-        sigma2=float(blob["sigma2"]),
+        sigma2=sigma2,
     )
 
 
 def _load_data(model: str, path):
-    if model == "gmm":
-        return gmm.read_dataset(path)
-    return pk.read_cohort(path)
+    """The dataset at ``path``, bound once to its model so that an empty one
+    fails before its size resolves any setting."""
+    data = gmm.read_dataset(path) if model == "gmm" else pk.read_cohort(path)
+    (gmm.GmmModel if model == "gmm" else pk.PkModel)(data)
+    return data
 
 
 def _apply_config_file(command: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.Namespace:

@@ -4,15 +4,16 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ttsem import bench, cli, gmm, pk
 from ttsem.bench import AlgoSpec, ExperimentSpec
-from ttsem.core import ConfigError, StepSchedule
+from ttsem.core import VARIANTS, ConfigError, StepSchedule
 from ttsem.engine import run
-from ttsem.rng import named_stream
+from ttsem.rng import derive_seed, named_stream
 
 
 class TestGammaParsing:
@@ -114,7 +115,7 @@ class TestMetricPrecision:
         traj = run(model, cfg, theta0=theta0)
         mu_star = gmm.fit_reference_em(data, init=theta0).mu
         for ref in (mu_star, mu_star[::-1].copy()):
-            got = bench._metric_values("gmm", traj, ref)["precision"]
+            got = bench._metric_values("gmm", traj, np.arange(traj.n_records), ref, None)["precision"]
             want = np.array([bench.metric_precision_gmm(row[m - 1 :], ref) for row in traj.thetas])
             assert len(want) == traj.n_records > 200
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -197,7 +198,11 @@ class TestTrajectorySubsampling:
 
 
 class TestReplicateCommand:
-    def _spec(self, jobs=1, replicates=2):
+    def _spec(self, jobs=1, replicates=2, model="gmm"):
+        if model == "pk":
+            algos = tuple(AlgoSpec(a, mc_samples=5) for a in ("SAEM", "iSAEM", "vrTTEM", "fiTTEM"))
+            return ExperimentSpec(model="pk", n=8, replicates=replicates, epochs=1.0,
+                                  algorithms=algos, seed=99, jobs=jobs)
         return ExperimentSpec(
             model="gmm", n=150, replicates=replicates, epochs=1.0,
             algorithms=(AlgoSpec("SAEM", mc_samples=2), AlgoSpec("iSAEM", mc_samples=2)),
@@ -213,12 +218,52 @@ class TestReplicateCommand:
             assert cells[3] == cells[4] == cells[5] == cells[6]
 
     def test_outputs_deterministic_and_parallel_invariant(self, tmp_path):
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        bench.cmd_replicate(self._spec(jobs=1), f"{a}.csv", f"{a}.json")
-        bench.cmd_replicate(self._spec(jobs=2), f"{b}.csv", f"{b}.json")
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        for model, metrics in [
+            ("gmm", {"delta_s_sq", "nll", "precision"}),
+            # PK has no likelihood, so no nll
+            ("pk", {"delta_s_sq", "sqerr_tlag", "sqerr_ka", "sqerr_V", "sqerr_k"}),
+        ]:
+            for jobs in (2, 1):
+                out = tmp_path / f"{model}{jobs}"
+                summary = bench.cmd_replicate(self._spec(jobs=jobs, model=model), f"{out}.csv", f"{out}.json")
+            for ext in ("csv", "json"):
+                assert (tmp_path / f"{model}1.{ext}").read_bytes() == (tmp_path / f"{model}2.{ext}").read_bytes()
+            for algo, final in summary["final"].items():
+                assert final.keys() == metrics, algo
+            lines = (tmp_path / f"{model}1.csv").read_text().splitlines()[1:]
+            assert {line.split(",")[1] for line in lines} == metrics
+
+    def test_every_metric_read_at_last_record_at_or_before_grid_point(self, tmp_path):
+        # at n = 130 a grid step (13 iterations) is no multiple of select_rows' stride, so reading
+        # thinned rows in place of the grid records shows
+        algos, n, seed = ("iSAEM", "vrTTEM", "fiTTEM"), 130, 31
+        spec = ExperimentSpec(model="gmm", n=n, replicates=1, epochs=2.0,
+                              algorithms=tuple(AlgoSpec(a, mc_samples=2) for a in algos), seed=seed)
+        bench.cmd_replicate(spec, tmp_path / "m.csv", tmp_path / "s.json")
+        cells = {}  # (algo, metric) -> values down the grid
+        for line in (tmp_path / "m.csv").read_text().splitlines()[1:]:
+            algo, metric, _, mean, median, q25, q75 = line.split(",")
+            assert mean == median == q25 == q75  # one replicate
+            cells.setdefault((algo, metric), []).append(float(mean))
+
+        # the replicate's dataset, start, reference and runs, rebuilt from its seeds
+        data = gmm.simulate(n, bench.gmm_truth_default(), named_stream(derive_seed(seed, "rep", 0, 0), "data"))
+        model = gmm.GmmModel(data)
+        theta0 = model.default_init()
+        ref = gmm.fit_reference_em(data, init=theta0).mu
+        grid = spec.grid().tolist()
+        for algo, config in zip(algos, spec.configs):
+            traj = run(model, replace(config, seed=derive_seed(seed, "rep", 0, 1)), theta0=theta0)
+            per_pass = VARIANTS[algo].iters_per_epoch(n)
+            picks = [max(r for r in range(traj.n_records) if int(traj.iters[r]) / per_pass <= g) for g in grid]
+            want = {
+                "delta_s_sq": [float(traj.delta_s_sq[r]) for r in picks],
+                "precision": [bench.metric_precision_gmm(traj.thetas[r][1:], ref) for r in picks],
+                "nll": [model.penalized_nll(model.unflatten_params(traj.thetas[r])) for r in picks],
+            }
+            for metric, values in want.items():
+                assert cells.pop((algo, metric)) == values, (algo, metric)
+        assert cells == {}
 
     def test_worker_pool_capped_at_replicates(self, tmp_path, monkeypatch):
         opened = []
@@ -397,6 +442,9 @@ class TestCli:
         pytest.param("gmm", {"omega": [[0.5]], "mu": [0.5, -0.5]}, "omega must be a list", id="nested-omega"),
         pytest.param("gmm", [0.5, 0.5], "must hold a JSON object", id="gmm-array-file"),
         pytest.param("pk", [1.0, 1.0, 8.0, 0.1], "must hold a JSON object", id="pk-array-file"),
+        *(pytest.param("pk", {"log_pop": [0, 0, 2, -2], "omega2": [0.1] * 4, "sigma2": bad}, "sigma2",
+                       id=f"sigma2-{name}")
+          for name, bad in (("list", [0.5]), ("null", None), ("object", {"a": 1}))),
     ])
     def test_invalid_truth_exits_two_before_work(self, command, model, theta, field, tmp_path, capsys,
                                                  monkeypatch):
@@ -414,6 +462,21 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "runtime failure" in err and field in err
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    @pytest.mark.parametrize("model, content, message", [
+        pytest.param("gmm", "", "data must be a nonempty 1-d array", id="gmm-empty"),
+        pytest.param("pk", "id,dose,time,obs\n", "cohort must be nonempty", id="pk-header-only"),
+    ])
+    def test_empty_dataset_exits_two(self, tmp_path, capsys, model, content, message, variant):
+        # rejected before n = 0 resolves a setting such as rho = n^(-2/3)
+        path = tmp_path / "data"
+        path.write_text(content)
+        rc = cli.main(["run", "--model", model, "--data", str(path), "--algo", variant,
+                       "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
 
     def test_unconverged_reference_exits_two(self, tmp_path, capsys, monkeypatch):
