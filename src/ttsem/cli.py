@@ -33,30 +33,33 @@ def _load_truth(model: str, path):
         blob = json.load(fh)
     if not isinstance(blob, dict):
         raise ValueError("the truth file must hold a JSON object")
+
+    def floats(key, ndim=None):  # blob[key] as a float array, else an error naming the field
+        try:
+            vec = np.asarray(blob[key], dtype=np.float64)
+            if ndim in (None, vec.ndim):
+                return vec
+        except (TypeError, ValueError):
+            pass
+        raise ValueError(f"{key} must be a list of numbers, got {blob[key]!r}")
+
     if model == "gmm":
-        omega, mu = (np.asarray(blob[key], dtype=np.float64) for key in ("omega", "mu"))
-        for key, vec in (("omega", omega), ("mu", mu)):
-            if vec.ndim != 1:
-                raise ValueError(f"{key} must be a list of numbers, got {blob[key]!r}")
+        omega, mu = floats("omega", 1), floats("mu", 1)
         if len(omega) == len(mu):  # full simplex given; drop the implied weight
             total = float(omega.sum())
             if abs(total - 1.0) > 1e-9:  # categorical_sample's tolerance
                 raise ValueError(f"omega: a full weight vector must sum to 1, got {total!r}")
             omega = omega[:-1]
         return gmm.GmmParams(omega=omega, mu=mu)
-    pop = blob.get("pop")
-    if pop is not None and not np.all(np.asarray(pop, dtype=np.float64) > 0.0):
-        raise ValueError(f"pop entries must be positive, got {pop!r}")
-    log_pop = np.log(pop) if pop is not None else np.asarray(blob["log_pop"])
+    pop = floats("pop") if blob.get("pop") is not None else None
+    if pop is not None and not np.all(pop > 0.0):
+        raise ValueError(f"pop entries must be positive, got {blob['pop']!r}")
+    log_pop = np.log(pop) if pop is not None else floats("log_pop")
     try:
         sigma2 = float(blob["sigma2"])
     except (TypeError, ValueError):
         raise ValueError(f"sigma2 must be a number, got {blob['sigma2']!r}") from None
-    return pk.PkParams(
-        log_pop=log_pop,
-        omega2=np.asarray(blob["omega2"], dtype=np.float64),
-        sigma2=sigma2,
-    )
+    return pk.PkParams(log_pop=log_pop, omega2=floats("omega2"), sigma2=sigma2)
 
 
 def _load_data(model: str, path):

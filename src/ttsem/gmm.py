@@ -283,10 +283,19 @@ class GmmModel(ModelSpec):
         return np.concatenate([wt.mean(axis=1), (wt * self.data).mean(axis=1), [self.data.mean()]]).tolist()
 
     def default_init(self) -> GmmParams:
-        """Deterministic starting point: quantile means, uniform weights."""
-        m = self.n_components
-        qs = np.quantile(self.data, np.linspace(0.25, 0.75, m))
-        return GmmParams(omega=np.full(m - 1, 1.0 / m), mu=qs)
+        """Deterministic starting point: uniform weights, and means at the
+        25%..75% quantiles, interpolated bit for bit as np.quantile's linear
+        method does (numpy's _lerp), without its import of numpy.ma."""
+        m, top, mu = self.n_components, self.n - 1, []
+        # each quantile's virtual index and its two neighbours (-1: the maximum)
+        spots = [(v, -1, -1) if v >= top else (v, math.floor(v), math.floor(v) + 1)
+                 for v in (top * q for q in np.linspace(0.25, 0.75, m).tolist())]
+        # np.quantile's own partial sort, so equal values (-0.0, 0.0) land alike
+        xs = np.partition(self.data, sorted({0, -1}.union(*[s[1:] for s in spots])))
+        for v, lo, hi in spots:
+            a, b, t = float(xs[lo]), float(xs[hi]), v - lo
+            mu.append(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
+        return GmmParams(omega=np.full(m - 1, 1.0 / m), mu=mu)
 
 
 _REFERENCE_TOL = 1e-14  # stop once no parameter moves by this much

@@ -19,10 +19,9 @@ Statistic layout (k = 15):
 The moment M-step reads the population mean and covariance straight off
 (s1, s2) and the residual variance off s3.
 
-Each MH chain evaluates one log target prepared per (patient, theta) by
-``_log_target``: it factors the prior once and runs every step on plain
-floats, through the scalar structural formula that ``suff_stat`` and
-``simulate`` share; ``log_posterior`` is a call into it.
+Each MH chain evaluates the log target ``_log_target`` prepares per (patient,
+theta): the prior factored once, then each step on plain floats through the
+curve formulas ``structural`` calls too.  ``log_posterior`` is a call into it.
 """
 
 from __future__ import annotations
@@ -132,20 +131,16 @@ class PkIndividual:
 
 
 def _conc_general(t, tlag, ka, v, k, dose):
-    # At time t, or at each time of a list t; zero at and before the lag.
+    # At each time of the list t; zero at and before the lag.
     # (e^{-k dt} - e^{-ka dt}) / (ka - k), factored through the smaller rate
     # so expm1 only ever sees nonpositive arguments: no overflow for any
     # positive rates, and no cancellation when the rates nearly coincide.
-    if not isinstance(t, list):
-        return _conc_general([t], tlag, ka, v, k, dose)[0]
     c, lo, gap = dose * ka / v, -min(ka, k), -abs(ka - k)
     return [c * (math.exp(lo * dt) * math.expm1(gap * dt) / gap) if (dt := s - tlag) > 0.0 else 0.0 for s in t]
 
 
 def _conc_limit(t, tlag, ka, v, k, dose):
     # ka -> k limit of the general branch: D ka dt e^{-k dt} / V.
-    if not isinstance(t, list):
-        return _conc_limit([t], tlag, ka, v, k, dose)[0]
     return [dose * ka * dt * math.exp(-k * dt) / v if (dt := s - tlag) > 0.0 else 0.0 for s in t]
 
 
@@ -153,14 +148,14 @@ def structural(t, z, dose: float):
     """Predicted concentration at time(s) t for latent z = (T_lag, ka, V, k).
 
     Zero at and before the lag time; continuous across the ka = k branch
-    switch.  Scalar t in, float out; an array of times gives an array.
+    switch.  Scalar t in, float out; an array of times gives one of its shape.
     """
     tlag, ka, v, k = np.asarray(z, dtype=np.float64).tolist()
     if min(tlag, ka, v, k) <= 0.0:
         raise ValueError("latent PK parameters must be strictly positive")
     conc = _conc_limit if abs(ka - k) < _BRANCH_RTOL * max(ka, k) else _conc_general
-    out = conc(np.asarray(t, dtype=np.float64).tolist(), tlag, ka, v, k, dose)  # a float for a scalar t
-    return out if np.ndim(t) == 0 else np.array(out)
+    out = conc(np.asarray(t, dtype=np.float64).reshape(-1).tolist(), tlag, ka, v, k, dose)
+    return out[0] if np.ndim(t) == 0 else np.array(out).reshape(np.shape(t))
 
 
 def _log_target(indiv: PkIndividual, params: PkParams):
@@ -173,19 +168,21 @@ def _log_target(indiv: PkIndividual, params: PkParams):
         raise np.linalg.LinAlgError("omega2 is singular")
     # the reciprocal diagonal, else the rows of the inverse Cholesky factor
     prior = [1.0 / x for x in diag] if diag else np.linalg.inv(np.linalg.cholesky(params.omega2)).tolist()
+    (m0, m1, m2, m3), (p0, p1, p2, p3) = mu, prior  # p: the reciprocals, or the rows
 
     def log_target(z_log: np.ndarray) -> float:
-        zl = z_log.tolist()
-        if not all(-700.0 < c < 700.0 for c in zl):
-            return -math.inf  # exp would over/underflow; signal auto-reject
+        z0, z1, z2, z3 = zl = z_log.tolist()
+        if not (-700.0 < z0 < 700.0 and -700.0 < z1 < 700.0 and -700.0 < z2 < 700.0 and -700.0 < z3 < 700.0):
+            return -math.inf  # exp would over/underflow (NaN fails too); signal auto-reject
         tlag, ka, v, k = np.exp(z_log).tolist()
         conc = _conc_limit if abs(ka - k) < _BRANCH_RTOL * max(ka, k) else _conc_general
         rss = math.dist(obs, conc(times, tlag, ka, v, k, dose))
         rss *= rss  # a product, which overflows to inf, not a power, which raises
         if not math.isfinite(rss):
             return -math.inf  # structurally absurd latent; auto-reject
-        if diag:
-            quad = sum([(a - b) * (a - b) * p for a, b, p in zip(zl, mu, prior)])
+        if diag:  # a list's sum(): Python 3.12+ compensates it, where a chain of + would not
+            quad = sum([(z0 - m0) * (z0 - m0) * p0, (z1 - m1) * (z1 - m1) * p1,
+                        (z2 - m2) * (z2 - m2) * p2, (z3 - m3) * (z3 - m3) * p3])
         else:
             d = [a - b for a, b in zip(zl, mu)]
             quad = sum([w * w for w in (sum([c * x for c, x in zip(row, d)]) for row in prior)])
@@ -204,13 +201,12 @@ def log_posterior(indiv: PkIndividual, z_log: np.ndarray, params: PkParams) -> f
     return _log_target(indiv, params)(np.asarray(z_log, dtype=np.float64))
 
 
-def suff_stat(indiv: PkIndividual, z_log: np.ndarray) -> np.ndarray:
-    """Statistic vector for one patient at a sampled log-latent."""
+def suff_stat(indiv: PkIndividual, z_log: np.ndarray) -> list:
+    """Statistic vector for one patient at a sampled log-latent, as k floats."""
     z_log = np.asarray(z_log, dtype=np.float64)
-    outer = np.outer(z_log, z_log)
     resid = indiv.obs - structural(indiv.times, np.exp(z_log), indiv.dose)
-    s3 = float(resid @ resid) / len(indiv.obs)
-    return np.concatenate([z_log, outer[_TRIU], [s3]])
+    z = z_log.tolist()  # the outer product's upper triangle, row-major, as np.outer rounds it
+    return z + [a * b for r, a in enumerate(z) for b in z[r:]] + [float(resid @ resid) / len(indiv.obs)]
 
 
 def pack_sym(mat: np.ndarray) -> np.ndarray:
@@ -328,28 +324,23 @@ class PkModel(ModelSpec):
         return theta.log_pop.tolist() + pack_sym(theta.omega2).tolist() + [float(theta.sigma2)]
 
     def unflatten_params(self, vec) -> PkParams:
-        return PkParams(
-            log_pop=vec[:LATENT_DIM],
-            omega2=unpack_sym(vec[LATENT_DIM : LATENT_DIM + 10]),
-            sigma2=float(vec[-1]),
-        )
+        return PkParams(log_pop=vec[:LATENT_DIM], omega2=unpack_sym(vec[LATENT_DIM : LATENT_DIM + 10]),
+                        sigma2=float(vec[-1]))
 
     def sample_posterior(self, i, theta: PkParams, n_samples, rng, chains=None) -> np.ndarray:
         """Final log-latent state of ``n_samples`` MH transitions for patient
         i, started from ``chains[i]`` when present and stored back there."""
         target = _log_target(self.individuals[i], theta)  # fails first on a singular prior
         init = (chains or {}).get(i, theta.log_pop)  # mh_chain copies it
-        scales = np.maximum(
-            self.PROPOSAL_FACTOR * np.sqrt(np.diag(theta.omega2)), self.MIN_PROPOSAL_SCALE
-        )
-        config = MhConfig(chain_len=int(n_samples), proposal_scales=scales, init=init)
-        final = mh_chain(target, config, rng)
+        sds = map(math.sqrt, theta.omega2.diagonal().tolist())  # positive: the target's factoring checked
+        scales = [max(self.PROPOSAL_FACTOR * sd, self.MIN_PROPOSAL_SCALE) for sd in sds]
+        final = mh_chain(target, MhConfig(chain_len=int(n_samples), proposal_scales=scales, init=init), rng)
         if chains is not None:
             chains[i] = final
         return final
 
     def mc_stat(self, i, theta, n_samples, rng, chains=None):
-        return suff_stat(self.individuals[i], self.sample_posterior(i, theta, n_samples, rng, chains)).tolist()
+        return suff_stat(self.individuals[i], self.sample_posterior(i, theta, n_samples, rng, chains))
 
     def m_step(self, s):
         return m_step(s)

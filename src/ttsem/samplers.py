@@ -52,7 +52,7 @@ class MhConfig:
         object.__setattr__(self, "init", np.asarray(self.init, dtype=np.float64))
         if self.chain_len < 1:
             raise ValueError("chain_len must be a positive integer")
-        if np.any(self.proposal_scales <= 0.0):
+        if (self.proposal_scales <= 0.0).any():
             raise ValueError("proposal scales must be strictly positive")
         if self.proposal_scales.shape != self.init.shape:
             raise ValueError("proposal_scales and init must have the same shape")
@@ -85,19 +85,16 @@ def mh_chain(
 
     m = config.chain_len
     steps = rng.standard_normal((m,) + z.shape) * config.proposal_scales
-    log_u = np.log(rng.random(m))
+    log_u = np.log(rng.random(m)).tolist()
 
     kept = np.empty((m,) + z.shape) if collect else None
-    for t in range(m):
-        proposal = z + steps[t]
+    for t, (step, lu) in enumerate(zip(steps, log_u)):
+        proposal = z + step
         lp_prop = float(log_target(proposal))
         if math.isnan(lp_prop):
             raise ValueError("log_target returned NaN at a proposal")
-        if log_u[t] < lp_prop - lp:
-            z = proposal
-            lp = lp_prop
+        if lu < lp_prop - lp:
+            z, lp = proposal, lp_prop
         if collect:
             kept[t] = z
-    if collect:
-        return z, kept
-    return z
+    return (z, kept) if collect else z

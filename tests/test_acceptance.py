@@ -231,8 +231,8 @@ class TestCriterion10BranchContinuity:
         worst = 0.0
         for k, dt, sign in zip(ks, dts, signs):
             ka = k * (1.0 + sign * 1e-9)
-            general = float(pk._conc_general(dt, 0.0, ka, 8.0, k, 100.0))
-            limit = float(pk._conc_limit(dt, 0.0, ka, 8.0, k, 100.0))
+            general = pk._conc_general([float(dt)], 0.0, ka, 8.0, k, 100.0)[0]
+            limit = pk._conc_limit([float(dt)], 0.0, ka, 8.0, k, 100.0)[0]
             if limit > 0.0:
                 worst = max(worst, abs(general - limit) / limit)
         _report(10, "PK washout branch continuity (1e-6 rel, 1e4 pairs)",

@@ -313,6 +313,19 @@ class TestReplicateCommand:
                              capture_output=True, text=True, check=True, timeout=60)
         assert out.stdout.strip() == "False"
 
+    def test_gmm_run_leaves_numpy_ma_unloaded(self, tmp_path):
+        # the default start's quantiles are interpolated by hand, since
+        # np.quantile's first call imports numpy.ma (about 14 ms and 1 MB)
+        data, out = str(tmp_path / "data.txt"), str(tmp_path / "run.csv")
+        assert cli.main(["simulate", "--model", "gmm", "--n", "300", "--seed", "4", "--out", data]) == 0
+        src = os.path.dirname(os.path.dirname(bench.__file__))
+        code = ("import sys, ttsem.cli; "
+                f"rc = ttsem.cli.main(['run', '--model', 'gmm', '--data', {data!r}, '--algo', 'iSAEM', "
+                f"'--out', {out!r}]); print(rc, 'numpy.ma' in sys.modules)")
+        res = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True, timeout=60)
+        assert res.stdout.split("\n")[-2] == "0 False"
+
     def test_unrunnable_algorithm_fails_before_simulating(self, tmp_path, monkeypatch):
         def no_simulation(*args):
             raise AssertionError("simulated before the algorithm settings were checked")
@@ -445,6 +458,13 @@ class TestCli:
         *(pytest.param("pk", {"log_pop": [0, 0, 2, -2], "omega2": [0.1] * 4, "sigma2": bad}, "sigma2",
                        id=f"sigma2-{name}")
           for name, bad in (("list", [0.5]), ("null", None), ("object", {"a": 1}))),
+        pytest.param("pk", {"log_pop": {"a": 1}, "omega2": [0.1] * 4, "sigma2": 0.5}, "log_pop must be a list",
+                     id="log_pop-object"),
+        pytest.param("pk", {"pop": {"a": 1}, "omega2": [0.1] * 4, "sigma2": 0.5}, "pop must be a list",
+                     id="pop-object"),
+        pytest.param("pk", {"log_pop": [0, 0, 2, -2], "omega2": {"a": 1}, "sigma2": 0.5}, "omega2 must be a list",
+                     id="omega2-object"),
+        pytest.param("gmm", {"omega": [0.5], "mu": [1, {"a": 1}]}, "mu must be a list", id="object-in-mu"),
     ])
     def test_invalid_truth_exits_two_before_work(self, command, model, theta, field, tmp_path, capsys,
                                                  monkeypatch):

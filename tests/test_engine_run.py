@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ttsem import engine, pk
+from ttsem import bench, core, engine, pk
 from ttsem.core import ConfigError, ModelSpec, RunConfig, SamplingError, StepSchedule
 from ttsem.engine import draw_termination, epoch_refresh, mc_step, run
 from ttsem.gmm import GmmModel, GmmParams, simulate
@@ -361,6 +361,87 @@ class TestSeamTypes:
         assert model.exact_expectation(0, theta) is None
         self.assert_floats(model.flatten_params(theta), p)
         self.assert_floats(model.flatten_params(model.m_step(np.mean(stats, axis=0).tolist())), p)
+
+
+def implied_esteps(variant: str, n: int, total_iters: int, epoch_len=None) -> int:
+    """Per-sample E-steps a configuration implies: an initialization pass of
+    n, then n per batch iteration, one per incremental iteration, two per
+    fiTTEM iteration, and for vrTTEM a whole pass per anchor refresh, whose
+    own iteration reuses its freshly refreshed entry.  The benchmark's traced
+    check asserts the same totals on its count of ``engine.mc_step`` spans."""
+    if variant in ("EM", "MCEM", "SAEM"):
+        return n + total_iters * n
+    if variant in ("iEM", "iSAEM"):
+        return n + total_iters
+    if variant == "fiTTEM":
+        return n + 2 * total_iters
+    refreshes = -(-total_iters // epoch_len)
+    return n + refreshes * n + (total_iters - refreshes)
+
+
+def count_calls(monkeypatch, owner, attr):
+    """Replace ``owner.attr`` where callers look it up with a wrapper that
+    records each call's arguments, as a tracer wrapping it from outside the
+    program would."""
+    calls, original = [], getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+class TestTracedSeams:
+    """Every per-sample E-step passes through the module globals a tracer
+    wraps: ``engine._estep``, and ``engine.mc_step`` for each Monte Carlo
+    one; a PK E-step makes one ``pk.mh_chain`` call on a 4-vector chain of
+    ``mc_samples`` transitions that draws all its normals, then all its
+    uniforms, which is what the accept replay reads back."""
+
+    @pytest.mark.parametrize("variant, epoch_len", [(v, "auto") for v in core.VARIANTS] + [("vrTTEM", 7)])
+    def test_gmm(self, monkeypatch, variant, epoch_len):
+        n = 40
+        cfg = bench.AlgoSpec(variant, epoch_len=epoch_len).to_config(n, 1.5, 3, "gmm")
+        esteps = count_calls(monkeypatch, engine, "_estep")
+        mc_steps = count_calls(monkeypatch, engine, "mc_step")
+        run(GmmModel(make_data(n=n)), cfg)
+        implied = implied_esteps(variant, n, cfg.total_iters, cfg.epoch_len)
+        assert len(esteps) == implied
+        assert len(mc_steps) == (0 if core.VARIANTS[variant].exact else implied)
+
+    @pytest.mark.parametrize("variant", ["MCEM", "SAEM", "iSAEM", "vrTTEM", "fiTTEM"])
+    def test_pk(self, monkeypatch, variant):
+        n, mc = 12, 5
+        cohort = pk.simulate(n, pk.paper_truth(), pk.default_design(), named_stream(66, "data"))
+        cfg = bench.AlgoSpec(variant, mc_samples=mc, epoch_len=5).to_config(n, 1.5, 67, "pk")
+        mc_steps = count_calls(monkeypatch, engine, "mc_step")
+        posteriors = count_calls(monkeypatch, pk.PkModel, "sample_posterior")
+        chains, original = [], pk.mh_chain
+
+        def chain(log_target, config, rng, *args, **kwargs):
+            before = rng.bit_generator.state
+            out = original(log_target, config, rng, *args, **kwargs)
+            chains.append((config, type(rng.bit_generator), before, rng.bit_generator.state))
+            return out
+
+        monkeypatch.setattr(pk, "mh_chain", chain)
+        run(pk.PkModel(cohort), cfg, theta0=bench.pk_naive_init(cohort))
+        implied = implied_esteps(variant, n, cfg.total_iters, cfg.epoch_len)
+        assert len(mc_steps) == len(posteriors) == len(chains) == implied
+
+        def generator(bitgen, state):
+            g = np.random.Generator(bitgen())
+            g.bit_generator.state = state
+            return g
+
+        for config, bitgen, before, after in chains:
+            assert config.init.shape == (4,) and config.chain_len == mc
+            replay = generator(bitgen, before)  # normals, then uniforms, and nothing else
+            replay.standard_normal((mc, 4))
+            replay.random(mc)
+            assert replay.random(3).tobytes() == generator(bitgen, after).random(3).tobytes()
 
 
 class TestRunMemory:

@@ -11,6 +11,27 @@ from ttsem.gmm import GmmModel, GmmParams, GmmRegularizer
 from ttsem.rng import named_stream
 
 
+class TestDefaultInit:
+    @staticmethod
+    def _datasets():
+        rng = named_stream(71, "test")
+        for n in range(1, 51):
+            yield rng.standard_normal(n)
+            yield np.round(rng.standard_normal(n) * 2.0)  # ties
+            yield np.sort(rng.standard_normal(n) * 1e3)  # sorted input
+            yield rng.choice([-0.0, 0.0, 1.5], n)  # signed zeros
+        yield rng.standard_normal(2000) + 0.5
+        yield rng.standard_normal(10_000)
+
+    def test_means_bit_equal_np_quantile(self):
+        for data in self._datasets():
+            for m in range(1, 13):
+                init = GmmModel(data, m).default_init()
+                expected = np.quantile(data, np.linspace(0.25, 0.75, m))
+                assert init.mu.tobytes() == expected.tobytes(), (data, m)
+                assert init.omega.tobytes() == np.full(m - 1, 1.0 / m).tobytes()
+
+
 class TestParams:
     def test_full_weights_appends_implied_mass(self):
         p = GmmParams(omega=[0.2, 0.3], mu=[0.0, 1.0, 2.0])

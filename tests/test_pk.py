@@ -1,12 +1,16 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from ttsem import pk
+from ttsem import bench, pk
 from ttsem.core import RunConfig, SamplingError, StepSchedule
 from ttsem.engine import run
 from ttsem.pk import PkIndividual, PkModel, PkParams
 from ttsem.rng import named_stream
+from ttsem.samplers import MhConfig, mh_chain
 
 
 class TestParams:
@@ -133,8 +137,8 @@ class TestStructural:
         for k, dt in zip(ks, dts):
             for sign in (+1.0, -1.0):
                 ka = k * (1.0 + sign * 1e-9)
-                general = pk._conc_general(dt, 0.0, ka, 8.0, k, 100.0)
-                limit = pk._conc_limit(dt, 0.0, ka, 8.0, k, 100.0)
+                general = pk._conc_general([float(dt)], 0.0, ka, 8.0, k, 100.0)[0]
+                limit = pk._conc_limit([float(dt)], 0.0, ka, 8.0, k, 100.0)[0]
                 if limit > 0:
                     assert abs(general - limit) <= 1e-6 * limit
 
@@ -291,6 +295,174 @@ class TestKernelParity:
         for z in rejected:
             assert pk.log_posterior(indiv, z, params) == -np.inf
         self._check(indiv, rejected + [[0.0, 0.0, 2.0, 699.0], [-699.0, 0.0, 2.0, -2.3]], params)
+
+
+# -- The PK E-step as it was written before its plain-float rewrite --------
+# (the closure, the curve helpers, the chain loop, the proposal scales and
+# the statistic), kept verbatim as the bit-for-bit oracle of the current one.
+
+def _old_conc_general(t, tlag, ka, v, k, dose):
+    if not isinstance(t, list):
+        return _old_conc_general([t], tlag, ka, v, k, dose)[0]
+    c, lo, gap = dose * ka / v, -min(ka, k), -abs(ka - k)
+    return [c * (math.exp(lo * dt) * math.expm1(gap * dt) / gap) if (dt := s - tlag) > 0.0 else 0.0 for s in t]
+
+
+def _old_conc_limit(t, tlag, ka, v, k, dose):
+    if not isinstance(t, list):
+        return _old_conc_limit([t], tlag, ka, v, k, dose)[0]
+    return [dose * ka * dt * math.exp(-k * dt) / v if (dt := s - tlag) > 0.0 else 0.0 for s in t]
+
+
+def _old_log_target(indiv, params):
+    times, obs, dose = indiv.times.tolist(), indiv.obs.tolist(), indiv.dose
+    mu, sigma2, diag = params.log_pop.tolist(), params.sigma2, params._diag
+    if diag is not None and not min(diag) > 0.0:
+        raise np.linalg.LinAlgError("omega2 is singular")
+    prior = [1.0 / x for x in diag] if diag else np.linalg.inv(np.linalg.cholesky(params.omega2)).tolist()
+
+    def log_target(z_log):
+        zl = z_log.tolist()
+        if not all(-700.0 < c < 700.0 for c in zl):
+            return -math.inf
+        tlag, ka, v, k = np.exp(z_log).tolist()
+        conc = _old_conc_limit if abs(ka - k) < 1e-8 * max(ka, k) else _old_conc_general
+        rss = math.dist(obs, conc(times, tlag, ka, v, k, dose))
+        rss *= rss
+        if not math.isfinite(rss):
+            return -math.inf
+        if diag:
+            quad = sum([(a - b) * (a - b) * p for a, b, p in zip(zl, mu, prior)])
+        else:
+            d = [a - b for a, b in zip(zl, mu)]
+            quad = sum([w * w for w in (sum([c * x for c, x in zip(row, d)]) for row in prior)])
+        return -0.5 * rss / sigma2 - 0.5 * quad
+
+    return log_target
+
+
+def _old_mh_chain(log_target, config, rng):
+    z = config.init.copy()
+    lp = float(log_target(z))
+    if math.isnan(lp):
+        raise ValueError("log_target is NaN at the chain start")
+    if lp == -np.inf:
+        raise ValueError("log_target must be finite at the chain start")
+    m = config.chain_len
+    steps = rng.standard_normal((m,) + z.shape) * config.proposal_scales
+    log_u = np.log(rng.random(m))
+    for t in range(m):
+        proposal = z + steps[t]
+        lp_prop = float(log_target(proposal))
+        if math.isnan(lp_prop):
+            raise ValueError("log_target returned NaN at a proposal")
+        if log_u[t] < lp_prop - lp:
+            z = proposal
+            lp = lp_prop
+    return z
+
+
+def _old_suff_stat(indiv, z_log):
+    z_log = np.asarray(z_log, dtype=np.float64)
+    outer = np.outer(z_log, z_log)
+    tlag, ka, v, k = np.exp(z_log).tolist()
+    conc = _old_conc_limit if abs(ka - k) < 1e-8 * max(ka, k) else _old_conc_general
+    resid = indiv.obs - np.array(conc(indiv.times.tolist(), tlag, ka, v, k, indiv.dose))
+    s3 = float(resid @ resid) / len(indiv.obs)
+    return np.concatenate([z_log, outer[np.triu_indices(4)], [s3]])
+
+
+class _OldEstepPk(PkModel):
+    """A PkModel whose E-step is the oracle pieces above, end to end."""
+
+    def mc_stat(self, i, theta, n_samples, rng, chains=None):
+        target = _old_log_target(self.individuals[i], theta)
+        init = (chains or {}).get(i, theta.log_pop)
+        scales = np.maximum(0.4 * np.sqrt(np.diag(theta.omega2)), 1e-4)
+        final = _old_mh_chain(target, MhConfig(chain_len=int(n_samples), proposal_scales=scales, init=init), rng)
+        if chains is not None:
+            chains[i] = final
+        return _old_suff_stat(self.individuals[i], final).tolist()
+
+
+def _bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestBitParity:
+    """The plain-float E-step against the oracle above, compared on the bits
+    of every float: the log target, the chain, the statistic and whole runs."""
+
+    @staticmethod
+    def _individual(params, seed, extra_time=None):
+        return TestKernelParity._noisy_individual(params, seed, extra_time)
+
+    def _check(self, indiv, zs, params):
+        ours, old = pk._log_target(indiv, params), _old_log_target(indiv, params)
+        for z in zs:
+            z = np.asarray(z, dtype=np.float64)
+            assert _bits(ours(z)) == _bits(old(z)), str(z)
+            assert _bits(pk.log_posterior(indiv, z, params)) == _bits(old(z))
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_random_latents(self, full):
+        params = pk.paper_truth()
+        if full:
+            a = named_stream(55, "test").standard_normal((4, 4))
+            params = PkParams(log_pop=params.log_pop, omega2=0.05 * a @ a.T + 0.02 * np.eye(4), sigma2=0.3)
+        indiv = self._individual(params, 56)
+        zs = params.log_pop + 0.6 * named_stream(57, "test").standard_normal((300, 4))
+        self._check(indiv, zs, params)
+        for z in zs[:50]:
+            np.testing.assert_array_equal(np.array(pk.suff_stat(indiv, z)).view(np.uint64),
+                                          _old_suff_stat(indiv, z).view(np.uint64))
+
+    def test_branch_switch(self):
+        params = pk.paper_truth()
+        indiv = self._individual(params, 58)
+        zs = [[0.1, log_k + np.log1p(rel), 2.0, log_k]
+              for log_k in (-2.3, -0.5, 0.4) for rel in (0.0, 1e-9, -1e-9, 1e-8, -1e-8, 1e-3, -1e-3)]
+        self._check(indiv, zs, params)
+
+    def test_guard_and_overflow(self):
+        params = pk.paper_truth()
+        indiv = self._individual(params, 60)
+        zs = [[700.0, 0.0, 2.0, -2.3], [0.0, -700.0, 2.0, -2.3], [0.0, 0.0, 2.0, 699.9999],
+              [-699.9999, 0.0, 2.0, -2.3], [np.nan, 0.0, 2.0, -2.3], [0.0, np.inf, 2.0, -2.3],
+              [0.0, 0.0, -690.0, -2.3],  # the residual sum of squares overflows
+              [0.0, 0.0, -300.0, -2.3]]
+        assert pk.log_posterior(indiv, zs[6], params) == -np.inf
+        self._check(indiv, zs, params)
+
+    def test_time_at_the_lag(self):
+        params = pk.paper_truth()
+        z = params.log_pop + np.array([0.3, 0.1, -0.1, 0.2])
+        indiv = self._individual(params, 59, extra_time=float(np.exp(z)[0]))
+        self._check(indiv, [z, z + [1e-12, 0.0, 0.0, 0.0], z - [1e-12, 0.0, 0.0, 0.0]], params)
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_chain(self, full):
+        params = pk.paper_truth()
+        if full:
+            params = PkParams(log_pop=params.log_pop, omega2=params.omega2 + 0.01, sigma2=0.5)
+        indiv = self._individual(params, 61)
+        config = MhConfig(chain_len=400, proposal_scales=np.full(4, 0.3), init=params.log_pop)
+        for seed in range(3):
+            ours = mh_chain(pk._log_target(indiv, params), config, named_stream(seed, "test"))
+            old = _old_mh_chain(_old_log_target(indiv, params), config, named_stream(seed, "test"))
+            assert ours.tobytes() == old.tobytes()
+            collected, _ = mh_chain(pk._log_target(indiv, params), config, named_stream(seed, "test"), collect=True)
+            assert collected.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("variant", ["MCEM", "SAEM", "iSAEM", "vrTTEM", "fiTTEM"])
+    def test_runs(self, variant):
+        cohort = pk.simulate(30, pk.paper_truth(), pk.default_design(), named_stream(64, "data"))
+        theta0 = bench.pk_naive_init(cohort)
+        cfg = bench.AlgoSpec(variant, mc_samples=10).to_config(30, 2, 65, "pk")
+        ours = run(PkModel(cohort), cfg, theta0=theta0)
+        old = run(_OldEstepPk(cohort), cfg, theta0=theta0)
+        assert ours.thetas.tobytes() == old.thetas.tobytes()
+        assert ours.delta_s_sq.tobytes() == old.delta_s_sq.tobytes()
 
 
 class TestSuffStat:
