@@ -266,12 +266,8 @@ def _metric_values(model_kind: str, traj: Trajectory, rows: np.ndarray, referenc
     thetas = traj.thetas[rows]
     out = {"delta_s_sq": traj.delta_s_sq[rows]}
     if model_kind == "gmm":
-        m = (thetas.shape[1] + 1) // 2
-        mus, mu_star = thetas[:, m - 1 :], reference  # (rows, M) means, (M,) reference
-        # metric_precision_gmm of every row at once, bit for bit
-        out["precision"] = np.min(
-            [((mus - mu_star[list(p)]) ** 2).sum(axis=1) for p in permutations(range(m))], axis=0
-        )
+        m = (thetas.shape[1] + 1) // 2  # rows hold M-1 weights, then M means
+        out["precision"] = np.array([metric_precision_gmm(theta[m - 1 :], reference) for theta in thetas])
     else:
         pop_star = reference  # (4,) natural-scale fixed effects
         pops = np.exp(thetas[:, :4])
@@ -318,15 +314,10 @@ def _replicate_worker(spec: ExperimentSpec, r: int) -> dict:
 
     model, theta0 = _model_and_init(spec.model, data)
     if spec.model == "gmm":
-        reference = gmm.fit_reference_em(data, init=theta0).mu
-        data_hash = _sha256("\n".join(repr(float(y)) for y in data).encode())
+        reference, values = gmm.fit_reference_em(data, init=theta0).mu, data.tolist()
     else:
-        reference = truth.pop
-        data_hash = _sha256(
-            "\n".join(
-                repr(float(v)) for ind in data for v in np.concatenate([ind.times, ind.obs])
-            ).encode()
-        )
+        reference, values = truth.pop, [v for ind in data for v in ind.times.tolist() + ind.obs.tolist()]
+    data_hash = _sha256("\n".join(map(repr, values)).encode())
     theta0_hash = _sha256(np.array(model.flatten_params(theta0)).tobytes())
     nll = _row_nll(model, theta0)
 

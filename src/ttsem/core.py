@@ -139,7 +139,9 @@ class StepSchedule:
 
 
 class PerSampleStatTable:
-    """Stored last-refresh statistic vector per sample plus a running mean.
+    """One statistic vector per sample plus their running mean: the result
+    of every whole pass, so both the iEM / iSAEM / fiTTEM table and the
+    batch / vrTTEM anchor.
 
     The mean is maintained incrementally on single-entry replacement and is
     guaranteed to stay within 1e-10 relative error of a from-scratch
@@ -150,13 +152,12 @@ class PerSampleStatTable:
     """
 
     def __init__(self, entries: np.ndarray):
-        entries = np.asarray(entries, dtype=np.float64)
+        self.entries = entries = np.array(entries, dtype=np.float64)  # a copy, owned by the table
         if entries.ndim != 2 or entries.shape[0] == 0:
             raise ValueError("table entries must be a nonempty (n, k) array")
         if not np.all(np.isfinite(entries)):
             raise ValueError("table entries must be finite")
         self.n = entries.shape[0]
-        self.entries = entries.copy()
         self.mean = entries.mean(axis=0).tolist()
 
     def replace(self, i: int, vec) -> None:

@@ -10,12 +10,15 @@ One run alternates, for K_f iterations:
   6. the projection     s_hat <- model.project(s_hat)  onto the statistic set,
   7. the model M-step and a trajectory record.
 
-Proxy kinds (``core.VARIANTS`` maps each variant to one):
+A run holds one ``PerSampleStatTable``, a whole pass's result.  Every
+``period`` iterations a fresh pass replaces it, and its entry i_k stands in
+for that iteration's E-step.  Proxy kinds (``core.VARIANTS`` maps each
+variant to one) differ in that period and in their proxy:
 
   batch        EM / MCEM / SAEM: the anchor refreshed every iteration
-  table        iEM / iSAEM: per-sample table, replace-one running mean
+  table        iEM / iSAEM: never refreshed, replace-one running mean
   anchor       vrTTEM: epoch anchor refreshed every epoch_len iterations
-  two_stream   fiTTEM: table read by the i-stream, written only by the j-stream
+  two_stream   fiTTEM: never refreshed, read by the i-stream, written by the j-stream
 
 With rho = 1 the Inc-step returns the proxy verbatim, so the recorded
 timescale gap ||stt - proxy||^2 is exactly zero; the whole family then
@@ -148,7 +151,6 @@ def proxy_isaem(table: PerSampleStatTable, i_k: int, s_new: list) -> list:
 
 def proxy_vr(anchor_stt: list, anchor_entry_i: list, s_new: list) -> list:
     """Epoch-anchored control-variate proxy (SVRG-style)."""
-    assert anchor_stt is not None, "epoch anchor missing; refresh before use"
     return [a + (v - e) for a, v, e in zip(anchor_stt, s_new, anchor_entry_i, strict=True)]
 
 
@@ -189,18 +191,15 @@ def _estep(model: ModelSpec, i: int, theta, n_samples: int, rng, chains, iterati
 
 
 def epoch_refresh(model: ModelSpec, theta, n_samples: int, rng: np.random.Generator, iteration: int = 0,
-                  chains: Optional[dict] = None) -> tuple[list, np.ndarray]:
+                  chains: Optional[dict] = None) -> PerSampleStatTable:
     """The one whole pass: initialization, each batch iteration and each
     anchor refresh.  Recomputes every sample's statistic under the current
     parameters, in index order on ``rng`` (exact when it is None), and
-    returns (the batch mean of the fresh entries as floats, the (n, k)
-    entries).  With rho = 1 the Inc-step pins stt to that mean, so batch
-    variants are the anchor proxy refreshed every iteration.
-    """
+    returns them as a table: the (n, k) entries and their batch mean."""
     entries = np.empty((model.n, model.stat_dim()))
     for i in range(model.n):
         entries[i] = _estep(model, i, theta, n_samples, rng, chains, iteration)
-    return entries.mean(axis=0).tolist(), entries
+    return PerSampleStatTable(entries)
 
 
 _INDEX_CHUNK = 1024
@@ -342,14 +341,12 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
     def estep(i: int, theta, iteration: int, role: str = "mc") -> list:
         return _estep(model, i, theta, mc, rngs[role], chains[role], iteration)
 
-    # Initialization pass: per-sample statistics under theta0.
-    stt, init_rows = epoch_refresh(model, theta0, mc, rngs["mc"], -1, chains["mc"])
-
-    table = PerSampleStatTable(init_rows) if kind in ("table", "two_stream") else None
+    # Initialization pass under theta0; batch and anchor replace its table at k = 0.
+    table = epoch_refresh(model, theta0, mc, rngs["mc"], -1, chains["mc"])
+    stt = table.mean
     s_hat = model.project(stt)
     theta = model.m_step(s_hat)
 
-    anchor_stt = anchor_entries = None
     records, names = k_f + 1, model.param_names()
     traj = Trajectory(iters=np.arange(records, dtype=np.int64), epochs=np.zeros(records),
                       thetas=np.empty((records, len(names))), delta_s_sq=np.zeros(records),
@@ -364,24 +361,21 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
     refreshes = extra_draws = 0
 
     for k in range(k_f):
+        i_k = next(draws_i)
+        if period and k % period == 0:
+            table = epoch_refresh(model, theta, mc, rngs["mc"], k, chains["mc"])
+            refreshes += 1
+            s_new = table.entries[i_k].tolist()  # refreshed this very iteration
+        else:
+            s_new = estep(i_k, theta, k)
+            extra_draws += 1
         if kind == "table":
-            i_k = next(draws_i)
-            proxy = proxy_isaem(table, i_k, estep(i_k, theta, k))
-            extra_draws += 1
-        elif kind in ("batch", "anchor"):
-            i_k = next(draws_i)
-            if k % period == 0:
-                anchor_stt, anchor_entries = epoch_refresh(model, theta, mc, rngs["mc"], k, chains["mc"])
-                refreshes += 1
-                s_new = anchor_entries[i_k].tolist()  # refreshed this very iteration
-            else:
-                s_new = estep(i_k, theta, k)
-                extra_draws += 1
-            proxy = proxy_vr(anchor_stt, anchor_entries[i_k].tolist(), s_new)
-        else:  # two_stream
-            i_k, j_k = next(draws_i), next(draws_j)
-            proxy = proxy_fi(table, i_k, j_k, estep(i_k, theta, k), estep(j_k, theta, k, role="mc_j"))
-            extra_draws += 1
+            proxy = proxy_isaem(table, i_k, s_new)
+        elif kind == "two_stream":
+            j_k = next(draws_j)
+            proxy = proxy_fi(table, i_k, j_k, s_new, estep(j_k, theta, k, role="mc_j"))
+        else:  # batch, anchor
+            proxy = proxy_vr(table.mean, table.entries[i_k].tolist(), s_new)
 
         stt = inc_step(stt, proxy, rho)
         delta = gap_delta_s(stt, proxy)

@@ -51,6 +51,15 @@ __all__ = [
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+def _left_sum(xs) -> float:
+    """Floats summed left to right from 0.0, as numpy sums fewer than 8 terms;
+    sum() compensates its float additions since Python 3.12."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 class GmmParams:
     """Immutable mixture parameters: M-1 free weights ``omega`` (omega_M = 1 -
     sum is implied) and M means ``mu``, float64 arrays built on first use from
@@ -67,8 +76,8 @@ class GmmParams:
     def _fill(self, omega: list, mu: list) -> GmmParams:
         # m_step builds here, from floats it has checked finite.  A NaN weight
         # fails both comparisons.  numpy sums fewer than 8 terms left to right,
-        # as sum() does; from 8 on it sums pairwise.
-        total = sum(omega) if len(omega) < 8 else float(np.sum(omega))
+        # as _left_sum does; from 8 on it sums pairwise.
+        total = _left_sum(omega) if len(omega) < 8 else float(np.sum(omega))
         if not (all(w > 0.0 for w in omega) and total < 1.0):
             raise ValueError("weights must lie in the interior of the simplex")
         w = omega + [1.0 - total]
@@ -117,11 +126,11 @@ def m_step(s: list, delta: float, epsilon: float, n_components: int) -> GmmParam
     """
     m = n_components
     s1, s2, s3 = s[: m - 1], s[m - 1 : 2 * m - 2], s[2 * m - 2]
-    # plain floats round as numpy does, and the sums run left to right as
-    # numpy's do below 8 terms; a zero denominator raises where numpy gave inf
+    # plain floats round as numpy does, and _left_sum adds as numpy does below
+    # 8 terms; a zero denominator raises where numpy gave inf
     try:
         omega = [(a + epsilon) / (1.0 + epsilon * m) for a in s1]
-        mu = [b / (a + delta) for a, b in zip(s1, s2)] + [(s3 - sum(s2)) / (1.0 - sum(s1) + delta)]
+        mu = [b / (a + delta) for a, b in zip(s1, s2)] + [(s3 - _left_sum(s2)) / (1.0 - _left_sum(s1) + delta)]
         finite = all(map(math.isfinite, omega + mu))
     except ZeroDivisionError:
         finite = False
@@ -133,7 +142,7 @@ def m_step(s: list, delta: float, epsilon: float, n_components: int) -> GmmParam
 def _project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the closed simplex {x >= 0, sum(x) <= 1}."""
     x = np.maximum(v, 0.0)
-    if sum(x.tolist()) <= 1.0:
+    if _left_sum(x.tolist()) <= 1.0:
         return x
     # onto the face sum(x) = 1: x = max(v - tau, 0) (Duchi et al., 2008)
     u = np.sort(v)[::-1]
@@ -141,7 +150,7 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     r = int(np.flatnonzero(u - css / np.arange(1, len(u) + 1) > 0.0)[-1])
     x = np.maximum(v - css[r] / (r + 1), 0.0)
     # rounding can leave the sum an ulp above 1; step down onto the set
-    while sum(x.tolist()) > 1.0:
+    while _left_sum(x.tolist()) > 1.0:
         x = np.nextafter(x, 0.0)
     return x
 
@@ -264,7 +273,7 @@ class GmmModel(ModelSpec):
             if not (0.0 <= a and a * lo <= b <= a * hi):
                 break
         else:
-            if sum(s1) <= 1.0:
+            if _left_sum(s1) <= 1.0:
                 return s
         w = _project_simplex(np.array(s1))
         return w.tolist() + np.clip(s2, w * lo, w * hi).tolist() + s[2 * m1 :]

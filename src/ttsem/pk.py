@@ -171,7 +171,7 @@ def _log_target(indiv: PkIndividual, params: PkParams):
     (m0, m1, m2, m3), (p0, p1, p2, p3) = mu, prior  # p: the reciprocals, or the rows
 
     def log_target(z_log: np.ndarray) -> float:
-        z0, z1, z2, z3 = zl = z_log.tolist()
+        z0, z1, z2, z3 = z_log.tolist()
         if not (-700.0 < z0 < 700.0 and -700.0 < z1 < 700.0 and -700.0 < z2 < 700.0 and -700.0 < z3 < 700.0):
             return -math.inf  # exp would over/underflow (NaN fails too); signal auto-reject
         tlag, ka, v, k = np.exp(z_log).tolist()
@@ -180,12 +180,13 @@ def _log_target(indiv: PkIndividual, params: PkParams):
         rss *= rss  # a product, which overflows to inf, not a power, which raises
         if not math.isfinite(rss):
             return -math.inf  # structurally absurd latent; auto-reject
-        if diag:  # a list's sum(): Python 3.12+ compensates it, where a chain of + would not
-            quad = sum([(z0 - m0) * (z0 - m0) * p0, (z1 - m1) * (z1 - m1) * p1,
-                        (z2 - m2) * (z2 - m2) * p2, (z3 - m3) * (z3 - m3) * p3])
+        # chains of +, left to right on every interpreter (sum() compensates since 3.12)
+        d0, d1, d2, d3 = z0 - m0, z1 - m1, z2 - m2, z3 - m3
+        if diag:
+            quad = d0 * d0 * p0 + d1 * d1 * p1 + d2 * d2 * p2 + d3 * d3 * p3
         else:
-            d = [a - b for a, b in zip(zl, mu)]
-            quad = sum([w * w for w in (sum([c * x for c, x in zip(row, d)]) for row in prior)])
+            w0, w1, w2, w3 = (c0 * d0 + c1 * d1 + c2 * d2 + c3 * d3 for c0, c1, c2, c3 in prior)
+            quad = w0 * w0 + w1 * w1 + w2 * w2 + w3 * w3
         return -0.5 * rss / sigma2 - 0.5 * quad
 
     return log_target

@@ -398,7 +398,8 @@ class TestTracedSeams:
     wraps: ``engine._estep``, and ``engine.mc_step`` for each Monte Carlo
     one; a PK E-step makes one ``pk.mh_chain`` call on a 4-vector chain of
     ``mc_samples`` transitions that draws all its normals, then all its
-    uniforms, which is what the accept replay reads back."""
+    uniforms, which is what the accept replay reads back.  Every whole pass
+    is one call of the module global ``engine.epoch_refresh``."""
 
     @pytest.mark.parametrize("variant, epoch_len", [(v, "auto") for v in core.VARIANTS] + [("vrTTEM", 7)])
     def test_gmm(self, monkeypatch, variant, epoch_len):
@@ -406,10 +407,16 @@ class TestTracedSeams:
         cfg = bench.AlgoSpec(variant, epoch_len=epoch_len).to_config(n, 1.5, 3, "gmm")
         esteps = count_calls(monkeypatch, engine, "_estep")
         mc_steps = count_calls(monkeypatch, engine, "mc_step")
+        passes = count_calls(monkeypatch, engine, "epoch_refresh")
         run(GmmModel(make_data(n=n)), cfg)
         implied = implied_esteps(variant, n, cfg.total_iters, cfg.epoch_len)
         assert len(esteps) == implied
         assert len(mc_steps) == (0 if core.VARIANTS[variant].exact else implied)
+        # the initialization pass, then one per batch iteration or anchor refresh
+        k_f, proxy = cfg.total_iters, core.VARIANTS[variant].proxy
+        later = k_f if proxy == "batch" else -(-k_f // cfg.epoch_len) if proxy == "anchor" else 0
+        assert k_f > 1 and len(passes) == 1 + later
+        assert [args[4] for args in passes[:2]] == ([-1, 0] if later else [-1])  # the iteration argument
 
     @pytest.mark.parametrize("variant", ["MCEM", "SAEM", "iSAEM", "vrTTEM", "fiTTEM"])
     def test_pk(self, monkeypatch, variant):
@@ -468,12 +475,41 @@ class TestRunMemory:
         assert peak < arrays + 256 * 1024, (peak, arrays)
 
 
+class TestOneTablePerRun:
+    @pytest.mark.parametrize("variant", ["iSAEM", "fiTTEM", "vrTTEM"])
+    def test_late_iterations_hold_one_statistic_array(self, variant):
+        # Between whole passes a run holds one (n, k) statistic array, the
+        # table (480 kB here), and nothing else of that size: the pass that
+        # built it is not kept beside it.  Each M-step samples the memory the
+        # run holds; the second half of the iterations is checked.  A short
+        # run first does numpy's lazy imports.
+        n, iters, held = 20_000, 40, []
+
+        class Sampling(GmmModel):
+            def m_step(self, s):
+                held.append(tracemalloc.get_traced_memory()[0])
+                return super().m_step(s)
+
+        model = Sampling(make_data(n=n))
+        cfg = RunConfig(variant=variant, total_iters=iters, seed=5, gamma=GAMMA,
+                        rho=None if variant == "iSAEM" else 0.5, epoch_len=n if variant == "vrTTEM" else None)
+        run(GmmModel(make_data(n=50)), RunConfig(variant="iSAEM", total_iters=10, seed=5, gamma=GAMMA))
+        tracemalloc.start()
+        try:
+            run(model, cfg)
+        finally:
+            tracemalloc.stop()
+        table, late = n * model.stat_dim() * 8, held[-(iters // 2):]
+        assert table <= min(late) and max(late) < table + 64 * 1024, (table, late)
+
+
 class TestEpochRefresh:
     def test_single_sample_anchor(self):
         data = make_data(n=1)
         model = GmmModel(data)
         theta = model.default_init()
-        anchor_stt, entries = epoch_refresh(model, theta, 3, named_stream(2, "mc"))
+        table = epoch_refresh(model, theta, 3, named_stream(2, "mc"))
+        anchor_stt, entries = table.mean, table.entries
         direct = mc_step(model, 0, theta, 3, named_stream(2, "mc"))
         np.testing.assert_array_equal(entries[0], direct)
         np.testing.assert_array_equal(anchor_stt, direct)
@@ -484,14 +520,15 @@ class TestEpochRefresh:
         theta = model.default_init()
         a = epoch_refresh(model, theta, 4, named_stream(5, "mc"))
         b = epoch_refresh(model, theta, 4, named_stream(5, "mc"))
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
+        np.testing.assert_array_equal(a.mean, b.mean)
+        np.testing.assert_array_equal(a.entries, b.entries)
 
     def test_anchor_mean_matches_direct_recomputation(self):
         data = make_data(n=9)
         model = GmmModel(data)
         theta = model.default_init()
-        anchor_stt, entries = epoch_refresh(model, theta, 2, named_stream(6, "mc"))
+        table = epoch_refresh(model, theta, 2, named_stream(6, "mc"))
+        anchor_stt, entries = table.mean, table.entries
         manual = sum(entries[i] for i in range(9)) / 9.0
         np.testing.assert_allclose(anchor_stt, manual, rtol=1e-12, atol=1e-12)
 

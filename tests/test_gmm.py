@@ -247,6 +247,41 @@ class TestMStep:
             assert theta.mu.tobytes() == mu.tobytes()
 
 
+class TestLeftSum:
+    """The plain-float sums run left to right from 0.0 on every interpreter.
+    Python 3.12+ compensates sum(), where the first two sums below give
+    1.0000000000000002 and 1.0.  Each input after them rounds differently
+    under a compensated sum: 0.5 + 2**-54 ties back to 0.5, as 1.0 + 2**-53
+    ties back to 1.0."""
+
+    TINY = 2.0**-54
+
+    def test_left_to_right_from_zero(self):
+        assert gmm._left_sum([1.0, 1e-16, 1e-16]) == 1.0
+        assert gmm._left_sum([0.1] * 10) == 0.9999999999999999
+        assert math.copysign(1.0, gmm._left_sum([-0.0])) == 1.0 and gmm._left_sum([]) == 0.0
+
+    def test_fill_and_m_step_match_plus_chain_at_four_components(self):
+        t = self.TINY
+        w = [0.5, t, t]
+        assert math.fsum(w) != w[0] + w[1] + w[2]
+        assert GmmParams(omega=w, mu=[0.0, 1.0, 2.0, 3.0])._wlist == w + [1.0 - (w[0] + w[1] + w[2])]
+        s1, s2, s3, delta, eps = [0.5, t, t], [0.25, t / 2, t / 2], 0.1, 1e-3, 1e-3
+        assert math.fsum(s2) != s2[0] + s2[1] + s2[2]
+        o = [(a + eps) / (1.0 + eps * 4) for a in s1]
+        mu = [b / (a + delta) for a, b in zip(s1, s2)]
+        mu.append((s3 - (s2[0] + s2[1] + s2[2])) / (1.0 - (s1[0] + s1[1] + s1[2]) + delta))
+        theta = gmm.m_step(s1 + s2 + [s3], delta, eps, 4)
+        assert theta._wlist == o + [1.0 - (o[0] + o[1] + o[2])] and theta._mulist == mu
+
+    def test_project_keeps_a_left_sum_of_one(self):
+        s1 = [1.0, 2 * self.TINY, 2 * self.TINY]
+        s = s1 + [0.0, 0.0, 0.0, 0.1]
+        assert math.fsum(s1) > 1.0
+        assert GmmModel(np.array([-1.0, 1.0]), 4).project(s) is s
+        assert gmm._project_simplex(np.array(s1)).tolist() == s1
+
+
 class TestProject:
     @staticmethod
     def model(n_components=2):
