@@ -40,6 +40,7 @@ __all__ = [
 
 DEFAULT_GAMMA = "poly:0.5:warmup=1ep"
 DEFAULT_MC_SAMPLES = {"gmm": 10, "pk": 50}
+MODELS = {"gmm": gmm.GmmModel, "pk": pk.PkModel}
 GRID_RESOLUTION = 10  # metric grid points per epoch
 
 
@@ -52,18 +53,19 @@ def parse_gamma(text: str, n: int, variant: str) -> StepSchedule:
     """Parse a gamma flag into the schedule of one run on n samples.
 
     "0.5" and "const:0.5" are constant; "poly:a[:c=c][:warmup=w]" is
-    polynomial, with a warmup of w iterations, or of w epochs when w ends
-    in "ep" (``Variant.iters_per_epoch`` iterations each).  The warmup must
-    come out finite and nonnegative.
+    polynomial (a = 0 is the constant c), with a warmup of w iterations, or
+    of w epochs when w ends in "ep" (``Variant.iters_per_epoch`` iterations
+    each).  The warmup must come out finite and nonnegative.
     """
     head, *fields = text.split(":")
+    a, c, warmup = 0.0, 1.0, 0.0
     try:
         if head != "poly":
             if fields and (head != "const" or len(fields) > 1):
                 raise ValueError  # a constant takes its value and nothing else
             c = float(fields[0] if fields else head)
         else:
-            a, c, warmup = float(fields[0]), 1.0, 0.0
+            a = float(fields[0])
             for extra in fields[1:]:
                 key, _, val = extra.partition("=")
                 if key == "c":
@@ -78,9 +80,7 @@ def parse_gamma(text: str, n: int, variant: str) -> StepSchedule:
                 raise ValueError
     except (ValueError, IndexError):
         raise ConfigError(f"cannot parse gamma spec {text!r}") from None
-    if head != "poly":
-        return StepSchedule.constant(c)
-    return StepSchedule.polynomial(a, c=c, warmup_iters=round(warmup))
+    return StepSchedule(c=c, a=a, warmup_iters=round(warmup))
 
 
 def resolve_rho(rho, n: int, variant: str) -> Optional[float]:
@@ -115,6 +115,8 @@ class AlgoSpec:
         variant = self.variant
         if variant not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}")
+        if VARIANTS[variant].exact and MODELS[model_kind].exact_expectation is ModelSpec.exact_expectation:
+            raise ConfigError(f"{variant} needs a model with an exact E-step")
         # text (a CLI flag) is parsed and any value checked for every variant;
         # only vrTTEM has an anchor, so the others leave a valid value unused
         epoch_len = None if self.epoch_len in ("auto", None) else self.epoch_len
@@ -245,10 +247,8 @@ def _simulate_dataset(model_kind: str, truth, n: int, seed: int):
 
 def _model_and_init(model_kind: str, data):
     """The model bound to ``data`` and its deterministic starting point."""
-    if model_kind == "gmm":
-        model = gmm.GmmModel(data)
-        return model, model.default_init()
-    return pk.PkModel(data), pk_naive_init(data)
+    model = MODELS[model_kind](data)
+    return model, model.default_init() if model_kind == "gmm" else pk_naive_init(data)
 
 
 def _row_nll(model: ModelSpec, theta0) -> Optional[Callable[[np.ndarray], float]]:

@@ -66,7 +66,7 @@ def _load_data(model: str, path):
     """The dataset at ``path``, bound once to its model so that an empty one
     fails before its size resolves any setting."""
     data = gmm.read_dataset(path) if model == "gmm" else pk.read_cohort(path)
-    (gmm.GmmModel if model == "gmm" else pk.PkModel)(data)
+    bench.MODELS[model](data)
     return data
 
 

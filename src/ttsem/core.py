@@ -76,36 +76,25 @@ class SamplingError(RuntimeError):
 # Stepsize schedules
 # ---------------------------------------------------------------------------
 
-_SCHEDULE_KINDS = ("constant", "polynomial")
-
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Stepsize sequence gamma_k in (0, 1].
-
-    kinds:
-      constant     -- gamma_k = c
-      polynomial   -- gamma_k = 1 for k < warmup_iters, then the polynomial
-                      started at the end of the warmup:
-                      c / (k - warmup_iters + 1)**a
-
-    The polynomial is indexed from k + 1 so the value at k = 0 is defined;
-    with no warmup it is c / (k + 1)**a.
+    """Stepsize sequence gamma_k in (0, 1]: 1 for k < warmup_iters, then the
+    polynomial c / (k - warmup_iters + 1)**a, started at the end of the
+    warmup and indexed from 1 so that it is defined at k = 0.  a = 0 is the
+    constant c, exactly (c / 1.0 == c).
     """
 
-    kind: str
     c: float = 1.0
-    a: float = 0.5
+    a: float = 0.0
     warmup_iters: int = 0
 
     def __post_init__(self):
         set_ints(self, "warmup_iters")
-        if self.kind not in _SCHEDULE_KINDS:
-            raise ConfigError(f"unknown schedule kind {self.kind!r}")
         if not (0.0 < self.c <= 1.0):
             raise ConfigError(f"schedule value c must be in (0, 1], got {self.c}")
-        if self.kind != "constant" and not (0.0 < self.a < 1.0):
-            raise ConfigError(f"polynomial exponent a must be in (0, 1), got {self.a}")
+        if not (0.0 <= self.a < 1.0):
+            raise ConfigError(f"polynomial exponent a must be in [0, 1), got {self.a}")
         if self.warmup_iters < 0:
             raise ConfigError("warmup_iters must be nonnegative")
 
@@ -115,22 +104,20 @@ class StepSchedule:
             raise ValueError("iteration index must be nonnegative")
         if k < self.warmup_iters:
             return 1.0
-        if self.kind == "constant":
-            return self.c
         return self.c / float(k - self.warmup_iters + 1) ** self.a
 
     @property
     def is_unit(self) -> bool:
         """True when the schedule is identically 1."""
-        return self.kind == "constant" and self.c == 1.0
+        return self.c == 1.0 and self.a == 0.0
 
     @staticmethod
     def constant(c: float = 1.0) -> "StepSchedule":
-        return StepSchedule(kind="constant", c=c)
+        return StepSchedule(c=c)
 
     @staticmethod
     def polynomial(a: float, c: float = 1.0, warmup_iters: int = 0) -> "StepSchedule":
-        return StepSchedule(kind="polynomial", c=c, a=a, warmup_iters=warmup_iters)
+        return StepSchedule(c=c, a=a, warmup_iters=warmup_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -141,18 +128,18 @@ class StepSchedule:
 class PerSampleStatTable:
     """One statistic vector per sample plus their running mean: the result
     of every whole pass, so both the iEM / iSAEM / fiTTEM table and the
-    batch / vrTTEM anchor.
+    batch / vrTTEM anchor.  It adopts the float64 (n, k) array it is given,
+    without a copy, and owns it from then on.  Every proxy is one of its two
+    operations: ``replace`` writes an entry, ``control`` reads against one.
 
-    The mean is maintained incrementally on single-entry replacement and is
-    guaranteed to stay within 1e-10 relative error of a from-scratch
-    recomputation over any update sequence of practical length.
-
-    ``entries`` is an (n, k) array, while ``mean`` holds plain floats, which
-    round as numpy's element-wise operations do at a fraction of their cost.
+    ``mean`` holds plain floats, which round as numpy's element-wise
+    operations do at a fraction of their cost.  It is maintained
+    incrementally and stays within 1e-10 relative error of a recomputation
+    over any update sequence of practical length.
     """
 
     def __init__(self, entries: np.ndarray):
-        self.entries = entries = np.array(entries, dtype=np.float64)  # a copy, owned by the table
+        self.entries = entries = np.asarray(entries, dtype=np.float64)
         if entries.ndim != 2 or entries.shape[0] == 0:
             raise ValueError("table entries must be a nonempty (n, k) array")
         if not np.all(np.isfinite(entries)):
@@ -160,11 +147,21 @@ class PerSampleStatTable:
         self.n = entries.shape[0]
         self.mean = entries.mean(axis=0).tolist()
 
+    def _row(self, i: int) -> np.ndarray:
+        if not 0 <= i < self.n:
+            raise IndexError(f"sample index {i} outside [0, {self.n})")
+        return self.entries[i]
+
     def replace(self, i: int, vec) -> None:
         """Replace entry i by the k floats ``vec``; fold the change into the mean."""
-        n, row = self.n, self.entries[i]
+        n, row = self.n, self._row(i)
         self.mean = [m + (v - e) / n for m, v, e in zip(self.mean, vec, row.tolist(), strict=True)]
         row[:] = vec
+
+    def control(self, i: int, vec) -> list:
+        """The control-variate read mean + (vec - entries[i]) as plain floats;
+        the table is not changed."""
+        return [m + (v - e) for m, v, e in zip(self.mean, vec, self._row(i).tolist(), strict=True)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,16 @@ One run alternates, for K_f iterations:
   6. the projection     s_hat <- model.project(s_hat)  onto the statistic set,
   7. the model M-step and a trajectory record.
 
-A run holds one ``PerSampleStatTable``, a whole pass's result.  Every
-``period`` iterations a fresh pass replaces it, and its entry i_k stands in
-for that iteration's E-step.  Proxy kinds (``core.VARIANTS`` maps each
-variant to one) differ in that period and in their proxy:
+A run holds one ``PerSampleStatTable``, a whole pass's result, replaced by a
+fresh pass every ``period`` iterations (the old one released first); the
+fresh entry i_k stands in for that iteration's E-step.  Each proxy is the
+table's ``replace`` (write an entry, SAGA-style) or ``control`` (read against
+one, SVRG-style); kinds (``core.VARIANTS``) differ in period and operation:
 
-  batch        EM / MCEM / SAEM: the anchor refreshed every iteration
-  table        iEM / iSAEM: never refreshed, replace-one running mean
-  anchor       vrTTEM: epoch anchor refreshed every epoch_len iterations
-  two_stream   fiTTEM: never refreshed, read by the i-stream, written by the j-stream
+  batch        EM / MCEM / SAEM: refreshed every iteration; control at i_k
+  table        iEM / iSAEM: never refreshed; replace at i_k, read the mean
+  anchor       vrTTEM: refreshed every epoch_len iterations; control at i_k
+  two_stream   fiTTEM: never refreshed; control at i_k, then replace at j_k
 
 With rho = 1 the Inc-step returns the proxy verbatim, so the recorded
 timescale gap ||stt - proxy||^2 is exactly zero; the whole family then
@@ -78,9 +79,6 @@ __all__ = [
     "mc_step",
     "sa_step",
     "inc_step",
-    "proxy_isaem",
-    "proxy_vr",
-    "proxy_fi",
     "epoch_refresh",
     "gap_delta_s",
     "draw_termination",
@@ -131,40 +129,6 @@ def gap_delta_s(a: list, b: list) -> float:
         return 0.0
     v = np.array(d)
     return float(v.dot(v))
-
-
-# ---------------------------------------------------------------------------
-# Proxies for the Inc-step
-# ---------------------------------------------------------------------------
-
-
-def proxy_isaem(table: PerSampleStatTable, i_k: int, s_new: list) -> list:
-    """Replace-one running-mean proxy (SAGA-style).
-
-    Commits the replacement of entry i_k by ``s_new`` and returns the new
-    table mean.
-    """
-    assert 0 <= i_k < table.n
-    table.replace(i_k, s_new)
-    return table.mean
-
-
-def proxy_vr(anchor_stt: list, anchor_entry_i: list, s_new: list) -> list:
-    """Epoch-anchored control-variate proxy (SVRG-style)."""
-    return [a + (v - e) for a, v, e in zip(anchor_stt, s_new, anchor_entry_i, strict=True)]
-
-
-def proxy_fi(table: PerSampleStatTable, i_k: int, j_k: int, s_new_i: list, s_new_j: list) -> list:
-    """Two-stream proxy: the i-stream reads the table, the j-stream writes it.
-
-    Returns mean + (s_new_i - entries[i_k]) using the pre-update state, then
-    folds the j-replacement into the table.  Entry i_k itself is never
-    touched by the i-stream.
-    """
-    assert 0 <= i_k < table.n and 0 <= j_k < table.n
-    out = [m + (v - e) for m, v, e in zip(table.mean, s_new_i, table.entries[i_k].tolist(), strict=True)]
-    table.replace(j_k, s_new_j)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -363,19 +327,20 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
     for k in range(k_f):
         i_k = next(draws_i)
         if period and k % period == 0:
+            del table  # released first, so the pass's array is the only (n, k) one
             table = epoch_refresh(model, theta, mc, rngs["mc"], k, chains["mc"])
             refreshes += 1
             s_new = table.entries[i_k].tolist()  # refreshed this very iteration
         else:
             s_new = estep(i_k, theta, k)
             extra_draws += 1
-        if kind == "table":
-            proxy = proxy_isaem(table, i_k, s_new)
-        elif kind == "two_stream":
-            j_k = next(draws_j)
-            proxy = proxy_fi(table, i_k, j_k, s_new, estep(j_k, theta, k, role="mc_j"))
-        else:  # batch, anchor
-            proxy = proxy_vr(table.mean, table.entries[i_k].tolist(), s_new)
+        if kind == "table":  # iEM / iSAEM: write entry i_k, read the mean
+            table.replace(i_k, s_new)
+            proxy = table.mean
+        else:  # batch / vrTTEM / fiTTEM: read against entry i_k
+            proxy = table.control(i_k, s_new)
+            if kind == "two_stream":  # fiTTEM's j-stream then writes
+                table.replace(j := next(draws_j), estep(j, theta, k, role="mc_j"))
 
         stt = inc_step(stt, proxy, rho)
         delta = gap_delta_s(stt, proxy)

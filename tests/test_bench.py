@@ -34,6 +34,10 @@ class TestGammaParsing:
         assert sched == StepSchedule.polynomial(0.7, c=0.9, warmup_iters=25)
         assert bench.parse_gamma("poly:0.7:warmup=2.4", 100, "iSAEM").warmup_iters == 2
 
+    def test_zero_exponent_is_the_constant(self):
+        assert bench.parse_gamma("poly:0", 100, "iSAEM") == StepSchedule.constant(1.0)
+        assert bench.parse_gamma("poly:0:c=0.4", 100, "iSAEM") == StepSchedule.constant(0.4)
+
     def test_bad_specs_rejected(self):
         for bad in ("poly", "poly:abc", "linear:0.5", "poly:0.5:foo=1", "const",
                     "const:0.5:warmup=3", "0.5:0.5", "poly:0.5:warmup=nan",
@@ -350,6 +354,20 @@ class TestReplicateCommand:
             bench.cmd_replicate(spec, tmp_path / "m.csv", tmp_path / "s.json")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("algos", [("SAEM", "EM"), ("iEM",), ("MCEM", "iEM", "fiTTEM")])
+    def test_exact_variant_on_pk_fails_before_simulating(self, monkeypatch, algos):
+        def no_simulation(*args):
+            raise AssertionError("simulated before the algorithm settings were checked")
+
+        monkeypatch.setattr(bench, "_simulate_dataset", no_simulation)
+        exact = next(a for a in algos if VARIANTS[a].exact)
+        with pytest.raises(ConfigError, match=f"{exact} needs a model with an exact E-step"):
+            ExperimentSpec(model="pk", n=20, replicates=1, epochs=1,
+                           algorithms=tuple(AlgoSpec(a) for a in algos), seed=0)
+        # the same settings on the GMM, which has an exact E-step, are accepted
+        ExperimentSpec(model="gmm", n=20, replicates=1, epochs=1,
+                       algorithms=tuple(AlgoSpec(a) for a in algos), seed=0)
+
     def test_summary_contents(self, tmp_path):
         spec = self._spec()
         mpath, spath = tmp_path / "m.csv", tmp_path / "s.json"
@@ -429,7 +447,20 @@ class TestCli:
         rc = cli.main(["run", "--model", "pk", "--data", str(pk_path),
                        "--algo", "EM", "--epochs", "1", "--out", str(tmp_path / "o.csv")])
         assert rc == 1  # exact E-step unavailable: rejected before any work
-        capsys.readouterr()
+        assert "EM needs a model with an exact E-step" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("algos", ["SAEM,EM", "iEM"])
+    def test_exact_variant_on_pk_replicate_exits_one_before_work(self, tmp_path, capsys, monkeypatch, algos):
+        def no_simulation(*args):
+            raise AssertionError("simulated before the algorithm settings were checked")
+
+        monkeypatch.setattr(bench, "_simulate_dataset", no_simulation)
+        rc = cli.main(["replicate", "--model", "pk", "--n", "200", "--replicates", "1", "--epochs", "2",
+                       "--algos", algos, "--out", str(tmp_path / "rep")])
+        assert rc == 1
+        assert "needs a model with an exact E-step" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_conflicting_cohort_doses_exit_two(self, tmp_path, capsys):
         pk_path = tmp_path / "pk.csv"

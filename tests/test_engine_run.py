@@ -455,8 +455,8 @@ class TestRunMemory:
     def test_long_run_holds_no_python_object_per_record(self):
         # iSAEM at n = 2000 for 20,000 iterations.  What the run must hold:
         # the five trajectory arrays (1.12 MB here) and the per-sample table
-        # (2 * 48 kB, the init pass's entries and the table's copy).  Measured
-        # peak 1,267,935 B against those arrays' 1,216,056 B; the bound allows
+        # (48 kB, the init pass's entries, which the table adopts).  Measured
+        # peak 1,221,227 B against those arrays' 1,168,056 B; the bound allows
         # 256 kB more, while a Python list of rows would add about 150 B per
         # record (3 MB here).  A short run first does numpy's lazy imports.
         n, iters = 2000, 20_000
@@ -470,7 +470,7 @@ class TestRunMemory:
         finally:
             tracemalloc.stop()
         records, k, p = iters + 1, model.stat_dim(), len(model.param_names())
-        arrays = records * (p + 4) * 8 + 2 * n * k * 8
+        arrays = records * (p + 4) * 8 + n * k * 8
         assert traj.thetas.nbytes + traj.epochs.nbytes + traj.delta_s_sq.nbytes == records * (p + 2) * 8
         assert peak < arrays + 256 * 1024, (peak, arrays)
 
@@ -501,6 +501,30 @@ class TestOneTablePerRun:
             tracemalloc.stop()
         table, late = n * model.stat_dim() * 8, held[-(iters // 2):]
         assert table <= min(late) and max(late) < table + 64 * 1024, (table, late)
+
+
+class TestPeakOneTable:
+    @pytest.mark.parametrize("variant, rho, epoch_len", [
+        ("iSAEM", None, None), ("fiTTEM", 0.5, None), ("SAEM", None, None), ("vrTTEM", 0.5, 1),
+    ])
+    def test_whole_passes_peak_at_one_table(self, variant, rho, epoch_len):
+        # At its peak a run holds one (n, k) statistic array (480 kB here):
+        # a whole pass builds the array its table adopts, and the table it
+        # replaces is gone before the pass starts.  SAEM and vrTTEM at
+        # epoch_len 1 make a pass every iteration.  A short run first does
+        # numpy's lazy imports.
+        n = 20_000
+        model = GmmModel(make_data(n=n))
+        cfg = RunConfig(variant=variant, total_iters=3, seed=5, gamma=GAMMA, rho=rho, epoch_len=epoch_len)
+        run(GmmModel(make_data(n=50)), RunConfig(variant="iSAEM", total_iters=10, seed=5, gamma=GAMMA))
+        tracemalloc.start()
+        try:
+            run(model, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = n * model.stat_dim() * 8
+        assert table <= peak < table + 128 * 1024, (table, peak)
 
 
 class TestEpochRefresh:

@@ -6,9 +6,6 @@ from ttsem.engine import (
     gap_delta_s,
     inc_step,
     mc_step,
-    proxy_fi,
-    proxy_isaem,
-    proxy_vr,
     sa_step,
 )
 from ttsem.gmm import GmmModel, GmmParams
@@ -60,15 +57,31 @@ class TestGapDeltaS:
         assert gap_delta_s(np.array([3.0, 4.0]), np.zeros(2)) == 25.0
 
 
+# The proxies are the table's two operations: iSAEM replaces entry i and
+# reads the mean; vrTTEM reads against entry i with ``control``; fiTTEM reads
+# against entry i, then its j-stream replaces entry j.
+
+
+def _isaem(table, i, s_new):
+    table.replace(i, s_new)
+    return table.mean
+
+
+def _fi(table, i, j, s_new_i, s_new_j):
+    out = table.control(i, s_new_i)
+    table.replace(j, s_new_j)
+    return out
+
+
 class TestProxyIsaem:
     def test_zero_correction_when_entry_unchanged(self):
         table = PerSampleStatTable(np.array([[1.0], [3.0]]))
-        out = proxy_isaem(table, 1, np.array([3.0]))
+        out = _isaem(table, 1, np.array([3.0]))
         np.testing.assert_array_equal(out, [2.0])
 
     def test_hand_value_and_table_update(self):
         table = PerSampleStatTable(np.array([[0.0], [2.0]]))
-        out = proxy_isaem(table, 0, np.array([4.0]))
+        out = _isaem(table, 0, np.array([4.0]))
         np.testing.assert_allclose(out, [3.0])
         np.testing.assert_allclose(table.mean, [3.0])
         np.testing.assert_array_equal(table.entries[:, 0], [4.0, 2.0])
@@ -78,30 +91,31 @@ class TestProxyIsaem:
         table = PerSampleStatTable(rng.standard_normal((7, 3)))
         for _ in range(200):
             i = int(rng.integers(7))
-            out = proxy_isaem(table, i, rng.standard_normal(3).tolist())
+            out = _isaem(table, i, rng.standard_normal(3).tolist())
             np.testing.assert_allclose(out, table.entries.mean(axis=0), rtol=1e-12, atol=1e-12)
 
 
 class TestProxyVr:
     def test_zero_correction(self):
-        anchor_stt = np.array([1.0, 2.0])
-        entry = np.array([0.5, 0.5])
-        np.testing.assert_array_equal(proxy_vr(anchor_stt, entry, entry.copy()), anchor_stt)
+        table = PerSampleStatTable(np.array([[0.5, 0.5], [1.5, 3.5]]))  # mean (1, 2)
+        entry = table.entries[0].copy()
+        np.testing.assert_array_equal(table.control(0, entry), [1.0, 2.0])
 
     def test_hand_value(self):
-        out = proxy_vr(np.array([1.0]), np.array([0.5]), np.array([0.7]))
-        np.testing.assert_allclose(out, [1.2])
+        table = PerSampleStatTable(np.array([[0.5], [1.5]]))  # mean 1
+        np.testing.assert_allclose(table.control(0, np.array([0.7])), [1.2])
+        np.testing.assert_array_equal(table.entries[:, 0], [0.5, 1.5])  # a read leaves the table as it was
 
 
 class TestProxyFi:
     def test_zero_correction_reads_pre_update_mean(self):
         table = PerSampleStatTable(np.array([[0.0], [2.0]]))
-        out = proxy_fi(table, 0, 1, table.entries[0].tolist(), [5.0])
+        out = _fi(table, 0, 1, table.entries[0].tolist(), [5.0])
         np.testing.assert_array_equal(out, [1.0])  # mean before the j-update
 
     def test_hand_values(self):
         table = PerSampleStatTable(np.array([[0.0], [2.0]]))
-        out = proxy_fi(table, 1, 0, np.array([3.0]), np.array([1.0]))
+        out = _fi(table, 1, 0, np.array([3.0]), np.array([1.0]))
         np.testing.assert_allclose(out, [2.0])          # 1 + (3 - 2)
         np.testing.assert_allclose(table.mean, [1.5])   # 1 + (1 - 0)/2
         np.testing.assert_array_equal(table.entries[:, 0], [1.0, 2.0])
@@ -111,7 +125,7 @@ class TestProxyFi:
         table = PerSampleStatTable(rng.standard_normal((6, 2)))
         for _ in range(300):
             i, j = int(rng.integers(6)), int(rng.integers(6))
-            proxy_fi(table, i, j, rng.standard_normal(2).tolist(), rng.standard_normal(2).tolist())
+            _fi(table, i, j, rng.standard_normal(2).tolist(), rng.standard_normal(2).tolist())
             np.testing.assert_allclose(table.mean, table.entries.mean(axis=0), rtol=1e-10, atol=1e-12)
 
     def test_table_state_depends_only_on_j_stream(self):
@@ -122,13 +136,31 @@ class TestProxyFi:
         i_seq_a = rng.integers(5, size=100)
         i_seq_b = rng.integers(5, size=100)
 
-        table_a = PerSampleStatTable(init)
-        table_b = PerSampleStatTable(init)
+        table_a = PerSampleStatTable(init.copy())  # each table owns its array
+        table_b = PerSampleStatTable(init.copy())
         for t in range(100):
-            proxy_fi(table_a, int(i_seq_a[t]), int(j_seq[t]), rng.standard_normal(2).tolist(), j_vals[t].tolist())
-            proxy_fi(table_b, int(i_seq_b[t]), int(j_seq[t]), rng.standard_normal(2).tolist(), j_vals[t].tolist())
+            _fi(table_a, int(i_seq_a[t]), int(j_seq[t]), rng.standard_normal(2).tolist(), j_vals[t].tolist())
+            _fi(table_b, int(i_seq_b[t]), int(j_seq[t]), rng.standard_normal(2).tolist(), j_vals[t].tolist())
             np.testing.assert_array_equal(table_a.entries, table_b.entries)
             np.testing.assert_array_equal(table_a.mean, table_b.mean)
+
+
+class TestTableIndexGuard:
+    @pytest.mark.parametrize("i", [-1, -3, 3, 4, 10**6])
+    def test_operations_reject_index_outside_table(self, i):
+        init = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        table = PerSampleStatTable(init.copy())
+        with pytest.raises(IndexError):
+            table.control(i, [1.0, 1.0])
+        with pytest.raises(IndexError):
+            table.replace(i, [1.0, 1.0])
+        assert _bits(table.entries) == _bits(init) and table.mean == [2.0, 3.0]
+
+    def test_operations_accept_numpy_indices_at_both_ends(self):
+        table = PerSampleStatTable(np.array([[0.0], [2.0], [4.0]]))
+        assert table.control(np.int64(0), [1.0]) == [3.0]
+        table.replace(np.int64(2), [1.0])
+        assert table.entries[:, 0].tolist() == [0.0, 2.0, 1.0]
 
 
 class TestMcStep:
@@ -255,28 +287,30 @@ class TestStepsMatchNumpyOracles:
         rng = named_stream(23, "test", k)
         n = 9
         init = np.stack([_stat(rng, k) for _ in range(n)])
-        table, oracle = PerSampleStatTable(init), _TableOracle(init)
-        fi_table, fi_oracle = PerSampleStatTable(init), _TableOracle(init)
+        table, oracle = PerSampleStatTable(init.copy()), _TableOracle(init)
+        fi_table, fi_oracle = PerSampleStatTable(init.copy()), _TableOracle(init)
         assert _bits(table.mean) == _bits(oracle.mean)
         for _ in range(300):
             i, j = int(rng.integers(n)), int(rng.integers(n))
             s_i, s_j = _stat(rng, k), _stat(rng, k)
-            assert _bits(proxy_isaem(table, i, s_i.tolist())) == _bits(_proxy_isaem_oracle(oracle, i, s_i))
+            assert _bits(_isaem(table, i, s_i.tolist())) == _bits(_proxy_isaem_oracle(oracle, i, s_i))
             assert _bits(table.entries) == _bits(oracle.entries)
-            got = proxy_fi(fi_table, i, j, s_i.tolist(), s_j.tolist())
+            got = _fi(fi_table, i, j, s_i.tolist(), s_j.tolist())
             assert _bits(got) == _bits(_proxy_fi_oracle(fi_oracle, i, j, s_i, s_j))
             assert _bits(fi_table.mean) == _bits(fi_oracle.mean)
             assert _bits(fi_table.entries) == _bits(fi_oracle.entries)
-            anchor, entry = _stat(rng, k), init[i]
-            got = proxy_vr(anchor.tolist(), entry.tolist(), s_i.tolist())
-            assert _bits(got) == _bits(_proxy_vr_oracle(anchor, entry, s_i))
-            assert _bits(proxy_vr(anchor.tolist(), entry.tolist(), entry.tolist())) == _bits(anchor)
+            # vrTTEM's read: an anchor table with its own mean, against entry i
+            anchor = PerSampleStatTable(np.stack([_stat(rng, k) for _ in range(n)]))
+            mean, entry = np.array(anchor.mean), anchor.entries[i].copy()
+            got = anchor.control(i, s_i.tolist())
+            assert _bits(got) == _bits(_proxy_vr_oracle(mean, entry, s_i))
+            assert _bits(anchor.control(i, entry.tolist())) == _bits(mean)
 
     def test_length_mismatch_is_caught(self):
         table = PerSampleStatTable(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             table.replace(0, [1.0, 2.0])
         with pytest.raises(ValueError):
-            proxy_vr([0.0, 0.0], [0.0, 0.0], [1.0])
+            table.control(0, [1.0])
         with pytest.raises(AssertionError):
             inc_step([0.0], [0.0, 1.0], 0.5)

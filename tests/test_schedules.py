@@ -57,21 +57,15 @@ class TestEval:
 class TestValidation:
     def test_exponent_outside_unit_interval_rejected(self):
         with pytest.raises(ConfigError):
-            StepSchedule(kind="polynomial", a=1.0)
+            StepSchedule.polynomial(1.0)
         with pytest.raises(ConfigError):
-            StepSchedule(kind="polynomial", a=0.0)
-        with pytest.raises(ConfigError):
-            StepSchedule(kind="polynomial", a=-0.3)
+            StepSchedule.polynomial(-0.3)
 
     def test_value_outside_unit_interval_rejected(self):
         with pytest.raises(ConfigError):
             StepSchedule.constant(0.0)
         with pytest.raises(ConfigError):
             StepSchedule.constant(1.5)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            StepSchedule(kind="linear")
 
     def test_negative_iteration_rejected(self):
         with pytest.raises(ValueError):
@@ -81,3 +75,15 @@ class TestValidation:
         assert StepSchedule.constant(1.0).is_unit
         assert not StepSchedule.constant(0.5).is_unit
         assert not StepSchedule.polynomial(0.5).is_unit
+
+
+class TestZeroExponentIsConstant:
+    @given(st.integers(min_value=0, max_value=10**9), st.floats(min_value=1e-6, max_value=1.0))
+    def test_bit_equal_to_c_after_warmup(self, k, c):
+        sched = StepSchedule.polynomial(0.0, c=c, warmup_iters=3)
+        assert sched.eval(k) == (1.0 if k < 3 else c)
+        assert StepSchedule.polynomial(0.0, c=c).eval(k).hex() == float(c).hex()
+
+    def test_zero_exponent_schedule_is_the_constant(self):
+        assert StepSchedule.polynomial(0.0, c=0.4) == StepSchedule.constant(0.4)
+        assert StepSchedule.polynomial(0.0).is_unit

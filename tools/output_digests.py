@@ -1,0 +1,73 @@
+"""SHA-256 digests of a fixed set of ``ttsem`` outputs, for checking that a
+change keeps them byte-identical.
+
+    python tools/output_digests.py CHECKOUT OUTDIR
+
+runs the commands in ``COMMANDS`` on the package in ``CHECKOUT/src``, in
+order and inside ``OUTDIR`` (created if missing), and prints one
+``sha256  file`` line per file they write, datasets included.  Run it on
+two checkouts, each with its own OUTDIR, and ``diff`` the two listings.  A
+command that fails stops the script with its stderr and exit status.
+
+The set: ``ttsem run`` trajectories of all seven GMM variants and of the
+five Monte Carlo PK variants, the GMM replicate study of the ``gmm-cli``
+benchmark workload, and a PK replicate study under ``--jobs 1`` and
+``--jobs 2``.  It takes about ten seconds on two cores.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+
+GMM_VARIANTS = ("EM", "iEM", "MCEM", "SAEM", "iSAEM", "vrTTEM", "fiTTEM")
+PK_VARIANTS = ("MCEM", "SAEM", "iSAEM", "vrTTEM", "fiTTEM")
+
+COMMANDS = [
+    ["simulate", "--model", "gmm", "--n", "3000", "--seed", "401", "--out", "gmm.txt"],
+    *(["run", "--model", "gmm", "--data", "gmm.txt", "--algo", v, "--epochs", "2", "--seed", "5",
+       "--out", f"gmm-{v}.csv"] for v in GMM_VARIANTS),
+    ["simulate", "--model", "pk", "--n", "30", "--seed", "3", "--out", "pk.csv"],
+    *(["run", "--model", "pk", "--data", "pk.csv", "--algo", v, "--epochs", "2", "--seed", "5",
+       "--mc-samples", "8", "--out", f"pk-{v}.csv"] for v in PK_VARIANTS),
+    ["replicate", "--model", "gmm", "--n", "2000", "--replicates", "2", "--epochs", "3", "--jobs", "1",
+     "--seed", "401", "--out", "gmm-rep"],
+    *(["replicate", "--model", "pk", "--n", "12", "--replicates", "2", "--epochs", "2", "--mc-samples", "5",
+       "--seed", "9", "--jobs", jobs, "--out", f"pk-rep-jobs{jobs}"] for jobs in ("1", "2")),
+]
+
+
+def outputs(args: list[str]) -> list[str]:
+    """The files one command writes: its ``--out``, or ``--out`` plus
+    ``.csv`` and ``.json`` for ``replicate``."""
+    out = args[args.index("--out") + 1]
+    return [out + ".csv", out + ".json"] if args[0] == "replicate" else [out]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 1
+    src = os.path.join(os.path.abspath(argv[0]), "src")
+    if not os.path.isfile(os.path.join(src, "ttsem", "cli.py")):
+        print(f"no ttsem package under {src}", file=sys.stderr)
+        return 1
+    outdir = argv[1]
+    os.makedirs(outdir, exist_ok=True)
+    env = {**os.environ, "PYTHONPATH": src}
+    for args in COMMANDS:
+        proc = subprocess.run([sys.executable, "-m", "ttsem.cli", *args], cwd=outdir, env=env,
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            print(f"ttsem {' '.join(args)} exited {proc.returncode}:\n{proc.stderr}", file=sys.stderr)
+            return proc.returncode
+        for name in outputs(args):
+            with open(os.path.join(outdir, name), "rb") as fh:
+                print(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
