@@ -115,7 +115,7 @@ class AlgoSpec:
         variant = self.variant
         if variant not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}")
-        if VARIANTS[variant].exact and MODELS[model_kind].exact_expectation is ModelSpec.exact_expectation:
+        if VARIANTS[variant].exact and not _provides(model_kind, "exact_expectation"):
             raise ConfigError(f"{variant} needs a model with an exact E-step")
         # text (a CLI flag) is parsed and any value checked for every variant;
         # only vrTTEM has an anchor, so the others leave a valid value unused
@@ -251,18 +251,43 @@ def _model_and_init(model_kind: str, data):
     return model, model.default_init() if model_kind == "gmm" else pk_naive_init(data)
 
 
-def _row_nll(model: ModelSpec, theta0) -> Optional[Callable[[np.ndarray], float]]:
-    """Penalized NLL of a flattened parameter row, or None for a model
-    without a likelihood (probed at ``theta0``)."""
-    if model.penalized_nll(theta0) is None:
-        return None
-    return lambda vec: model.penalized_nll(model.unflatten_params(vec))
+def _provides(model_kind: str, method: str) -> bool:
+    """Whether the model class overrides ``ModelSpec``'s optional ``method``
+    (``exact_expectation``, ``penalized_nll``), whose default returns None."""
+    return getattr(MODELS[model_kind], method) is not getattr(ModelSpec, method)
+
+
+def _nll_rows(model: ModelSpec, thetas: np.ndarray) -> list[float]:
+    """Penalized NLL of each flattened parameter row."""
+    return [model.penalized_nll(model.unflatten_params(vec)) for vec in thetas]
+
+
+def _pool_map(fn: Callable, tasks: list[tuple], workers: int, inline: int = 0) -> list:
+    """``[fn(*task) for task in tasks]``.  With ``workers`` >= 1, a pool of
+    that many worker processes runs all but the first ``inline`` tasks,
+    which this process runs meanwhile; with none, no pool is built."""
+    if workers < 1:
+        return [fn(*task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # only here: it imports multiprocessing
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        rest = pool.map(fn, *zip(*tasks[inline:]))  # submits every task before returning
+        return [fn(*task) for task in tasks[:inline]] + list(rest)
+
+
+def _nll_column(model: ModelSpec, thetas: np.ndarray) -> list[float]:
+    """``_nll_rows`` split into contiguous shares, one per CPU: this process
+    computes the first while one worker process per further CPU computes
+    the rest.  Each row's value is the same wherever it is
+    computed, so the column does not depend on the CPU count."""
+    shares = min(os.cpu_count() or 1, len(thetas))
+    tasks = [(model, part) for part in np.array_split(thetas, shares)]
+    return [v for part in _pool_map(_nll_rows, tasks, shares - 1, inline=1) for v in part]
 
 
 def _metric_values(model_kind: str, traj: Trajectory, rows: np.ndarray, reference,
-                   nll: Optional[Callable[[np.ndarray], float]]) -> dict[str, np.ndarray]:
-    """Metric arrays over the records ``rows`` of one trajectory; an ``nll``
-    from ``_row_nll`` adds the penalized NLL of each."""
+                   model: ModelSpec) -> dict[str, np.ndarray]:
+    """Metric arrays over the records ``rows`` of one trajectory, with the
+    penalized NLL of each when the model has a likelihood."""
     thetas = traj.thetas[rows]
     out = {"delta_s_sq": traj.delta_s_sq[rows]}
     if model_kind == "gmm":
@@ -273,8 +298,8 @@ def _metric_values(model_kind: str, traj: Trajectory, rows: np.ndarray, referenc
         pops = np.exp(thetas[:, :4])
         for c, name in enumerate(pk.LATENT_NAMES):
             out[f"sqerr_{name}"] = (pops[:, c] - pop_star[c]) ** 2
-    if nll is not None:
-        out["nll"] = np.array([nll(theta) for theta in thetas])
+    if _provides(model_kind, "penalized_nll"):
+        out["nll"] = np.array(_nll_rows(model, thetas))
     return out
 
 
@@ -298,11 +323,13 @@ def cmd_simulate(model_kind: str, truth, n: int, seed: int, out_path) -> str:
 
 
 def cmd_run(model_kind: str, data, config: RunConfig, out_path) -> Trajectory:
-    """One run from the default start straight to a trajectory CSV."""
+    """One run from the default start straight to a trajectory CSV, its NLL
+    column computed on every usable CPU (``_nll_column``)."""
     model, theta0 = _model_and_init(model_kind, data)
     traj = run(model, config, theta0=theta0)
+    nll = _nll_column(model, traj.thetas[traj.select_rows()]) if _provides(model_kind, "penalized_nll") else None
     with open(out_path, "w", encoding="ascii", newline="\n") as fh:
-        traj.write_csv(fh, nll=_row_nll(model, theta0))
+        traj.write_csv(fh, nll=nll)
     return traj
 
 
@@ -319,7 +346,6 @@ def _replicate_worker(spec: ExperimentSpec, r: int) -> dict:
         reference, values = truth.pop, [v for ind in data for v in ind.times.tolist() + ind.obs.tolist()]
     data_hash = _sha256("\n".join(map(repr, values)).encode())
     theta0_hash = _sha256(np.array(model.flatten_params(theta0)).tobytes())
-    nll = _row_nll(model, theta0)
 
     grid = spec.grid()
     series: dict[str, dict[str, np.ndarray]] = {}
@@ -332,7 +358,7 @@ def _replicate_worker(spec: ExperimentSpec, r: int) -> dict:
         # anchor refreshes a full pass.
         axis = traj.iters / float(VARIANTS[algo.variant].iters_per_epoch(spec.n))
         rows = np.searchsorted(axis, grid, side="right") - 1
-        series[algo.variant] = _metric_values(spec.model, traj, rows, reference, nll)
+        series[algo.variant] = _metric_values(spec.model, traj, rows, reference, model)
 
     return {
         "replicate": r,
@@ -345,12 +371,10 @@ def _replicate_worker(spec: ExperimentSpec, r: int) -> dict:
 def cmd_replicate(spec: ExperimentSpec, metrics_path, summary_path) -> dict:
     """Run the whole study and write the aggregated metrics CSV plus a
     summary JSON.  Any replicate failure aborts the experiment."""
-    if (workers := min(spec.jobs, spec.replicates, os.cpu_count() or 1)) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only here: it imports multiprocessing
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate_worker, [spec] * spec.replicates, range(spec.replicates)))
-    else:
-        results = [_replicate_worker(spec, r) for r in range(spec.replicates)]
+    # one worker would gain nothing over this process, so it runs inline, with no pool
+    workers = min(spec.jobs, spec.replicates, os.cpu_count() or 1)
+    results = _pool_map(_replicate_worker, [(spec, r) for r in range(spec.replicates)],
+                        workers if workers > 1 else 0)
 
     grid = spec.grid()
     algo_names = [a.variant for a in spec.algorithms]

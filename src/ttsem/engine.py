@@ -60,7 +60,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -229,36 +229,58 @@ class Trajectory:
         return self.thetas[self.terminal_iter]
 
     def select_rows(self, max_rows: int = 10_000) -> np.ndarray:
-        """Deterministic row subset: stride-thinned, keeping every record
-        where the integer epoch advances, plus the first and last."""
+        """Deterministic subset of at most ``max_rows`` records (at least 2),
+        the first and last among them.
+
+        Longer trajectories are stride-thinned, keeping every record where
+        the integer epoch advances.  If that exceeds the cap, the stride
+        widens to leave room for those boundaries, and when the boundaries
+        alone exceed it they are thinned evenly too.
+        """
+        if max_rows < 2:
+            raise ValueError(f"max_rows must be at least 2, got {max_rows}")
         r = self.n_records
         if r <= max_rows:
             return np.arange(r)
-        stride = int(np.ceil(r / max_rows))
-        keep = np.zeros(r, dtype=bool)
-        keep[::stride] = True
-        keep[-1] = True
+        marks = np.zeros(r, dtype=bool)
+        marks[[0, -1]] = True
         boundary = np.floor(self.epochs).astype(np.int64)
-        keep[1:] |= boundary[1:] != boundary[:-1]
+        marks[1:] |= boundary[1:] != boundary[:-1]
+        if (budget := max_rows - int(marks.sum())) <= 0:
+            idx = np.flatnonzero(marks)
+            return idx[np.arange(max_rows) * (len(idx) - 1) // (max_rows - 1)]
+        keep = marks.copy()
+        keep[:: math.ceil(r / max_rows)] = True
+        if keep.sum() > max_rows:
+            # stride rows number at most the budget, so the union fits the cap
+            keep = marks.copy()
+            keep[:: math.ceil(r / budget)] = True
         return np.flatnonzero(keep)
 
-    def write_csv(self, fh, nll: Optional[Callable[[np.ndarray], float]] = None) -> None:
+    def write_csv(self, fh, nll: Callable[[np.ndarray], float] | Sequence[float] | None = None) -> None:
         """Write records as CSV: iter, epoch, parameters, delta_s_sq[, nll].
 
-        Floats are printed as shortest round-trip decimals, lines are
-        LF-terminated, and the row subset is deterministic, so identical
-        trajectories serialize to identical bytes.
+        ``nll`` is a callable giving the NLL of a flattened parameter row,
+        or the NLL of each ``select_rows()`` record, in order.  Floats are
+        printed as shortest round-trip decimals, lines are LF-terminated,
+        and the row subset is deterministic, so identical trajectories
+        serialize to identical bytes.
         """
+        rows = self.select_rows()
+        if callable(nll):
+            nll = [nll(self.thetas[r]) for r in rows]
+        elif nll is not None and len(nll) != len(rows):
+            raise ValueError(f"{len(nll)} nll values for {len(rows)} rows")
         header = ["iter", "epoch"] + self.param_names + ["delta_s_sq"]
         if nll is not None:
             header.append("nll")
         fh.write(",".join(header) + "\n")
-        for r in self.select_rows():
+        for i, r in enumerate(rows):
             cells = [str(int(self.iters[r])), repr(float(self.epochs[r]))]
             cells += [repr(float(v)) for v in self.thetas[r]]
             cells.append(repr(float(self.delta_s_sq[r])))
             if nll is not None:
-                cells.append(repr(float(nll(self.thetas[r]))))
+                cells.append(repr(float(nll[i])))
             fh.write(",".join(cells) + "\n")
 
 

@@ -1,7 +1,9 @@
 import concurrent.futures
+import io
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,7 +16,7 @@ import pytest
 from ttsem import bench, cli, gmm, pk
 from ttsem.bench import AlgoSpec, ExperimentSpec
 from ttsem.core import VARIANTS, ConfigError, StepSchedule
-from ttsem.engine import run
+from ttsem.engine import Trajectory, run
 from ttsem.rng import derive_seed, named_stream
 
 
@@ -132,7 +134,7 @@ class TestMetricPrecision:
         traj = run(model, cfg, theta0=theta0)
         mu_star = gmm.fit_reference_em(data, init=theta0).mu
         for ref in (mu_star, mu_star[::-1].copy()):
-            got = bench._metric_values("gmm", traj, np.arange(traj.n_records), ref, None)["precision"]
+            got = bench._metric_values("gmm", traj, np.arange(traj.n_records), ref, model)["precision"]
             want = np.array([_precision_oracle(row[m - 1 :].tolist(), ref.tolist()) for row in traj.thetas])
             assert len(want) == traj.n_records > 200
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -195,8 +197,87 @@ class TestRunCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_nll_column_split_across_cpus(self, tmp_path, monkeypatch):
+        # the column is the same bytes however many CPUs share it; one CPU, or
+        # an unknown count, builds no pool, and two ask for exactly one worker
+        opened = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        data = gmm.simulate(300, bench.gmm_truth_default(), named_stream(64, "data"))
+        cfg = AlgoSpec("SAEM", mc_samples=2).to_config(n=300, epochs=40, seed=5, model_kind="gmm")
+        outs, pools = {}, {}
+        for cpus in (1, 2, None):
+            monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
+            opened.clear()
+            bench.cmd_run("gmm", data, cfg, tmp_path / f"{cpus}.csv")
+            pools[cpus] = list(opened)
+            assert multiprocessing.active_children() == []
+            outs[cpus] = (tmp_path / f"{cpus}.csv").read_bytes()
+        assert pools == {1: [], 2: [1], None: []}
+        assert outs[1] == outs[2] == outs[None]
+        assert outs[1].count(b"\n") == 42  # header and 41 records, each with its nll
+        assert outs[1].split(b"\n")[0].endswith(b",nll")
+
+    def test_row_cap_holds_when_every_record_is_a_boundary(self, tmp_path):
+        # vrTTEM with an anchor refresh every iteration charges a whole
+        # epoch per record, so every one of its 12,001 records is a boundary
+        data = gmm.simulate(4, bench.gmm_truth_default(), named_stream(65, "data"))
+        cfg = AlgoSpec("vrTTEM", epoch_len=1, mc_samples=1).to_config(n=4, epochs=3000, seed=6, model_kind="gmm")
+        out = tmp_path / "vr.csv"
+        traj = bench.cmd_run("gmm", data, cfg, out)
+        assert traj.n_records == 12_001
+        assert np.all(np.diff(np.floor(traj.epochs)) > 0)
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + 10_000
+        assert [int(lines[i].split(",")[0]) for i in (1, -1)] == [0, 12_000]
+
 
 class TestTrajectorySubsampling:
+    @staticmethod
+    def _traj(epochs):
+        r = len(epochs)
+        return Trajectory(iters=np.arange(r), epochs=np.asarray(epochs, dtype=np.float64),
+                          thetas=np.zeros((r, 1)), delta_s_sq=np.zeros(r), wall_ns=np.zeros(r, dtype=np.int64),
+                          param_names=["a"], terminal_iter=r - 2)
+
+    def test_boundaries_alone_past_the_cap_are_thinned(self):
+        # SAEM on 30 points for 12,000 epochs: one epoch per record
+        traj = self._traj(np.arange(12_001))
+        rows = traj.select_rows()
+        assert len(rows) == 10_000 and len(set(rows.tolist())) == 10_000
+        assert rows[0] == 0 and rows[-1] == 12_000
+        assert np.all(np.diff(rows) >= 1) and np.diff(rows).max() <= 2
+        assert traj.select_rows(max_rows=2).tolist() == [0, 12_000]
+        with pytest.raises(ValueError, match="at least 2"):
+            traj.select_rows(max_rows=1)
+        with pytest.raises(ValueError, match="^3 nll values for 10000 rows$"):
+            traj.write_csv(io.StringIO(), nll=[0.0, 1.0, 2.0])
+
+    def test_stride_widens_to_fit_the_boundaries(self):
+        # stride 2 plus the odd boundaries among every 7th record would pass the cap
+        r = 20_000
+        traj = self._traj(np.arange(r) / 7.0)
+        rows = traj.select_rows()
+        boundaries = set(range(7, r, 7))
+        assert len(rows) <= 10_000
+        assert rows[0] == 0 and rows[-1] == r - 1
+        assert boundaries.issubset(rows.tolist())
+
+    def test_rows_within_the_cap_keep_the_stride_rule(self):
+        # stride-thinned rows, the last record and every boundary, when they fit
+        r = 25_000
+        traj = self._traj(np.arange(r) / 1000.0)
+        want = set(range(0, r, 3)) | {r - 1} | set(range(1000, r, 1000))
+        assert len(want) <= 10_000
+        assert traj.select_rows().tolist() == sorted(want)
+        assert self._traj(np.arange(10_000) / 2.0).select_rows().tolist() == list(range(10_000))
+
+
     def test_row_cap_keeps_boundaries(self, tmp_path):
         data = gmm.simulate(40, bench.gmm_truth_default(), named_stream(63, "data"))
         from ttsem.engine import run

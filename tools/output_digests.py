@@ -10,9 +10,10 @@ two checkouts, each with its own OUTDIR, and ``diff`` the two listings.  A
 command that fails stops the script with its stderr and exit status.
 
 The set: ``ttsem run`` trajectories of all seven GMM variants and of the
-five Monte Carlo PK variants, the GMM replicate study of the ``gmm-cli``
-benchmark workload, and a PK replicate study under ``--jobs 1`` and
-``--jobs 2``.  It takes about ten seconds on two cores.
+five Monte Carlo PK variants, both commands of the ``gmm-cli`` benchmark
+workload at seed 401 (its ``run`` keeps 5,001 of 10,001 records, the one
+thinned trajectory here), and a PK replicate study under ``--jobs 1`` and
+``--jobs 2``.  It takes about twelve seconds on two cores.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ COMMANDS = [
     ["simulate", "--model", "pk", "--n", "30", "--seed", "3", "--out", "pk.csv"],
     *(["run", "--model", "pk", "--data", "pk.csv", "--algo", v, "--epochs", "2", "--seed", "5",
        "--mc-samples", "8", "--out", f"pk-{v}.csv"] for v in PK_VARIANTS),
+    ["simulate", "--model", "gmm", "--n", "10000", "--seed", "401", "--out", "data.txt"],
+    ["run", "--model", "gmm", "--data", "data.txt", "--algo", "fiTTEM", "--epochs", "1", "--seed", "401",
+     "--out", "run.csv"],
     ["replicate", "--model", "gmm", "--n", "2000", "--replicates", "2", "--epochs", "3", "--jobs", "1",
      "--seed", "401", "--out", "gmm-rep"],
     *(["replicate", "--model", "pk", "--n", "12", "--replicates", "2", "--epochs", "2", "--mc-samples", "5",
