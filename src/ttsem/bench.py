@@ -3,9 +3,9 @@ Carlo studies with deterministic CSV/JSON output.
 
 An experiment simulates R datasets, fits every configured algorithm to each
 one from a shared deterministic starting point, and records metric series
-on a common cost grid measured in epochs (n posterior computations).  The
-root seed fixes every byte of output; replicates may run in parallel and
-are merged in index order.
+on a common cost grid read off each run's epoch column (per-sample E-steps
+after initialization, over n).  The root seed fixes every byte of output;
+replicates may run in parallel and are merged in index order.
 """
 
 from __future__ import annotations
@@ -166,8 +166,9 @@ class ExperimentSpec:
         object.__setattr__(self, "seed", check_seed(self.seed))
         if self.replicates < 1 or self.n < 1:
             raise ConfigError("need at least one replicate and one sample")
-        if not 0 < self.epochs < math.inf:
-            raise ConfigError(f"epochs must be positive and finite, got {self.epochs}")
+        if not 1 <= self.epochs * GRID_RESOLUTION < math.inf:
+            raise ConfigError(f"epochs must reach the first grid point, {1 / GRID_RESOLUTION}, "
+                              f"and be finite, got {self.epochs}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
         if not self.algorithms:
@@ -180,8 +181,8 @@ class ExperimentSpec:
         object.__setattr__(self, "configs", configs)
 
     def grid(self) -> np.ndarray:
-        m = math.ceil(self.epochs) * GRID_RESOLUTION
-        return np.arange(1, m + 1) / GRID_RESOLUTION
+        """Grid points k / GRID_RESOLUTION up to ``epochs``, k >= 1."""
+        return np.arange(1, math.floor(self.epochs * GRID_RESOLUTION) + 1) / GRID_RESOLUTION
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +350,12 @@ def _replicate_worker(spec: ExperimentSpec, r: int) -> dict:
 
     grid = spec.grid()
     series: dict[str, dict[str, np.ndarray]] = {}
-    for algo, config in zip(spec.algorithms, spec.configs):
+    for config in spec.configs:
         traj = run(model, replace(config, seed=run_seed), theta0=theta0)
-        # Every metric is read at the last record at or before each grid
-        # point; the first record, at 0, precedes them all.  The grid counts
-        # iterations per pass (the axis the reference study plots against);
-        # the trajectory's own epoch column stays cost-charged, billing
-        # anchor refreshes a full pass.
-        axis = traj.iters / float(VARIANTS[algo.variant].iters_per_epoch(spec.n))
-        rows = np.searchsorted(axis, grid, side="right") - 1
-        series[algo.variant] = _metric_values(spec.model, traj, rows, reference, model)
+        # every metric is read at the last record at or before each grid
+        # point on the epoch column; the first record, at 0, precedes them all
+        rows = np.searchsorted(traj.epochs, grid, side="right") - 1
+        series[config.variant] = _metric_values(spec.model, traj, rows, reference, model)
 
     return {
         "replicate": r,
@@ -386,7 +383,7 @@ def cmd_replicate(spec: ExperimentSpec, metrics_path, summary_path) -> dict:
         name: {metric: np.stack([res["series"][name][metric] for res in results]) for metric in metric_names}
         for name in algo_names
     }
-    int_epochs = list(range(1, math.ceil(spec.epochs) + 1))
+    int_epochs = list(range(1, math.floor(spec.epochs) + 1))
     int_idx = [e * GRID_RESOLUTION - 1 for e in int_epochs]
 
     final: dict[str, dict[str, dict]] = {}

@@ -178,8 +178,8 @@ class Variant(NamedTuple):
     unit_rho: bool    # Inc-step stepsize forced to 1
 
     def iters_per_epoch(self, n: int) -> int:
-        """Iterations making one epoch of n per-sample E-steps: a batch
-        iteration is a full pass, any other iteration one draw."""
+        """Iterations in one epoch of budget (``--epochs``): 1 batch pass, else n
+        iterations, which vrTTEM and fiTTEM charge about 2n E-steps for."""
         return 1 if self.proxy == "batch" else n
 
 

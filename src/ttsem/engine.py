@@ -8,7 +8,9 @@ One run alternates, for K_f iterations:
   4. the fast-timescale Inc-step   stt <- stt + rho * (proxy - stt),
   5. the slow-timescale SA-step    s_hat <- s_hat + gamma_k * (stt - s_hat),
   6. the projection     s_hat <- model.project(s_hat)  onto the statistic set,
-  7. the model M-step and a trajectory record.
+  7. the model M-step and a trajectory record, whose ``epoch`` is the count
+     of per-sample E-steps after the initialization pass (fiTTEM's j-steps
+     included), divided by n.
 
 A run holds one ``PerSampleStatTable``, a whole pass's result, replaced by a
 fresh pass every ``period`` iterations (the old one released first); the
@@ -201,7 +203,8 @@ class Trajectory:
     """Per-iteration record of a run plus the terminal parameter choice.
 
     ``thetas`` has one row per record (initial state plus one per
-    iteration).  ``delta_s_sq`` is the squared timescale gap
+    iteration).  ``epochs`` counts per-sample E-steps after the initialization
+    pass, divided by n.  ``delta_s_sq`` is the squared timescale gap
     ||stt - proxy||^2 of that iteration, identically zero whenever rho = 1.
     Wall-clock stamps are diagnostics only and never serialized.
 
@@ -212,8 +215,7 @@ class Trajectory:
     not reported (a run of zero iterations reports ``thetas[0]``).
     """
 
-    iters: np.ndarray          # (R,) int64 record indices 0..K_f
-    epochs: np.ndarray         # (R,) cost in epochs at each record
+    epochs: np.ndarray         # (R,) per-sample E-steps after initialization / n
     thetas: np.ndarray         # (R, p) flattened parameters
     delta_s_sq: np.ndarray     # (R,)
     wall_ns: np.ndarray        # (R,) int64
@@ -222,7 +224,7 @@ class Trajectory:
 
     @property
     def n_records(self) -> int:
-        return len(self.iters)
+        return len(self.epochs)
 
     @property
     def terminal_theta(self) -> np.ndarray:
@@ -276,7 +278,7 @@ class Trajectory:
             header.append("nll")
         fh.write(",".join(header) + "\n")
         for i, r in enumerate(rows):
-            cells = [str(int(self.iters[r])), repr(float(self.epochs[r]))]
+            cells = [str(int(r)), repr(float(self.epochs[r]))]
             cells += [repr(float(v)) for v in self.thetas[r]]
             cells.append(repr(float(self.delta_s_sq[r])))
             if nll is not None:
@@ -324,7 +326,12 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
     chains = {r: {} for r in roles}
     mc = config.mc_samples
 
+    # whole passes after initialization and single-index E-steps, counted where made
+    singles = passes = 0
+
     def estep(i: int, theta, iteration: int, role: str = "mc") -> list:
+        nonlocal singles
+        singles += 1
         return _estep(model, i, theta, mc, rngs[role], chains[role], iteration)
 
     # Initialization pass under theta0; batch and anchor replace its table at k = 0.
@@ -334,28 +341,21 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
     theta = model.m_step(s_hat)
 
     records, names = k_f + 1, model.param_names()
-    traj = Trajectory(iters=np.arange(records, dtype=np.int64), epochs=np.zeros(records),
-                      thetas=np.empty((records, len(names))), delta_s_sq=np.zeros(records),
-                      wall_ns=np.zeros(records, dtype=np.int64), param_names=names, terminal_iter=0)
+    traj = Trajectory(epochs=np.zeros(records), thetas=np.empty((records, len(names))),
+                      delta_s_sq=np.zeros(records), wall_ns=np.zeros(records, dtype=np.int64),
+                      param_names=names, terminal_iter=0)
     traj.thetas[0] = model.flatten_params(theta)
     traj.wall_ns[0] = time.perf_counter_ns()
-
-    # Cost in epochs: one per whole pass after initialization (each batch
-    # iteration or anchor refresh) plus one per n charged draws.  A refresh
-    # iteration reuses its freshly drawn entry, and fiTTEM's j-draw rides
-    # along with its iteration.
-    refreshes = extra_draws = 0
 
     for k in range(k_f):
         i_k = next(draws_i)
         if period and k % period == 0:
             del table  # released first, so the pass's array is the only (n, k) one
             table = epoch_refresh(model, theta, mc, rngs["mc"], k, chains["mc"])
-            refreshes += 1
+            passes += 1
             s_new = table.entries[i_k].tolist()  # refreshed this very iteration
         else:
             s_new = estep(i_k, theta, k)
-            extra_draws += 1
         if kind == "table":  # iEM / iSAEM: write entry i_k, read the mean
             table.replace(i_k, s_new)
             proxy = table.mean
@@ -374,7 +374,7 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
         theta = model.m_step(s_hat)
 
         r = k + 1
-        traj.epochs[r] = extra_draws / n + float(refreshes)
+        traj.epochs[r] = singles / n + float(passes)
         traj.thetas[r] = model.flatten_params(theta)
         traj.delta_s_sq[r] = delta
         traj.wall_ns[r] = time.perf_counter_ns()

@@ -241,7 +241,7 @@ class TestTrajectorySubsampling:
     @staticmethod
     def _traj(epochs):
         r = len(epochs)
-        return Trajectory(iters=np.arange(r), epochs=np.asarray(epochs, dtype=np.float64),
+        return Trajectory(epochs=np.asarray(epochs, dtype=np.float64),
                           thetas=np.zeros((r, 1)), delta_s_sq=np.zeros(r), wall_ns=np.zeros(r, dtype=np.int64),
                           param_names=["a"], terminal_iter=r - 2)
 
@@ -352,8 +352,9 @@ class TestReplicateCommand:
         grid = spec.grid().tolist()
         for algo, config in zip(algos, spec.configs):
             traj = run(model, replace(config, seed=derive_seed(seed, "rep", 0, 1)), theta0=theta0)
-            per_pass = VARIANTS[algo].iters_per_epoch(n)
-            picks = [max(r for r in range(traj.n_records) if int(traj.iters[r]) / per_pass <= g) for g in grid]
+            picks = [max(r for r in range(traj.n_records) if traj.epochs[r] <= g) for g in grid]
+            if algo == "vrTTEM":  # its k = 0 anchor refresh costs a whole pass
+                assert picks[:9] == [0] * 9 and picks[9] > 0
             want = {
                 "delta_s_sq": [float(traj.delta_s_sq[r]) for r in picks],
                 "precision": [bench.metric_precision_gmm(traj.thetas[r][1:], ref) for r in picks],
@@ -362,6 +363,25 @@ class TestReplicateCommand:
             for metric, values in want.items():
                 assert cells.pop((algo, metric)) == values, (algo, metric)
         assert cells == {}
+
+    def test_grid_ends_at_fractional_epochs(self, tmp_path):
+        # SAEM's budget rounds up to 3 passes, but its final value is read
+        # at epoch 2, its last record at or before the grid's end, 2.5
+        n, seed = 200, 12
+        spec = ExperimentSpec(model="gmm", n=n, replicates=1, epochs=2.5,
+                              algorithms=(AlgoSpec("SAEM", mc_samples=2), AlgoSpec("iSAEM", mc_samples=2)), seed=seed)
+        assert spec.grid()[-1] == 2.5 and [c.total_iters for c in spec.configs] == [3, 500]
+        summary = bench.cmd_replicate(spec, tmp_path / "m.csv", tmp_path / "s.json")
+        assert summary["integer_epochs"] == [1, 2] and summary["grid"][-1] == 2.5
+
+        data = gmm.simulate(n, bench.gmm_truth_default(), named_stream(derive_seed(seed, "rep", 0, 0), "data"))
+        model = gmm.GmmModel(data)
+        theta0 = model.default_init()
+        ref = gmm.fit_reference_em(data, init=theta0).mu
+        traj = run(model, replace(spec.configs[0], seed=derive_seed(seed, "rep", 0, 1)), theta0=theta0)
+        assert traj.epochs.tolist() == [0.0, 1.0, 2.0, 3.0]
+        final = summary["final"]["SAEM"]["precision"]["per_replicate"]
+        assert final == [bench.metric_precision_gmm(traj.thetas[2][1:], ref)]
 
     def test_worker_pool_capped_at_replicates(self, tmp_path, monkeypatch):
         opened = []
@@ -691,6 +711,7 @@ class TestCli:
         (["replicate", "--epoch-len", "x"], None, 1),
         (["replicate", "--algos", "SAEM,vrTTEM", "--epoch-len", "x"], None, 1),
         (["replicate", "--epoch-len", "5"], None, 0),
+        (["replicate", "--epochs", "0.05"], None, 1),  # below the first grid point
     ])
     def test_bad_values_are_usage_errors(self, tmp_path, capsys, argv, config, code):
         data = tmp_path / "d.txt"

@@ -143,7 +143,6 @@ class TestStatisticProjection:
             model = _ProjectionCountingGmm(data)
             traj = run(model, RunConfig(seed=seed, **kwargs), theta0=model.default_init())
             assert traj.n_records == kwargs["total_iters"] + 1
-            assert traj.iters[-1] == kwargs["total_iters"]
             for row in traj.thetas:
                 model.unflatten_params(row)
             moved += model.moved
@@ -241,9 +240,10 @@ class TestTrajectoryShape:
             np.arange(11) / 5.0,
         )
         np.testing.assert_allclose(epochs(variant="iEM", total_iters=10, seed=0), np.arange(11) / 5.0)
+        # a fiTTEM iteration makes two single-index E-steps, i and j
         np.testing.assert_allclose(
             epochs(variant="fiTTEM", total_iters=10, seed=0, gamma=GAMMA, rho=0.5, mc_samples=2),
-            np.arange(11) / 5.0,
+            2 * np.arange(11) / 5.0,
         )
         # refreshes at k = 0, 2, 4 cost one epoch each; the refresh iteration
         # reuses its freshly drawn entry, so only off-refresh draws add 1/n
@@ -408,9 +408,10 @@ class TestTracedSeams:
         esteps = count_calls(monkeypatch, engine, "_estep")
         mc_steps = count_calls(monkeypatch, engine, "mc_step")
         passes = count_calls(monkeypatch, engine, "epoch_refresh")
-        run(GmmModel(make_data(n=n)), cfg)
+        traj = run(GmmModel(make_data(n=n)), cfg)
         implied = implied_esteps(variant, n, cfg.total_iters, cfg.epoch_len)
         assert len(esteps) == implied
+        assert math.isclose(traj.epochs[-1], (len(esteps) - n) / n, rel_tol=1e-12)  # the epoch column's cost
         assert len(mc_steps) == (0 if core.VARIANTS[variant].exact else implied)
         # the initialization pass, then one per batch iteration or anchor refresh
         k_f, proxy = cfg.total_iters, core.VARIANTS[variant].proxy
@@ -423,6 +424,7 @@ class TestTracedSeams:
         n, mc = 12, 5
         cohort = pk.simulate(n, pk.paper_truth(), pk.default_design(), named_stream(66, "data"))
         cfg = bench.AlgoSpec(variant, mc_samples=mc, epoch_len=5).to_config(n, 1.5, 67, "pk")
+        esteps = count_calls(monkeypatch, engine, "_estep")
         mc_steps = count_calls(monkeypatch, engine, "mc_step")
         posteriors = count_calls(monkeypatch, pk.PkModel, "sample_posterior")
         chains, original = [], pk.mh_chain
@@ -434,9 +436,10 @@ class TestTracedSeams:
             return out
 
         monkeypatch.setattr(pk, "mh_chain", chain)
-        run(pk.PkModel(cohort), cfg, theta0=bench.pk_naive_init(cohort))
+        traj = run(pk.PkModel(cohort), cfg, theta0=bench.pk_naive_init(cohort))
         implied = implied_esteps(variant, n, cfg.total_iters, cfg.epoch_len)
-        assert len(mc_steps) == len(posteriors) == len(chains) == implied
+        assert len(esteps) == len(mc_steps) == len(posteriors) == len(chains) == implied
+        assert math.isclose(traj.epochs[-1], (len(esteps) - n) / n, rel_tol=1e-12)  # the epoch column's cost
 
         def generator(bitgen, state):
             g = np.random.Generator(bitgen())
@@ -454,9 +457,9 @@ class TestTracedSeams:
 class TestRunMemory:
     def test_long_run_holds_no_python_object_per_record(self):
         # iSAEM at n = 2000 for 20,000 iterations.  What the run must hold:
-        # the five trajectory arrays (1.12 MB here) and the per-sample table
+        # the four trajectory arrays (0.96 MB here) and the per-sample table
         # (48 kB, the init pass's entries, which the table adopts).  Measured
-        # peak 1,221,227 B against those arrays' 1,168,056 B; the bound allows
+        # peak 1,061,163 B against those arrays' 1,008,048 B; the bound allows
         # 256 kB more, while a Python list of rows would add about 150 B per
         # record (3 MB here).  A short run first does numpy's lazy imports.
         n, iters = 2000, 20_000
@@ -470,7 +473,7 @@ class TestRunMemory:
         finally:
             tracemalloc.stop()
         records, k, p = iters + 1, model.stat_dim(), len(model.param_names())
-        arrays = records * (p + 4) * 8 + n * k * 8
+        arrays = records * (p + 3) * 8 + n * k * 8
         assert traj.thetas.nbytes + traj.epochs.nbytes + traj.delta_s_sq.nbytes == records * (p + 2) * 8
         assert peak < arrays + 256 * 1024, (peak, arrays)
 

@@ -12,8 +12,10 @@ command that fails stops the script with its stderr and exit status.
 The set: ``ttsem run`` trajectories of all seven GMM variants and of the
 five Monte Carlo PK variants, both commands of the ``gmm-cli`` benchmark
 workload at seed 401 (its ``run`` keeps 5,001 of 10,001 records, the one
-thinned trajectory here), and a PK replicate study under ``--jobs 1`` and
-``--jobs 2``.  It takes about twelve seconds on two cores.
+thinned trajectory here), a GMM replicate study at ``--epochs 2.5``
+(whose grid ends at 2.5 while SAEM's budget rounds up to 3 passes), and a
+PK replicate study under ``--jobs 1`` and ``--jobs 2``.  It takes about
+eleven seconds on two cores.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ COMMANDS = [
      "--out", "run.csv"],
     ["replicate", "--model", "gmm", "--n", "2000", "--replicates", "2", "--epochs", "3", "--jobs", "1",
      "--seed", "401", "--out", "gmm-rep"],
+    ["replicate", "--model", "gmm", "--n", "500", "--replicates", "1", "--epochs", "2.5", "--seed", "401",
+     "--out", "gmm-rep-2.5ep"],
     *(["replicate", "--model", "pk", "--n", "12", "--replicates", "2", "--epochs", "2", "--mc-samples", "5",
        "--seed", "9", "--jobs", jobs, "--out", f"pk-rep-jobs{jobs}"] for jobs in ("1", "2")),
 ]
