@@ -45,7 +45,7 @@ GRID_RESOLUTION = 10  # metric grid points per epoch
 
 
 # ---------------------------------------------------------------------------
-# Stepsize / algorithm specifications (textual, resolved once n is known)
+# Stepsize / algorithm specifications (resolved once n is known)
 # ---------------------------------------------------------------------------
 
 
@@ -83,14 +83,11 @@ def parse_gamma(text: str, n: int, variant: str) -> StepSchedule:
     return StepSchedule(c=c, a=a, warmup_iters=round(warmup))
 
 
-def resolve_rho(rho, n: int, variant: str) -> Optional[float]:
-    """"auto" means n**(-2/3) for the variance-reduced variants, 1 otherwise."""
-    if rho == "auto" or rho is None:
-        return 1.0 if VARIANTS[variant].unit_rho else float(n) ** (-2.0 / 3.0)
-    try:
-        return float(rho)
-    except ValueError:
-        raise ConfigError(f"cannot parse rho {rho!r}") from None
+def resolve_rho(rho: Optional[float], n: int, variant: str) -> float:
+    """``rho``, or when None n**(-2/3) for the variance-reduced variants and 1 otherwise."""
+    if rho is not None:
+        return rho
+    return 1.0 if VARIANTS[variant].unit_rho else float(n) ** (-2.0 / 3.0)
 
 
 def epochs_to_iters(epochs: float, n: int, variant: str) -> int:
@@ -102,41 +99,35 @@ def epochs_to_iters(epochs: float, n: int, variant: str) -> int:
 
 @dataclass(frozen=True)
 class AlgoSpec:
-    """One algorithm entry of an experiment; unresolved defaults are filled
-    from the dataset size and the model's conventions."""
+    """One algorithm entry of an experiment; a None setting is filled from
+    the dataset size and the model's conventions."""
 
     variant: str
     gamma: str = DEFAULT_GAMMA
-    rho: object = "auto"
+    rho: Optional[float] = None
     mc_samples: Optional[int] = None
-    epoch_len: object = "auto"
+    epoch_len: Optional[int] = None
 
     def to_config(self, n: int, epochs: float, seed: int, model_kind: str) -> RunConfig:
         variant = self.variant
         if variant not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}")
-        if VARIANTS[variant].exact and not _provides(model_kind, "exact_expectation"):
+        if model_kind not in MODELS:
+            raise ConfigError(f"unknown model {model_kind!r}")
+        if VARIANTS[variant].exact and not MODELS[model_kind].provides("exact_expectation"):
             raise ConfigError(f"{variant} needs a model with an exact E-step")
-        # text (a CLI flag) is parsed and any value checked for every variant;
-        # only vrTTEM has an anchor, so the others leave a valid value unused
-        epoch_len = None if self.epoch_len in ("auto", None) else self.epoch_len
-        if isinstance(epoch_len, str):
-            try:
-                epoch_len = int(epoch_len)
-            except ValueError:
-                raise ConfigError(f"cannot parse epoch_len {epoch_len!r}") from None
-        elif epoch_len is not None:
-            epoch_len = as_int("epoch_len", epoch_len)
+        # a given epoch_len is checked for every variant; only vrTTEM has an
+        # anchor, so the others leave a valid value unused
+        epoch_len = None if self.epoch_len is None else as_int("epoch_len", self.epoch_len)
         epoch_len = (n if epoch_len is None else epoch_len) if VARIANTS[variant].proxy == "anchor" else None
         mc = self.mc_samples if self.mc_samples is not None else DEFAULT_MC_SAMPLES[model_kind]
-        gamma = parse_gamma(self.gamma, n, variant)
-        if VARIANTS[variant].unit_gamma and self.gamma == DEFAULT_GAMMA:
-            gamma = StepSchedule.constant(1.0)  # default gamma is forced to 1
+        # the default gamma of a variant that forces it is left to RunConfig
+        forced = VARIANTS[variant].unit_gamma and self.gamma == DEFAULT_GAMMA
         return RunConfig(
             variant=variant,
             total_iters=epochs_to_iters(epochs, n, variant),
             seed=seed,
-            gamma=gamma,
+            gamma=None if forced else parse_gamma(self.gamma, n, variant),
             rho=resolve_rho(self.rho, n, variant),
             mc_samples=mc,
             epoch_len=epoch_len,
@@ -147,7 +138,7 @@ class AlgoSpec:
 class ExperimentSpec:
     """A full replicate study; every output byte is a function of this."""
 
-    model: str                      # "gmm" | "pk"
+    model: str                      # a key of MODELS
     n: int
     replicates: int
     epochs: float
@@ -160,7 +151,7 @@ class ExperimentSpec:
     configs: tuple[RunConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.model not in ("gmm", "pk"):
+        if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
         set_ints(self, "n", "replicates", "jobs")
         object.__setattr__(self, "seed", check_seed(self.seed))
@@ -195,33 +186,8 @@ def gmm_truth_default() -> gmm.GmmParams:
 
 
 def pk_naive_init(cohort: list[pk.PkIndividual]) -> pk.PkParams:
-    """Deterministic starting point from per-patient curve heuristics.
-
-    Medians of crude per-patient estimates (peak volume, terminal slope,
-    inverse time-to-peak, half the first sampling time), perturbed +20%.
-    """
-    ests = np.empty((len(cohort), 4))
-    for row, indiv in enumerate(cohort):
-        cmax = max(float(indiv.obs.max()), 1e-6)
-        tmax = float(indiv.times[int(np.argmax(indiv.obs))])
-        v0 = indiv.dose / cmax
-        k0 = 0.1
-        pos = np.flatnonzero(indiv.obs > 0.05 * cmax)
-        if len(pos) >= 2:
-            a, b = pos[-2], pos[-1]
-            if indiv.obs[b] > 0 and indiv.obs[a] > indiv.obs[b]:
-                k0 = float(
-                    (np.log(indiv.obs[a]) - np.log(indiv.obs[b]))
-                    / (indiv.times[b] - indiv.times[a])
-                )
-        ests[row] = (
-            max(0.5 * float(indiv.times[0]), 0.01),
-            float(np.clip(2.0 / max(tmax, 0.1), 0.05, 20.0)),
-            float(np.clip(v0, 1e-3, 1e4)),
-            float(np.clip(k0, 1e-2, 5.0)),
-        )
-    med = np.median(ests, axis=0)
-    return pk.PkParams(log_pop=np.log(1.2 * med), omega2=0.1 * np.eye(4), sigma2=1.0)
+    """The PK model's deterministic starting point on ``cohort``."""
+    return pk.PkModel(cohort).default_init()
 
 
 def metric_precision_gmm(mu: np.ndarray, mu_star: np.ndarray) -> float:
@@ -244,18 +210,6 @@ def _simulate_dataset(model_kind: str, truth, n: int, seed: int):
         return gmm.simulate(n, truth, rng), truth
     truth = truth if truth is not None else pk.paper_truth()
     return pk.simulate(n, truth, pk.default_design(), rng), truth
-
-
-def _model_and_init(model_kind: str, data):
-    """The model bound to ``data`` and its deterministic starting point."""
-    model = MODELS[model_kind](data)
-    return model, model.default_init() if model_kind == "gmm" else pk_naive_init(data)
-
-
-def _provides(model_kind: str, method: str) -> bool:
-    """Whether the model class overrides ``ModelSpec``'s optional ``method``
-    (``exact_expectation``, ``penalized_nll``), whose default returns None."""
-    return getattr(MODELS[model_kind], method) is not getattr(ModelSpec, method)
 
 
 def _nll_rows(model: ModelSpec, thetas: np.ndarray) -> list[float]:
@@ -299,7 +253,7 @@ def _metric_values(model_kind: str, traj: Trajectory, rows: np.ndarray, referenc
         pops = np.exp(thetas[:, :4])
         for c, name in enumerate(pk.LATENT_NAMES):
             out[f"sqerr_{name}"] = (pops[:, c] - pop_star[c]) ** 2
-    if _provides(model_kind, "penalized_nll"):
+    if model.provides("penalized_nll"):
         out["nll"] = np.array(_nll_rows(model, thetas))
     return out
 
@@ -326,9 +280,9 @@ def cmd_simulate(model_kind: str, truth, n: int, seed: int, out_path) -> str:
 def cmd_run(model_kind: str, data, config: RunConfig, out_path) -> Trajectory:
     """One run from the default start straight to a trajectory CSV, its NLL
     column computed on every usable CPU (``_nll_column``)."""
-    model, theta0 = _model_and_init(model_kind, data)
-    traj = run(model, config, theta0=theta0)
-    nll = _nll_column(model, traj.thetas[traj.select_rows()]) if _provides(model_kind, "penalized_nll") else None
+    model = MODELS[model_kind](data)
+    traj = run(model, config)
+    nll = _nll_column(model, traj.thetas[traj.select_rows()]) if model.provides("penalized_nll") else None
     with open(out_path, "w", encoding="ascii", newline="\n") as fh:
         traj.write_csv(fh, nll=nll)
     return traj
@@ -340,7 +294,8 @@ def _replicate_worker(spec: ExperimentSpec, r: int) -> dict:
     run_seed = derive_seed(spec.seed, "rep", r, 1)
     data, truth = _simulate_dataset(spec.model, spec.truth, spec.n, data_seed)
 
-    model, theta0 = _model_and_init(spec.model, data)
+    model = MODELS[spec.model](data)
+    theta0 = model.default_init()
     if spec.model == "gmm":
         reference, values = gmm.fit_reference_em(data, init=theta0).mu, data.tolist()
     else:

@@ -1,8 +1,8 @@
 """Command-line interface: ``ttsem simulate | run | replicate``.
 
-Exit codes: 0 success, 1 usage error, 2 runtime failure.  A JSON file given
-via --config overrides any flag of the same name; its values are checked and
-converted like the flag's text.
+Exit codes: 0 success, 1 usage error (reported as "ttsem: error: ..."), 2
+runtime failure.  A JSON file given via --config overrides any flag of the
+same name; its values are checked and converted like the flag's text.
 """
 
 from __future__ import annotations
@@ -18,12 +18,21 @@ from .core import VARIANTS, ConfigError, SamplingError
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on usage errors; the CLI contract wants 1."""
+    """Usage errors exit 1, not argparse's 2, with the prefix every usage error prints."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(f"ttsem: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _auto(convert):
+    """Flag type: "auto" is None, a default resolved once n is known; other
+    text is ``convert``ed."""
+    def parse(text: str):
+        return None if text == "auto" else convert(text)
+    parse.__name__ = convert.__name__  # argparse names the type in its error
+    return parse
 
 
 def _load_truth(model: str, path):
@@ -98,9 +107,10 @@ def _apply_config_file(command: argparse.ArgumentParser, args: argparse.Namespac
 def _add_algo_flags(command: argparse.ArgumentParser) -> None:
     """Flags of the algorithm settings shared by ``run`` and ``replicate``."""
     command.add_argument("--gamma", default=bench.DEFAULT_GAMMA)
-    command.add_argument("--rho", default="auto")
+    command.add_argument("--rho", type=_auto(float), default=None,
+                         help="Inc-step stepsize (auto: n^-2/3 for vrTTEM and fiTTEM, else 1)")
     command.add_argument("--mc-samples", type=int, default=None)
-    command.add_argument("--epoch-len", default="auto",
+    command.add_argument("--epoch-len", type=_auto(int), default=None,
                          help="vrTTEM anchor period (auto: n); parsed for all variants, used by vrTTEM only")
 
 
@@ -114,27 +124,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ttsem", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
+    # flags every command takes
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--model", required=True, choices=list(bench.MODELS))
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--config", help="JSON file overriding flags")
 
-    sim = sub.add_parser("simulate", help="write a synthetic dataset")
-    sim.add_argument("--model", required=True, choices=["gmm", "pk"])
+    sim = sub.add_parser("simulate", parents=[common], help="write a synthetic dataset")
     sim.add_argument("--n", type=int, required=True)
-    sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--theta", help="JSON file with the simulation truth")
     sim.add_argument("--out", required=True)
-    sim.add_argument("--config", help="JSON file overriding flags")
 
-    one = sub.add_parser("run", help="fit one algorithm, write the trajectory CSV")
-    one.add_argument("--model", required=True, choices=["gmm", "pk"])
+    one = sub.add_parser("run", parents=[common], help="fit one algorithm, write the trajectory CSV")
     one.add_argument("--data", required=True)
     one.add_argument("--algo", required=True)
     _add_algo_flags(one)
     one.add_argument("--epochs", type=float, default=1.0)
-    one.add_argument("--seed", type=int, default=0)
     one.add_argument("--out", required=True)
-    one.add_argument("--config", help="JSON file overriding flags")
 
-    rep = sub.add_parser("replicate", help="replicate study with aggregated metrics")
-    rep.add_argument("--model", required=True, choices=["gmm", "pk"])
+    rep = sub.add_parser("replicate", parents=[common], help="replicate study with aggregated metrics")
     rep.add_argument("--n", type=int, required=True)
     rep.add_argument("--replicates", type=int, default=10)
     # default: every stochastic-approximation variant (gamma not forced to 1)
@@ -142,11 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated variant names")
     _add_algo_flags(rep)
     rep.add_argument("--epochs", type=float, default=7.0)
-    rep.add_argument("--seed", type=int, default=0)
     rep.add_argument("--jobs", type=int, default=1)
     rep.add_argument("--theta", help="JSON file with the simulation truth")
     rep.add_argument("--out", required=True, help="output prefix (.csv / .json appended)")
-    rep.add_argument("--config", help="JSON file overriding flags")
     return parser
 
 

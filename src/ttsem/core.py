@@ -9,6 +9,7 @@ mutated by exactly one engine run at a time.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -217,6 +218,8 @@ class RunConfig:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {tuple(VARIANTS)}")
         set_ints(self, "total_iters", "mc_samples", "epoch_len")
         object.__setattr__(self, "seed", check_seed(self.seed))
+        if self.rho is not None and not isinstance(self.rho, numbers.Real):
+            raise ConfigError(f"rho must be a real number, got {self.rho!r}")
         if self.total_iters < 0:
             raise ConfigError("total_iters must be nonnegative")
         if self.mc_samples < 1:
@@ -267,6 +270,12 @@ class ModelSpec(ABC):
     than on this interface, since a model instance already owns a dataset.
     """
 
+    @classmethod
+    def provides(cls, method: str) -> bool:
+        """Whether this class overrides ``method``, one of the optional ones
+        with a default here (``default_init``, ``exact_expectation``, ``penalized_nll``)."""
+        return getattr(cls, method) is not getattr(ModelSpec, method)
+
     @property
     @abstractmethod
     def n(self) -> int:
@@ -287,6 +296,10 @@ class ModelSpec(ABC):
     @abstractmethod
     def unflatten_params(self, vec):
         """Inverse of flatten_params, from any float sequence (a trajectory row)."""
+
+    def default_init(self):
+        """Deterministic starting point of a run given no theta0."""
+        raise ConfigError("no theta0 given and the model has no default_init()")
 
     @abstractmethod
     def mc_stat(self, i: int, theta, n_samples: int, rng: np.random.Generator,

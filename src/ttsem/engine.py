@@ -197,6 +197,8 @@ def draw_termination(gammas, rng: np.random.Generator) -> int:
 # Trajectory
 # ---------------------------------------------------------------------------
 
+_MAX_ROWS = 10_000  # records a trajectory CSV keeps at most
+
 
 @dataclass
 class Trajectory:
@@ -230,30 +232,28 @@ class Trajectory:
     def terminal_theta(self) -> np.ndarray:
         return self.thetas[self.terminal_iter]
 
-    def select_rows(self, max_rows: int = 10_000) -> np.ndarray:
-        """Deterministic subset of at most ``max_rows`` records (at least 2),
-        the first and last among them.
+    def select_rows(self) -> np.ndarray:
+        """Deterministic subset of at most ``_MAX_ROWS`` records, the first
+        and last among them.
 
         Longer trajectories are stride-thinned, keeping every record where
         the integer epoch advances.  If that exceeds the cap, the stride
         widens to leave room for those boundaries, and when the boundaries
         alone exceed it they are thinned evenly too.
         """
-        if max_rows < 2:
-            raise ValueError(f"max_rows must be at least 2, got {max_rows}")
         r = self.n_records
-        if r <= max_rows:
+        if r <= _MAX_ROWS:
             return np.arange(r)
         marks = np.zeros(r, dtype=bool)
         marks[[0, -1]] = True
         boundary = np.floor(self.epochs).astype(np.int64)
         marks[1:] |= boundary[1:] != boundary[:-1]
-        if (budget := max_rows - int(marks.sum())) <= 0:
+        if (budget := _MAX_ROWS - int(marks.sum())) <= 0:
             idx = np.flatnonzero(marks)
-            return idx[np.arange(max_rows) * (len(idx) - 1) // (max_rows - 1)]
+            return idx[np.arange(_MAX_ROWS) * (len(idx) - 1) // (_MAX_ROWS - 1)]
         keep = marks.copy()
-        keep[:: math.ceil(r / max_rows)] = True
-        if keep.sum() > max_rows:
+        keep[:: math.ceil(r / _MAX_ROWS)] = True
+        if keep.sum() > _MAX_ROWS:
             # stride rows number at most the budget, so the union fits the cap
             keep = marks.copy()
             keep[:: math.ceil(r / budget)] = True
@@ -304,13 +304,9 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
         raise ConfigError("model has no data")
     spec = VARIANTS[config.variant]
     kind = spec.proxy
-    if theta0 is None:
-        default = getattr(model, "default_init", None)
-        if default is None:
-            raise ConfigError("no theta0 given and the model has no default_init()")
-        theta0 = default()
-    if spec.exact and model.exact_expectation(0, theta0) is None:
+    if spec.exact and not model.provides("exact_expectation"):
         raise ConfigError(f"{config.variant} needs a model with an exact E-step")
+    theta0 = model.default_init() if theta0 is None else theta0
 
     seed, rho, k_f = config.seed, config.rho, config.total_iters
     period = 1 if kind == "batch" else config.epoch_len

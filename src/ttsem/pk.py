@@ -328,6 +328,35 @@ class PkModel(ModelSpec):
         return PkParams(log_pop=vec[:LATENT_DIM], omega2=unpack_sym(vec[LATENT_DIM : LATENT_DIM + 10]),
                         sigma2=float(vec[-1]))
 
+    def default_init(self) -> PkParams:
+        """Deterministic starting point from per-patient curve heuristics.
+
+        Medians of crude per-patient estimates (peak volume, terminal slope,
+        inverse time-to-peak, half the first sampling time), perturbed +20%.
+        """
+        ests = np.empty((self.n, 4))
+        for row, indiv in enumerate(self.individuals):
+            cmax = max(float(indiv.obs.max()), 1e-6)
+            tmax = float(indiv.times[int(np.argmax(indiv.obs))])
+            v0 = indiv.dose / cmax
+            k0 = 0.1
+            pos = np.flatnonzero(indiv.obs > 0.05 * cmax)
+            if len(pos) >= 2:
+                a, b = pos[-2], pos[-1]
+                if indiv.obs[b] > 0 and indiv.obs[a] > indiv.obs[b]:
+                    k0 = float(
+                        (np.log(indiv.obs[a]) - np.log(indiv.obs[b]))
+                        / (indiv.times[b] - indiv.times[a])
+                    )
+            ests[row] = (
+                max(0.5 * float(indiv.times[0]), 0.01),
+                float(np.clip(2.0 / max(tmax, 0.1), 0.05, 20.0)),
+                float(np.clip(v0, 1e-3, 1e4)),
+                float(np.clip(k0, 1e-2, 5.0)),
+            )
+        med = np.median(ests, axis=0)
+        return PkParams(log_pop=np.log(1.2 * med), omega2=0.1 * np.eye(4), sigma2=1.0)
+
     def sample_posterior(self, i, theta: PkParams, n_samples, rng, chains=None) -> np.ndarray:
         """Final log-latent state of ``n_samples`` MH transitions for patient
         i, started from ``chains[i]`` when present and stored back there."""

@@ -55,8 +55,8 @@ class TestGammaParsing:
         assert batch.warmup_iters == 1
 
     def test_resolve_rho(self):
-        assert bench.resolve_rho("auto", 1000, "vrTTEM") == pytest.approx(1000 ** (-2 / 3))
-        assert bench.resolve_rho("auto", 1000, "SAEM") == 1.0
+        assert bench.resolve_rho(None, 1000, "vrTTEM") == pytest.approx(1000 ** (-2 / 3))
+        assert bench.resolve_rho(None, 1000, "SAEM") == 1.0
         assert bench.resolve_rho(0.25, 1000, "fiTTEM") == 0.25
 
     def test_epochs_to_iters(self):
@@ -83,21 +83,21 @@ class TestAlgoSpec:
 
     @pytest.mark.parametrize("epoch_len, message", [
         (2.5, "epoch_len must be an integer, got 2.5"),  # not truncated to 2
-        ("2.5", "cannot parse epoch_len '2.5'"),
-        ("x", "cannot parse epoch_len 'x'"),
+        pytest.param("2.5", "epoch_len must be an integer, got '2.5'", id="text-2.5"),  # the CLI parses text
+        pytest.param("x", "epoch_len must be an integer, got 'x'", id="text-x"),
     ])
     def test_epoch_len_must_be_an_integer(self, epoch_len, message):
         with pytest.raises(ConfigError, match=message):
             AlgoSpec("vrTTEM", epoch_len=epoch_len).to_config(n=100, epochs=1, seed=0, model_kind="gmm")
-        assert AlgoSpec("vrTTEM", epoch_len="7").to_config(100, 1, 0, "gmm").epoch_len == 7
+        assert AlgoSpec("vrTTEM", epoch_len=7).to_config(100, 1, 0, "gmm").epoch_len == 7
 
     @pytest.mark.parametrize("variant", ["SAEM", "iSAEM", "fiTTEM", "EM"])
     def test_epoch_len_checked_for_every_variant(self, variant):
-        for bad in ("x", "2.5", 2.5):
+        for bad in ("x", "7", 2.5):
             with pytest.raises(ConfigError, match="epoch_len"):
                 AlgoSpec(variant, epoch_len=bad).to_config(100, 1, 0, "gmm")
         # a well-formed value is left unused outside vrTTEM
-        assert AlgoSpec(variant, epoch_len="7").to_config(100, 1, 0, "gmm").epoch_len is None
+        assert AlgoSpec(variant, epoch_len=7).to_config(100, 1, 0, "gmm").epoch_len is None
 
 
 def _precision_oracle(mu: list, mu_star: list) -> float:
@@ -252,9 +252,10 @@ class TestTrajectorySubsampling:
         assert len(rows) == 10_000 and len(set(rows.tolist())) == 10_000
         assert rows[0] == 0 and rows[-1] == 12_000
         assert np.all(np.diff(rows) >= 1) and np.diff(rows).max() <= 2
-        assert traj.select_rows(max_rows=2).tolist() == [0, 12_000]
-        with pytest.raises(ValueError, match="at least 2"):
-            traj.select_rows(max_rows=1)
+        # far past the cap, the evenly thinned boundaries still hold both ends
+        far = self._traj(np.arange(1_000_001)).select_rows()
+        assert len(far) == 10_000 and far[0] == 0 and far[-1] == 1_000_000
+        assert set(np.diff(far).tolist()) == {100, 101}
         with pytest.raises(ValueError, match="^3 nll values for 10000 rows$"):
             traj.write_csv(io.StringIO(), nll=[0.0, 1.0, 2.0])
 
@@ -278,21 +279,15 @@ class TestTrajectorySubsampling:
         assert self._traj(np.arange(10_000) / 2.0).select_rows().tolist() == list(range(10_000))
 
 
-    def test_row_cap_keeps_boundaries(self, tmp_path):
-        data = gmm.simulate(40, bench.gmm_truth_default(), named_stream(63, "data"))
-        from ttsem.engine import run
-        from ttsem.core import RunConfig
-
-        model = gmm.GmmModel(data)
-        cfg = RunConfig(variant="iSAEM", total_iters=120, seed=0,
-                        gamma=StepSchedule.polynomial(0.5), mc_samples=2)
-        traj = run(model, cfg)
-        rows = traj.select_rows(max_rows=30)
-        assert len(rows) <= 30 + 5
+    def test_row_cap_keeps_boundaries(self):
+        # an incremental run's epoch column at n = 40 for 120,000 iterations
+        traj = self._traj(np.arange(120_001) / 40.0)
+        rows = traj.select_rows()
+        assert len(rows) <= 10_000
         assert rows[0] == 0 and rows[-1] == traj.n_records - 1
         # every integer epoch boundary is retained
         boundaries = np.flatnonzero(np.diff(np.floor(traj.epochs)) > 0) + 1
-        assert set(boundaries).issubset(set(rows))
+        assert len(boundaries) == 3000 and set(boundaries).issubset(set(rows))
 
 
 class TestReplicateCommand:
@@ -451,7 +446,7 @@ class TestReplicateCommand:
         monkeypatch.setattr(gmm, "simulate", no_simulation)
         with pytest.raises(ConfigError, match="SAEM requires rho = 1"):
             spec = ExperimentSpec(model="gmm", n=50, replicates=1, epochs=1,
-                                  algorithms=(AlgoSpec("SAEM", rho="0.5"),), seed=0)
+                                  algorithms=(AlgoSpec("SAEM", rho=0.5),), seed=0)
             bench.cmd_replicate(spec, tmp_path / "m.csv", tmp_path / "s.json")
         assert list(tmp_path.iterdir()) == []
 
@@ -468,6 +463,9 @@ class TestReplicateCommand:
         # the same settings on the GMM, which has an exact E-step, are accepted
         ExperimentSpec(model="gmm", n=20, replicates=1, epochs=1,
                        algorithms=tuple(AlgoSpec(a) for a in algos), seed=0)
+        # and on an unknown model kind they are a ConfigError, not a KeyError
+        with pytest.raises(ConfigError, match="^unknown model 'foo'$"):
+            AlgoSpec(algos[0]).to_config(10, 1, 0, "foo")
 
     def test_summary_contents(self, tmp_path):
         spec = self._spec()
@@ -712,6 +710,9 @@ class TestCli:
         (["replicate", "--algos", "SAEM,vrTTEM", "--epoch-len", "x"], None, 1),
         (["replicate", "--epoch-len", "5"], None, 0),
         (["replicate", "--epochs", "0.05"], None, 1),  # below the first grid point
+        (["simulate", "--n", "abc"], None, 1),  # argparse's own type errors carry the prefix too
+        (["run", "--algo", "iSAEM", "--epochs", "two"], None, 1),
+        (["simulate", "--model", "nope"], None, 1),
     ])
     def test_bad_values_are_usage_errors(self, tmp_path, capsys, argv, config, code):
         data = tmp_path / "d.txt"

@@ -107,6 +107,10 @@ class TestRunConfigConsistency:
                     variant="fiTTEM", total_iters=5, seed=0,
                     gamma=StepSchedule.polynomial(0.5), rho=bad,
                 )
+        # a string is not a rho, whichever branch checks it; the CLI parses text
+        for variant in ("fiTTEM", "SAEM"):
+            with pytest.raises(ConfigError, match="^rho must be a real number, got '0.5'$"):
+                RunConfig(variant=variant, total_iters=5, seed=0, gamma=StepSchedule.polynomial(0.5), rho="0.5")
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):

@@ -401,7 +401,8 @@ class TestTracedSeams:
     uniforms, which is what the accept replay reads back.  Every whole pass
     is one call of the module global ``engine.epoch_refresh``."""
 
-    @pytest.mark.parametrize("variant, epoch_len", [(v, "auto") for v in core.VARIANTS] + [("vrTTEM", 7)])
+    @pytest.mark.parametrize("variant, epoch_len",
+                             [pytest.param(v, None, id=f"{v}-auto") for v in core.VARIANTS] + [("vrTTEM", 7)])
     def test_gmm(self, monkeypatch, variant, epoch_len):
         n = 40
         cfg = bench.AlgoSpec(variant, epoch_len=epoch_len).to_config(n, 1.5, 3, "gmm")
@@ -452,6 +453,8 @@ class TestTracedSeams:
             replay.standard_normal((mc, 4))
             replay.random(mc)
             assert replay.random(3).tobytes() == generator(bitgen, after).random(3).tobytes()
+        # given no theta0, the run starts where the CLI does
+        assert run(pk.PkModel(cohort), cfg).thetas.tobytes() == traj.thetas.tobytes()
 
 
 class TestRunMemory:

@@ -5,9 +5,12 @@ change keeps them byte-identical.
 
 runs the commands in ``COMMANDS`` on the package in ``CHECKOUT/src``, in
 order and inside ``OUTDIR`` (created if missing), and prints one
-``sha256  file`` line per file they write, datasets included.  Run it on
-two checkouts, each with its own OUTDIR, and ``diff`` the two listings.  A
-command that fails stops the script with its stderr and exit status.
+``sha256  file`` line per file they write, datasets included, then one
+``sha256  stdout:OUT`` line for what the command printed (the ``sha256=``
+of ``simulate``, the ``terminal_iter=... theta=[...]`` of ``run``), where OUT
+is its ``--out``.  Run it on two checkouts, each with its own OUTDIR, and
+``diff`` the two listings.  A command that fails stops the script with its
+stderr and exit status.
 
 The set: ``ttsem run`` trajectories of all seven GMM variants and of the
 five Monte Carlo PK variants, both commands of the ``gmm-cli`` benchmark
@@ -74,6 +77,7 @@ def main(argv: list[str]) -> int:
         for name in outputs(args):
             with open(os.path.join(outdir, name), "rb") as fh:
                 print(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}")
+        print(f"{hashlib.sha256(proc.stdout.encode()).hexdigest()}  stdout:{args[args.index('--out') + 1]}")
     return 0
 
 
