@@ -28,6 +28,8 @@ from .rng import derive_seed, named_stream
 __all__ = [
     "AlgoSpec",
     "ExperimentSpec",
+    "MODELS",
+    "ModelKind",
     "parse_gamma",
     "resolve_rho",
     "epochs_to_iters",
@@ -39,8 +41,6 @@ __all__ = [
 ]
 
 DEFAULT_GAMMA = "poly:0.5:warmup=1ep"
-DEFAULT_MC_SAMPLES = {"gmm": 10, "pk": 50}
-MODELS = {"gmm": gmm.GmmModel, "pk": pk.PkModel}
 GRID_RESOLUTION = 10  # metric grid points per epoch
 
 
@@ -114,13 +114,13 @@ class AlgoSpec:
             raise ConfigError(f"unknown variant {variant!r}")
         if model_kind not in MODELS:
             raise ConfigError(f"unknown model {model_kind!r}")
-        if VARIANTS[variant].exact and not MODELS[model_kind].provides("exact_expectation"):
+        kind = MODELS[model_kind]
+        if VARIANTS[variant].exact and not kind.model.provides("exact_expectation"):
             raise ConfigError(f"{variant} needs a model with an exact E-step")
         # a given epoch_len is checked for every variant; only vrTTEM has an
         # anchor, so the others leave a valid value unused
         epoch_len = None if self.epoch_len is None else as_int("epoch_len", self.epoch_len)
         epoch_len = (n if epoch_len is None else epoch_len) if VARIANTS[variant].proxy == "anchor" else None
-        mc = self.mc_samples if self.mc_samples is not None else DEFAULT_MC_SAMPLES[model_kind]
         # the default gamma of a variant that forces it is left to RunConfig
         forced = VARIANTS[variant].unit_gamma and self.gamma == DEFAULT_GAMMA
         return RunConfig(
@@ -129,7 +129,7 @@ class AlgoSpec:
             seed=seed,
             gamma=None if forced else parse_gamma(self.gamma, n, variant),
             rho=resolve_rho(self.rho, n, variant),
-            mc_samples=mc,
+            mc_samples=self.mc_samples if self.mc_samples is not None else kind.mc_samples,
             epoch_len=epoch_len,
         )
 
@@ -144,7 +144,7 @@ class ExperimentSpec:
     epochs: float
     algorithms: tuple[AlgoSpec, ...]
     seed: int
-    truth: Optional[object] = None  # model parameter object; None = built-in defaults
+    truth: Optional[object] = None  # model parameter object; None = the model kind's default
     jobs: int = 1
     # one resolved RunConfig per algorithm, at the root seed; each replicate
     # runs them with its own seed
@@ -177,12 +177,8 @@ class ExperimentSpec:
 
 
 # ---------------------------------------------------------------------------
-# Model plumbing: defaults, initialization, metrics
+# Models as data: one record per model kind
 # ---------------------------------------------------------------------------
-
-
-def gmm_truth_default() -> gmm.GmmParams:
-    return gmm.GmmParams(omega=[0.5], mu=[0.5, -0.5])
 
 
 def pk_naive_init(cohort: list[pk.PkIndividual]) -> pk.PkParams:
@@ -199,17 +195,100 @@ def metric_precision_gmm(mu: np.ndarray, mu_star: np.ndarray) -> float:
     return min(float(np.sum((mu - mu_star[list(p)]) ** 2)) for p in permutations(range(len(mu))))
 
 
+def _json_floats(blob: dict, key: str, ndim: Optional[int] = None) -> np.ndarray:
+    """``blob[key]`` as a float array, else a ValueError naming the field."""
+    try:
+        vec = np.asarray(blob[key], dtype=np.float64)
+        if ndim in (None, vec.ndim):
+            return vec
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{key} must be a list of numbers, got {blob[key]!r}")
+
+
+def _gmm_truth(blob: dict) -> gmm.GmmParams:
+    omega, mu = _json_floats(blob, "omega", 1), _json_floats(blob, "mu", 1)
+    if len(omega) == len(mu):  # full simplex given; drop the implied weight
+        total = float(omega.sum())
+        if abs(total - 1.0) > 1e-9:  # categorical_sample's tolerance
+            raise ValueError(f"omega: a full weight vector must sum to 1, got {total!r}")
+        omega = omega[:-1]
+    return gmm.GmmParams(omega=omega, mu=mu)
+
+
+def _pk_truth(blob: dict) -> pk.PkParams:
+    pop = _json_floats(blob, "pop") if blob.get("pop") is not None else None
+    if pop is not None and not np.all(pop > 0.0):
+        raise ValueError(f"pop entries must be positive, got {blob['pop']!r}")
+    log_pop = np.log(pop) if pop is not None else _json_floats(blob, "log_pop")
+    try:
+        sigma2 = float(blob["sigma2"])
+    except (TypeError, ValueError):
+        raise ValueError(f"sigma2 must be a number, got {blob['sigma2']!r}") from None
+    return pk.PkParams(log_pop=log_pop, omega2=_json_floats(blob, "omega2"), sigma2=sigma2)
+
+
+def _gmm_metrics(thetas: np.ndarray, mu_star: np.ndarray) -> dict[str, np.ndarray]:
+    m = (thetas.shape[1] + 1) // 2  # rows hold M-1 weights, then M means
+    return {"precision": np.array([metric_precision_gmm(theta[m - 1 :], mu_star) for theta in thetas])}
+
+
+def _pk_metrics(thetas: np.ndarray, pop_star: np.ndarray) -> dict[str, np.ndarray]:
+    pops = np.exp(thetas[:, :4])  # natural-scale fixed effects, as the (4,) pop_star
+    return {f"sqerr_{name}": (pops[:, c] - pop_star[c]) ** 2 for c, name in enumerate(pk.LATENT_NAMES)}
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    """One model as the harness and the CLI serve it: what MODELS holds for
+    its ``--model`` name.  The callables look model functions up on their
+    modules when called, so one replaced there after import is the one run."""
+
+    model: type                 # the ModelSpec subclass, built on one dataset
+    mc_samples: int             # default AlgoSpec.mc_samples
+    truth: Callable             # () -> the default simulation truth
+    simulate: Callable          # (n, truth, rng) -> dataset
+    read: Callable              # path -> dataset
+    write: Callable             # (path, dataset) -> None
+    truth_from_json: Callable   # JSON object -> truth; ValueError names a bad field
+    hash_values: Callable       # dataset -> the floats its replicate hash covers
+    reference: Callable         # (dataset, truth, theta0) -> what the metrics compare with
+    metrics: Callable           # (parameter rows, reference) -> {metric: array}
+
+    def dataset(self, truth, n: int, seed: int) -> tuple:
+        """n samples on ``seed``'s data stream from ``truth`` (None: the default), and that truth."""
+        truth = truth if truth is not None else self.truth()
+        return self.simulate(n, truth, named_stream(seed, "data")), truth
+
+
+MODELS = {
+    "gmm": ModelKind(
+        gmm.GmmModel, mc_samples=10, truth=lambda: gmm.GmmParams(omega=[0.5], mu=[0.5, -0.5]),
+        simulate=lambda n, truth, rng: gmm.simulate(n, truth, rng),
+        read=lambda path: gmm.read_dataset(path), write=lambda path, data: gmm.write_dataset(path, data),
+        truth_from_json=_gmm_truth, hash_values=lambda data: data.tolist(),
+        reference=lambda data, truth, theta0: gmm.fit_reference_em(data, init=theta0).mu,
+        metrics=_gmm_metrics,
+    ),
+    "pk": ModelKind(
+        pk.PkModel, mc_samples=50, truth=lambda: pk.paper_truth(),
+        simulate=lambda n, truth, rng: pk.simulate(n, truth, pk.default_design(), rng),
+        read=lambda path: pk.read_cohort(path), write=lambda path, data: pk.write_cohort(path, data),
+        truth_from_json=_pk_truth,
+        hash_values=lambda data: [v for ind in data for v in ind.times.tolist() + ind.obs.tolist()],
+        reference=lambda data, truth, theta0: truth.pop,
+        metrics=_pk_metrics,
+    ),
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _simulate_dataset(model_kind: str, truth, n: int, seed: int):
-    rng = named_stream(seed, "data")
-    if model_kind == "gmm":
-        truth = truth if truth is not None else gmm_truth_default()
-        return gmm.simulate(n, truth, rng), truth
-    truth = truth if truth is not None else pk.paper_truth()
-    return pk.simulate(n, truth, pk.default_design(), rng), truth
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _nll_rows(model: ModelSpec, thetas: np.ndarray) -> list[float]:
@@ -230,29 +309,21 @@ def _pool_map(fn: Callable, tasks: list[tuple], workers: int, inline: int = 0) -
 
 
 def _nll_column(model: ModelSpec, thetas: np.ndarray) -> list[float]:
-    """``_nll_rows`` split into contiguous shares, one per CPU: this process
-    computes the first while one worker process per further CPU computes
-    the rest.  Each row's value is the same wherever it is
+    """``_nll_rows`` split into contiguous shares, one per usable CPU: this
+    process computes the first while one worker process per further CPU
+    computes the rest.  Each row's value is the same wherever it is
     computed, so the column does not depend on the CPU count."""
-    shares = min(os.cpu_count() or 1, len(thetas))
+    shares = min(_usable_cpus(), len(thetas))
     tasks = [(model, part) for part in np.array_split(thetas, shares)]
     return [v for part in _pool_map(_nll_rows, tasks, shares - 1, inline=1) for v in part]
 
 
-def _metric_values(model_kind: str, traj: Trajectory, rows: np.ndarray, reference,
+def _metric_values(kind: ModelKind, traj: Trajectory, rows: np.ndarray, reference,
                    model: ModelSpec) -> dict[str, np.ndarray]:
     """Metric arrays over the records ``rows`` of one trajectory, with the
     penalized NLL of each when the model has a likelihood."""
     thetas = traj.thetas[rows]
-    out = {"delta_s_sq": traj.delta_s_sq[rows]}
-    if model_kind == "gmm":
-        m = (thetas.shape[1] + 1) // 2  # rows hold M-1 weights, then M means
-        out["precision"] = np.array([metric_precision_gmm(theta[m - 1 :], reference) for theta in thetas])
-    else:
-        pop_star = reference  # (4,) natural-scale fixed effects
-        pops = np.exp(thetas[:, :4])
-        for c, name in enumerate(pk.LATENT_NAMES):
-            out[f"sqerr_{name}"] = (pops[:, c] - pop_star[c]) ** 2
+    out = {"delta_s_sq": traj.delta_s_sq[rows], **kind.metrics(thetas, reference)}
     if model.provides("penalized_nll"):
         out["nll"] = np.array(_nll_rows(model, thetas))
     return out
@@ -267,12 +338,9 @@ def cmd_simulate(model_kind: str, truth, n: int, seed: int, out_path) -> str:
     """Write a synthetic dataset; returns (and prints nothing) its hash."""
     if (n := as_int("n", n)) < 1:
         raise ConfigError(f"n must be at least 1, got {n}")
-    seed = check_seed(seed)
-    data, _ = _simulate_dataset(model_kind, truth, n, seed)
-    if model_kind == "gmm":
-        gmm.write_dataset(out_path, data)
-    else:
-        pk.write_cohort(out_path, data)
+    kind = MODELS[model_kind]
+    data, _ = kind.dataset(truth, n, check_seed(seed))
+    kind.write(out_path, data)
     with open(out_path, "rb") as fh:
         return _sha256(fh.read())
 
@@ -280,7 +348,7 @@ def cmd_simulate(model_kind: str, truth, n: int, seed: int, out_path) -> str:
 def cmd_run(model_kind: str, data, config: RunConfig, out_path) -> Trajectory:
     """One run from the default start straight to a trajectory CSV, its NLL
     column computed on every usable CPU (``_nll_column``)."""
-    model = MODELS[model_kind](data)
+    model = MODELS[model_kind].model(data)
     traj = run(model, config)
     nll = _nll_column(model, traj.thetas[traj.select_rows()]) if model.provides("penalized_nll") else None
     with open(out_path, "w", encoding="ascii", newline="\n") as fh:
@@ -290,17 +358,14 @@ def cmd_run(model_kind: str, data, config: RunConfig, out_path) -> Trajectory:
 
 def _replicate_worker(spec: ExperimentSpec, r: int) -> dict:
     """Simulate, fit every algorithm, and sample metric series on the grid."""
-    data_seed = derive_seed(spec.seed, "rep", r, 0)
+    kind = MODELS[spec.model]
+    data, truth = kind.dataset(spec.truth, spec.n, derive_seed(spec.seed, "rep", r, 0))
     run_seed = derive_seed(spec.seed, "rep", r, 1)
-    data, truth = _simulate_dataset(spec.model, spec.truth, spec.n, data_seed)
 
-    model = MODELS[spec.model](data)
+    model = kind.model(data)
     theta0 = model.default_init()
-    if spec.model == "gmm":
-        reference, values = gmm.fit_reference_em(data, init=theta0).mu, data.tolist()
-    else:
-        reference, values = truth.pop, [v for ind in data for v in ind.times.tolist() + ind.obs.tolist()]
-    data_hash = _sha256("\n".join(map(repr, values)).encode())
+    reference = kind.reference(data, truth, theta0)
+    data_hash = _sha256("\n".join(map(repr, kind.hash_values(data))).encode())
     theta0_hash = _sha256(np.array(model.flatten_params(theta0)).tobytes())
 
     grid = spec.grid()
@@ -310,7 +375,7 @@ def _replicate_worker(spec: ExperimentSpec, r: int) -> dict:
         # every metric is read at the last record at or before each grid
         # point on the epoch column; the first record, at 0, precedes them all
         rows = np.searchsorted(traj.epochs, grid, side="right") - 1
-        series[config.variant] = _metric_values(spec.model, traj, rows, reference, model)
+        series[config.variant] = _metric_values(kind, traj, rows, reference, model)
 
     return {
         "replicate": r,
@@ -324,7 +389,7 @@ def cmd_replicate(spec: ExperimentSpec, metrics_path, summary_path) -> dict:
     """Run the whole study and write the aggregated metrics CSV plus a
     summary JSON.  Any replicate failure aborts the experiment."""
     # one worker would gain nothing over this process, so it runs inline, with no pool
-    workers = min(spec.jobs, spec.replicates, os.cpu_count() or 1)
+    workers = min(spec.jobs, spec.replicates, _usable_cpus())
     results = _pool_map(_replicate_worker, [(spec, r) for r in range(spec.replicates)],
                         workers if workers > 1 else 0)
 

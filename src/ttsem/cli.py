@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import bench, gmm, pk
+from . import bench
 from .core import VARIANTS, ConfigError, SamplingError
 
 
@@ -35,48 +35,14 @@ def _auto(convert):
     return parse
 
 
-def _load_truth(model: str, path):
+def _load_truth(kind: bench.ModelKind, path):
     if path is None:
         return None
     with open(path, "r", encoding="ascii") as fh:
         blob = json.load(fh)
     if not isinstance(blob, dict):
         raise ValueError("the truth file must hold a JSON object")
-
-    def floats(key, ndim=None):  # blob[key] as a float array, else an error naming the field
-        try:
-            vec = np.asarray(blob[key], dtype=np.float64)
-            if ndim in (None, vec.ndim):
-                return vec
-        except (TypeError, ValueError):
-            pass
-        raise ValueError(f"{key} must be a list of numbers, got {blob[key]!r}")
-
-    if model == "gmm":
-        omega, mu = floats("omega", 1), floats("mu", 1)
-        if len(omega) == len(mu):  # full simplex given; drop the implied weight
-            total = float(omega.sum())
-            if abs(total - 1.0) > 1e-9:  # categorical_sample's tolerance
-                raise ValueError(f"omega: a full weight vector must sum to 1, got {total!r}")
-            omega = omega[:-1]
-        return gmm.GmmParams(omega=omega, mu=mu)
-    pop = floats("pop") if blob.get("pop") is not None else None
-    if pop is not None and not np.all(pop > 0.0):
-        raise ValueError(f"pop entries must be positive, got {blob['pop']!r}")
-    log_pop = np.log(pop) if pop is not None else floats("log_pop")
-    try:
-        sigma2 = float(blob["sigma2"])
-    except (TypeError, ValueError):
-        raise ValueError(f"sigma2 must be a number, got {blob['sigma2']!r}") from None
-    return pk.PkParams(log_pop=log_pop, omega2=floats("omega2"), sigma2=sigma2)
-
-
-def _load_data(model: str, path):
-    """The dataset at ``path``, bound once to its model so that an empty one
-    fails before its size resolves any setting."""
-    data = gmm.read_dataset(path) if model == "gmm" else pk.read_cohort(path)
-    bench.MODELS[model](data)
-    return data
+    return kind.truth_from_json(blob)
 
 
 def _apply_config_file(command: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.Namespace:
@@ -165,13 +131,13 @@ def main(argv=None) -> int:
 
     try:
         args = _apply_config_file(parser.commands[args.command], args)
+        kind = bench.MODELS[args.model]
         if args.command == "simulate":
-            digest = bench.cmd_simulate(
-                args.model, _load_truth(args.model, args.theta), args.n, args.seed, args.out
-            )
+            digest = bench.cmd_simulate(args.model, _load_truth(kind, args.theta), args.n, args.seed, args.out)
             print(f"wrote {args.out} sha256={digest}")
         elif args.command == "run":
-            data = _load_data(args.model, args.data)
+            data = kind.read(args.data)
+            kind.model(data)  # an empty dataset fails before its size resolves any setting
             config = _algo(args, args.algo).to_config(len(data), args.epochs, args.seed, args.model)
             traj = bench.cmd_run(args.model, data, config, args.out)
             terminal = ",".join(repr(float(v)) for v in traj.terminal_theta)
@@ -185,7 +151,7 @@ def main(argv=None) -> int:
                 epochs=args.epochs,
                 algorithms=algos,
                 seed=args.seed,
-                truth=_load_truth(args.model, args.theta),
+                truth=_load_truth(kind, args.theta),
                 jobs=args.jobs,
             )
             metrics_path = args.out + ".csv"

@@ -124,13 +124,14 @@ def inc_step(stt: list, proxy: list, rho: float) -> list:
 
 def gap_delta_s(a: list, b: list) -> float:
     """Squared Euclidean distance between two statistic vectors: +0.0 for
-    equal ones, else np.dot's BLAS sum (as ndarray.dot), whose order and FMA
-    use a Python sum would not reproduce."""
+    equal ones, else np.dot's BLAS sum, whose order and FMA use a Python sum
+    would not reproduce.  np.vdot runs np.dot's kernel on two vectors but
+    checks no floating-point flags, so a sum that overflows is inf, unwarned."""
     d = [x - y for x, y in zip(a, b, strict=True)]
     if not any(d):
         return 0.0
     v = np.array(d)
-    return float(v.dot(v))
+    return float(np.vdot(v, v))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ def _gmm_run_bytes(data, **kwargs):
 class TestCriterion1Reductions:
     def test_reduction_identities_bit_exact(self):
         start = time.perf_counter()
-        data = gmm.simulate(100, bench.gmm_truth_default(), named_stream(1, "data"))
+        data = gmm.simulate(100, bench.MODELS["gmm"].truth(), named_stream(1, "data"))
         iters, seed = 60, 4242
 
         saem = _gmm_run_bytes(data, variant="SAEM", total_iters=iters, seed=seed,
@@ -83,7 +83,7 @@ class TestCriterion1Reductions:
 class TestCriterion2DeltaS:
     def test_delta_s_annihilation(self):
         start = time.perf_counter()
-        data = gmm.simulate(50, bench.gmm_truth_default(), named_stream(2, "data"))
+        data = gmm.simulate(50, bench.MODELS["gmm"].truth(), named_stream(2, "data"))
 
         def deltas(**kwargs):
             model = GmmModel(data)
@@ -110,7 +110,7 @@ class TestCriterion3RunningMean:
     def test_isaem_running_mean_equivalence(self, recording_gmm):
         start = time.perf_counter()
         n = 100
-        data = gmm.simulate(n, bench.gmm_truth_default(), named_stream(3, "data"))
+        data = gmm.simulate(n, bench.MODELS["gmm"].truth(), named_stream(3, "data"))
         model = recording_gmm(data)
         cfg = RunConfig(variant="iSAEM", total_iters=10 * n, seed=11,
                         gamma=GAMMA_HALF, mc_samples=10)
@@ -147,7 +147,7 @@ class TestCriterion4McUnbiasedness:
 class TestCriterion5EmMonotonicity:
     def test_penalized_nll_never_increases(self):
         start = time.perf_counter()
-        data = gmm.simulate(10_000, bench.gmm_truth_default(), named_stream(5, "data"))
+        data = gmm.simulate(10_000, bench.MODELS["gmm"].truth(), named_stream(5, "data"))
         model = GmmModel(data)
         traj = run(model, RunConfig(variant="EM", total_iters=200, seed=0),
                    theta0=model.default_init())

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import io
 import itertools
 import json
@@ -18,6 +19,20 @@ from ttsem.bench import AlgoSpec, ExperimentSpec
 from ttsem.core import VARIANTS, ConfigError, StepSchedule
 from ttsem.engine import Trajectory, run
 from ttsem.rng import derive_seed, named_stream
+
+
+@pytest.fixture
+def pools_opened(monkeypatch):
+    """The ``max_workers`` of every process pool built while the test runs."""
+    opened = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return opened
 
 
 class TestGammaParsing:
@@ -127,14 +142,14 @@ class TestMetricPrecision:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_trajectory_series_matches_per_row_metric(self, m):
-        data = gmm.simulate(120, bench.gmm_truth_default(), named_stream(65, "data"))
+        data = gmm.simulate(120, bench.MODELS["gmm"].truth(), named_stream(65, "data"))
         model = gmm.GmmModel(data, m)
         theta0 = model.default_init()
         cfg = AlgoSpec("fiTTEM", mc_samples=2).to_config(n=120, epochs=2, seed=3, model_kind="gmm")
         traj = run(model, cfg, theta0=theta0)
         mu_star = gmm.fit_reference_em(data, init=theta0).mu
         for ref in (mu_star, mu_star[::-1].copy()):
-            got = bench._metric_values("gmm", traj, np.arange(traj.n_records), ref, model)["precision"]
+            got = bench._metric_values(bench.MODELS["gmm"], traj, np.arange(traj.n_records), ref, model)["precision"]
             want = np.array([_precision_oracle(row[m - 1 :].tolist(), ref.tolist()) for row in traj.thetas])
             assert len(want) == traj.n_records > 200
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -165,7 +180,7 @@ class TestSimulateCommand:
 
 class TestRunCommand:
     def test_em_nll_non_increasing(self, tmp_path):
-        data = gmm.simulate(500, bench.gmm_truth_default(), named_stream(60, "data"))
+        data = gmm.simulate(500, bench.MODELS["gmm"].truth(), named_stream(60, "data"))
         cfg = AlgoSpec("EM").to_config(n=500, epochs=100, seed=0, model_kind="gmm")
         out = tmp_path / "em.csv"
         bench.cmd_run("gmm", data, cfg, out)
@@ -177,7 +192,7 @@ class TestRunCommand:
         assert np.all(nll[1:] <= nll[:-1] + 1e-10 * np.abs(nll[:-1]))
 
     def test_vr_rho1_m1_delta_column_zero(self, tmp_path):
-        data = gmm.simulate(100, bench.gmm_truth_default(), named_stream(61, "data"))
+        data = gmm.simulate(100, bench.MODELS["gmm"].truth(), named_stream(61, "data"))
         cfg = AlgoSpec("vrTTEM", rho=1.0, epoch_len=1, mc_samples=2).to_config(
             n=100, epochs=0.2, seed=4, model_kind="gmm"
         )
@@ -188,7 +203,7 @@ class TestRunCommand:
         assert all(r.split(",")[delta_col] == "0.0" for r in rows[1:])
 
     def test_byte_identical_reruns(self, tmp_path):
-        data = gmm.simulate(80, bench.gmm_truth_default(), named_stream(62, "data"))
+        data = gmm.simulate(80, bench.MODELS["gmm"].truth(), named_stream(62, "data"))
         cfg = AlgoSpec("fiTTEM", mc_samples=3).to_config(n=80, epochs=0.5, seed=9, model_kind="gmm")
         outs = []
         for name in ("r1.csv", "r2.csv"):
@@ -197,36 +212,28 @@ class TestRunCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_nll_column_split_across_cpus(self, tmp_path, monkeypatch):
-        # the column is the same bytes however many CPUs share it; one CPU, or
-        # an unknown count, builds no pool, and two ask for exactly one worker
-        opened = []
-
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                opened.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        data = gmm.simulate(300, bench.gmm_truth_default(), named_stream(64, "data"))
+    def test_nll_column_split_across_cpus(self, tmp_path, monkeypatch, pools_opened):
+        # the column is the same bytes however many CPUs share it; one CPU
+        # builds no pool, and two ask for exactly one worker
+        data = gmm.simulate(300, bench.MODELS["gmm"].truth(), named_stream(64, "data"))
         cfg = AlgoSpec("SAEM", mc_samples=2).to_config(n=300, epochs=40, seed=5, model_kind="gmm")
         outs, pools = {}, {}
-        for cpus in (1, 2, None):
-            monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
-            opened.clear()
+        for cpus in (1, 2):
+            monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
+            pools_opened.clear()
             bench.cmd_run("gmm", data, cfg, tmp_path / f"{cpus}.csv")
-            pools[cpus] = list(opened)
+            pools[cpus] = list(pools_opened)
             assert multiprocessing.active_children() == []
             outs[cpus] = (tmp_path / f"{cpus}.csv").read_bytes()
-        assert pools == {1: [], 2: [1], None: []}
-        assert outs[1] == outs[2] == outs[None]
+        assert pools == {1: [], 2: [1]}
+        assert outs[1] == outs[2]
         assert outs[1].count(b"\n") == 42  # header and 41 records, each with its nll
         assert outs[1].split(b"\n")[0].endswith(b",nll")
 
     def test_row_cap_holds_when_every_record_is_a_boundary(self, tmp_path):
         # vrTTEM with an anchor refresh every iteration charges a whole
         # epoch per record, so every one of its 12,001 records is a boundary
-        data = gmm.simulate(4, bench.gmm_truth_default(), named_stream(65, "data"))
+        data = gmm.simulate(4, bench.MODELS["gmm"].truth(), named_stream(65, "data"))
         cfg = AlgoSpec("vrTTEM", epoch_len=1, mc_samples=1).to_config(n=4, epochs=3000, seed=6, model_kind="gmm")
         out = tmp_path / "vr.csv"
         traj = bench.cmd_run("gmm", data, cfg, out)
@@ -340,7 +347,7 @@ class TestReplicateCommand:
             cells.setdefault((algo, metric), []).append(float(mean))
 
         # the replicate's dataset, start, reference and runs, rebuilt from its seeds
-        data = gmm.simulate(n, bench.gmm_truth_default(), named_stream(derive_seed(seed, "rep", 0, 0), "data"))
+        data = gmm.simulate(n, bench.MODELS["gmm"].truth(), named_stream(derive_seed(seed, "rep", 0, 0), "data"))
         model = gmm.GmmModel(data)
         theta0 = model.default_init()
         ref = gmm.fit_reference_em(data, init=theta0).mu
@@ -369,7 +376,7 @@ class TestReplicateCommand:
         summary = bench.cmd_replicate(spec, tmp_path / "m.csv", tmp_path / "s.json")
         assert summary["integer_epochs"] == [1, 2] and summary["grid"][-1] == 2.5
 
-        data = gmm.simulate(n, bench.gmm_truth_default(), named_stream(derive_seed(seed, "rep", 0, 0), "data"))
+        data = gmm.simulate(n, bench.MODELS["gmm"].truth(), named_stream(derive_seed(seed, "rep", 0, 0), "data"))
         model = gmm.GmmModel(data)
         theta0 = model.default_init()
         ref = gmm.fit_reference_em(data, init=theta0).mu
@@ -397,7 +404,7 @@ class TestReplicateCommand:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(bench.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 8)
         bench.cmd_replicate(self._spec(jobs=4, replicates=1), tmp_path / "a.csv", tmp_path / "a.json")
         assert opened == []  # one replicate runs inline, with no pool at all
         bench.cmd_replicate(self._spec(jobs=4, replicates=2), tmp_path / "b.csv", tmp_path / "b.json")
@@ -406,16 +413,32 @@ class TestReplicateCommand:
         assert opened == [2]
         for ext in ("csv", "json"):
             assert (tmp_path / f"b.{ext}").read_bytes() == (tmp_path / f"c.{ext}").read_bytes()
-        # nor outgrows the CPU count; one CPU, or an unknown count, runs inline
-        monkeypatch.setattr(bench.os, "cpu_count", lambda: 3)
+        # nor outgrows the usable CPUs; one CPU runs inline
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 3)
         bench.cmd_replicate(self._spec(jobs=4000, replicates=4), tmp_path / "d.csv", tmp_path / "d.json")
         assert opened == [2, 3]
-        for cpus in (1, None):
-            monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
-            bench.cmd_replicate(self._spec(jobs=4000, replicates=2), tmp_path / "e.csv", tmp_path / "e.json")
-            assert opened == [2, 3]
-            for ext in ("csv", "json"):
-                assert (tmp_path / f"b.{ext}").read_bytes() == (tmp_path / f"e.{ext}").read_bytes()
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)
+        bench.cmd_replicate(self._spec(jobs=4000, replicates=2), tmp_path / "e.csv", tmp_path / "e.json")
+        assert opened == [2, 3]
+        for ext in ("csv", "json"):
+            assert (tmp_path / f"b.{ext}").read_bytes() == (tmp_path / f"e.{ext}").read_bytes()
+
+    def test_one_cpu_affinity_mask_builds_no_pool(self, tmp_path, monkeypatch, pools_opened):
+        # a process pinned to one CPU (taskset -c 0) counts that CPU, not the
+        # machine's, for the replicate pool and the NLL column alike
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert bench._usable_cpus() == 1
+        bench.cmd_replicate(self._spec(jobs=2, replicates=2), tmp_path / "a.csv", tmp_path / "a.json")
+        data = gmm.simulate(200, bench.MODELS["gmm"].truth(), named_stream(66, "data"))
+        cfg = AlgoSpec("SAEM", mc_samples=2).to_config(n=200, epochs=5, seed=5, model_kind="gmm")
+        bench.cmd_run("gmm", data, cfg, tmp_path / "run.csv")
+        assert pools_opened == []
+        # where the platform has no affinity mask, the CPU count stands in, and an unknown count is one CPU
+        monkeypatch.delattr(bench.os, "sched_getaffinity")
+        assert bench._usable_cpus() == 8
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: None)
+        assert bench._usable_cpus() == 1
 
     def test_cli_import_leaves_the_process_pool_unloaded(self):
         # only a replicate with jobs > 1 needs the pool, and importing it
@@ -455,7 +478,7 @@ class TestReplicateCommand:
         def no_simulation(*args):
             raise AssertionError("simulated before the algorithm settings were checked")
 
-        monkeypatch.setattr(bench, "_simulate_dataset", no_simulation)
+        monkeypatch.setattr(pk, "simulate", no_simulation)
         exact = next(a for a in algos if VARIANTS[a].exact)
         with pytest.raises(ConfigError, match=f"{exact} needs a model with an exact E-step"):
             ExperimentSpec(model="pk", n=20, replicates=1, epochs=1,
@@ -507,6 +530,63 @@ class TestReplicateCommand:
                     other = blob["final"][b][metric]["per_replicate"]
                     assert blob["wins"][metric][a][b] == sum(x < y for x, y in zip(per_rep, other))
 
+    def test_model_functions_are_looked_up_when_called(self, tmp_path, monkeypatch):
+        # a tracer replaces these on their modules after ttsem.bench is
+        # imported; a record holding the originals would bypass it
+        calls = []
+
+        def recorder(name, original):
+            def record(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return record
+
+        for module, name in ((gmm, "fit_reference_em"), (gmm, "simulate"), (bench, "metric_precision_gmm")):
+            monkeypatch.setattr(module, name, recorder(name, getattr(module, name)))
+        spec = self._spec(replicates=3)
+        bench.cmd_replicate(spec, tmp_path / "m.csv", tmp_path / "s.json")
+        # one dataset and one reference per replicate; one precision per grid point, algorithm and replicate
+        grid_reads = len(spec.grid()) * len(spec.algorithms) * spec.replicates
+        assert [calls.count(n) for n in ("simulate", "fit_reference_em", "metric_precision_gmm")] == [3, 3, grid_reads]
+
+
+class ThreeComponentGmm(gmm.GmmModel):
+    """The GMM with three components: a model kind only the test below registers."""
+
+    def __init__(self, data):
+        super().__init__(data, n_components=3)
+
+
+class TestModelRegistry:
+    def test_registered_model_serves_every_command(self, tmp_path, monkeypatch, capsys):
+        truth = gmm.GmmParams(omega=[0.2, 0.3], mu=[-2.0, 0.0, 2.0])
+        gmm3 = replace(bench.MODELS["gmm"], model=ThreeComponentGmm, mc_samples=3, truth=lambda: truth)
+        monkeypatch.setitem(bench.MODELS, "gmm3", gmm3)
+        data = tmp_path / "d.txt"
+        assert cli.main(["simulate", "--model", "gmm3", "--n", "150", "--seed", "3", "--out", str(data)]) == 0
+        gmm.write_dataset(tmp_path / "want.txt", gmm.simulate(150, truth, named_stream(3, "data")))
+        assert data.read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+        run_args = ["run", "--model", "gmm3", "--data", str(data), "--algo", "fiTTEM", "--epochs", "0.5"]
+        assert cli.main(run_args + ["--out", str(tmp_path / "t.csv")]) == 0
+        assert cli.main(run_args + ["--mc-samples", "3", "--out", str(tmp_path / "t3.csv")]) == 0
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert lines[0] == "iter,epoch,omega1,omega2,mu1,mu2,mu3,delta_s_sq,nll"
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "t3.csv").read_bytes()  # the record's mc_samples
+
+        out = tmp_path / "rep"
+        assert cli.main(["replicate", "--model", "gmm3", "--n", "150", "--replicates", "2", "--algos", "SAEM,fiTTEM",
+                         "--epochs", "1", "--seed", "5", "--out", str(out)]) == 0
+        blob = json.loads((tmp_path / "rep.json").read_text())
+        assert blob["model"] == "gmm3"
+        for r, hashes in enumerate(blob["hashes"]):  # each replicate simulated from the record's truth
+            values = gmm.simulate(150, truth, named_stream(derive_seed(5, "rep", r, 0), "data")).tolist()
+            assert hashes["data"] == hashlib.sha256("\n".join(map(repr, values)).encode()).hexdigest()
+        for final in blob["final"].values():
+            assert final.keys() == {"delta_s_sq", "nll", "precision"}
+            assert all(map(math.isfinite, final["precision"]["per_replicate"]))  # three means against three
+        assert "sha256=" in capsys.readouterr().out
+
 
 class TestPkNaiveInit:
     def test_deterministic_and_sane(self):
@@ -554,7 +634,7 @@ class TestCli:
         def no_simulation(*args):
             raise AssertionError("simulated before the algorithm settings were checked")
 
-        monkeypatch.setattr(bench, "_simulate_dataset", no_simulation)
+        monkeypatch.setattr(pk, "simulate", no_simulation)
         rc = cli.main(["replicate", "--model", "pk", "--n", "200", "--replicates", "1", "--epochs", "2",
                        "--algos", algos, "--out", str(tmp_path / "rep")])
         assert rc == 1

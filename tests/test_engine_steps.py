@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -55,6 +58,15 @@ class TestGapDeltaS:
 
     def test_three_four_five(self):
         assert gap_delta_s(np.array([3.0, 4.0]), np.zeros(2)) == 25.0
+
+    def test_overflow_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gap_delta_s([1e300, 0.5], [0.0, 0.0]) == math.inf
+            assert gap_delta_s([-1e300, 2.0, 3.0], [1e300, 2.0, 0.0]) == math.inf  # d = -2e300
+            assert gap_delta_s([1e154, 1e154], [0.0, 0.0]) == math.inf  # each square finite, their sum not
+            big = np.array([1e150, -3.0])
+            assert gap_delta_s(big.tolist(), [0.0, 0.0]) == float(np.dot(big, big)) < math.inf
 
 
 # The proxies are the table's two operations: iSAEM replaces entry i and

@@ -16,14 +16,20 @@ The set: ``ttsem run`` trajectories of all seven GMM variants and of the
 five Monte Carlo PK variants, both commands of the ``gmm-cli`` benchmark
 workload at seed 401 (its ``run`` keeps 5,001 of 10,001 records, the one
 thinned trajectory here), a GMM replicate study at ``--epochs 2.5``
-(whose grid ends at 2.5 while SAEM's budget rounds up to 3 passes), and a
-PK replicate study under ``--jobs 1`` and ``--jobs 2``.  It takes about
-eleven seconds on two cores.
+(whose grid ends at 2.5 while SAEM's budget rounds up to 3 passes), a
+PK replicate study under ``--jobs 1`` and ``--jobs 2``, and datasets
+simulated from the truth files in ``THETAS``, which the script writes
+into OUTDIR first: a GMM truth given as all M weights and one given as
+the M-1 free ones, and a PK truth given as ``pop`` (also run through a
+replicate study, whose metrics compare against it) and one given as
+``log_pop`` with a full ``omega2``.  It takes about twelve seconds on two
+cores.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -47,7 +53,21 @@ COMMANDS = [
      "--out", "gmm-rep-2.5ep"],
     *(["replicate", "--model", "pk", "--n", "12", "--replicates", "2", "--epochs", "2", "--mc-samples", "5",
        "--seed", "9", "--jobs", jobs, "--out", f"pk-rep-jobs{jobs}"] for jobs in ("1", "2")),
+    *(["simulate", "--model", name.split("-")[0], "--n", "40", "--seed", "13", "--theta", f"{name}.json",
+       "--out", f"{name}.txt"] for name in ("gmm-weights-all", "gmm-weights-free", "pk-pop", "pk-log_pop")),
+    ["replicate", "--model", "pk", "--n", "10", "--replicates", "1", "--epochs", "1", "--mc-samples", "5",
+     "--algos", "SAEM,fiTTEM", "--seed", "13", "--theta", "pk-pop.json", "--out", "pk-rep-theta"],
 ]
+
+# simulation truths, written as JSON into OUTDIR before the commands run
+THETAS = {
+    "gmm-weights-all": {"omega": [0.2, 0.3, 0.5], "mu": [-2.0, 0.25, 2.0]},
+    "gmm-weights-free": {"omega": [0.7], "mu": [1.5, -1.0]},
+    "pk-pop": {"pop": [1.2, 0.8, 9.0, 0.12], "omega2": [0.09, 0.16, 0.04, 0.09], "sigma2": 0.4},
+    "pk-log_pop": {"log_pop": [0.1, -0.2, 2.2, -2.1], "sigma2": 0.3,
+                   "omega2": [[0.09, 0.01, 0.0, 0.0], [0.01, 0.16, 0.0, 0.0], [0.0, 0.0, 0.04, 0.0],
+                              [0.0, 0.0, 0.0, 0.09]]},
+}
 
 
 def outputs(args: list[str]) -> list[str]:
@@ -67,6 +87,9 @@ def main(argv: list[str]) -> int:
         return 1
     outdir = argv[1]
     os.makedirs(outdir, exist_ok=True)
+    for name, theta in THETAS.items():
+        with open(os.path.join(outdir, f"{name}.json"), "w", encoding="ascii") as fh:
+            json.dump(theta, fh)
     env = {**os.environ, "PYTHONPATH": src}
     for args in COMMANDS:
         proc = subprocess.run([sys.executable, "-m", "ttsem.cli", *args], cwd=outdir, env=env,
