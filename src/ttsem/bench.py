@@ -100,10 +100,10 @@ def epochs_to_iters(epochs: float, n: int, variant: str) -> int:
 @dataclass(frozen=True)
 class AlgoSpec:
     """One algorithm entry of an experiment; a None setting is filled from
-    the dataset size and the model's conventions."""
+    the variant, the dataset size and the model's conventions."""
 
     variant: str
-    gamma: str = DEFAULT_GAMMA
+    gamma: Optional[str] = None
     rho: Optional[float] = None
     mc_samples: Optional[int] = None
     epoch_len: Optional[int] = None
@@ -121,13 +121,13 @@ class AlgoSpec:
         # anchor, so the others leave a valid value unused
         epoch_len = None if self.epoch_len is None else as_int("epoch_len", self.epoch_len)
         epoch_len = (n if epoch_len is None else epoch_len) if VARIANTS[variant].proxy == "anchor" else None
-        # the default gamma of a variant that forces it is left to RunConfig
-        forced = VARIANTS[variant].unit_gamma and self.gamma == DEFAULT_GAMMA
+        # no gamma: DEFAULT_GAMMA, or the unit schedule RunConfig fills for a variant that forces it
+        gamma = DEFAULT_GAMMA if self.gamma is None and not VARIANTS[variant].unit_gamma else self.gamma
         return RunConfig(
             variant=variant,
             total_iters=epochs_to_iters(epochs, n, variant),
             seed=seed,
-            gamma=None if forced else parse_gamma(self.gamma, n, variant),
+            gamma=None if gamma is None else parse_gamma(gamma, n, variant),
             rho=resolve_rho(self.rho, n, variant),
             mc_samples=self.mc_samples if self.mc_samples is not None else kind.mc_samples,
             epoch_len=epoch_len,
@@ -358,6 +358,10 @@ def cmd_run(model_kind: str, data, config: RunConfig, out_path) -> Trajectory:
 
 def _replicate_worker(spec: ExperimentSpec, r: int) -> dict:
     """Simulate, fit every algorithm, and sample metric series on the grid."""
+    if spec.model not in MODELS:  # only a worker process can miss a record the spec was checked against
+        raise ConfigError(f"model {spec.model!r} is not in this worker's MODELS: replicate workers not "
+                          "started by fork import MODELS afresh, so register its record in a module the "
+                          "workers import, or use jobs=1")
     kind = MODELS[spec.model]
     data, truth = kind.dataset(spec.truth, spec.n, derive_seed(spec.seed, "rep", r, 0))
     run_seed = derive_seed(spec.seed, "rep", r, 1)

@@ -112,14 +112,6 @@ class StepSchedule:
         """True when the schedule is identically 1."""
         return self.c == 1.0 and self.a == 0.0
 
-    @staticmethod
-    def constant(c: float = 1.0) -> "StepSchedule":
-        return StepSchedule(c=c)
-
-    @staticmethod
-    def polynomial(a: float, c: float = 1.0, warmup_iters: int = 0) -> "StepSchedule":
-        return StepSchedule(c=c, a=a, warmup_iters=warmup_iters)
-
 
 # ---------------------------------------------------------------------------
 # Per-sample statistic table (SAGA-style memory for iSAEM / fiTTEM / iEM)
@@ -228,7 +220,7 @@ class RunConfig:
         spec = VARIANTS[self.variant]
         if spec.unit_gamma:
             if self.gamma is None:
-                object.__setattr__(self, "gamma", StepSchedule.constant(1.0))
+                object.__setattr__(self, "gamma", StepSchedule())
             elif not self.gamma.is_unit:
                 raise ConfigError(f"{self.variant} requires gamma identically 1")
         elif self.gamma is None:

@@ -3,7 +3,7 @@
 One run alternates, for K_f iterations:
 
   1. draw an index i_k (plus j_k for fiTTEM) uniformly with replacement,
-  2. Monte Carlo E-step for the drawn index under the current parameters,
+  2. the E-step for the drawn index, exact or Monte Carlo, by ``mc_step``,
   3. a variant-specific proxy for the full-batch statistics,
   4. the fast-timescale Inc-step   stt <- stt + rho * (proxy - stt),
   5. the slow-timescale SA-step    s_hat <- s_hat + gamma_k * (stt - s_hat),
@@ -94,18 +94,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def mc_step(model: ModelSpec, i: int, theta, n_samples: int, rng: np.random.Generator,
-            chains: Optional[dict] = None) -> list:
-    """Monte Carlo E-step for one sample: the model's ``mc_stat``.
-
-    ``chains`` is the caller's chain-state dict for this posterior stream;
-    None starts any MCMC chain cold and keeps nothing.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    return model.mc_stat(i, theta, n_samples, rng, chains)
-
-
 def sa_step(s_hat: list, stt: list, gamma: float) -> list:
     """Slow-timescale update s_hat + gamma * (stt - s_hat).
 
@@ -139,15 +127,22 @@ def gap_delta_s(a: list, b: list) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _estep(model: ModelSpec, i: int, theta, n_samples: int, rng, chains, iteration: int) -> list:
-    """One E-step for sample i as plain floats, exact when ``rng`` is None,
-    else Monte Carlo on ``rng`` and ``chains``; failures raise SamplingError
-    carrying i and the iteration (-1 is the initialization pass)."""
+def mc_step(model: ModelSpec, i: int, theta, n_samples: int, rng: Optional[np.random.Generator],
+            chains: Optional[dict] = None, iteration: int = -1) -> list:
+    """The E-step for sample i as plain floats; every E-step of a run, exact
+    or Monte Carlo, single index or whole pass, is one call.  It is the
+    model's ``exact_expectation`` when ``rng`` is None, else its ``mc_stat``
+    of ``n_samples`` draws on ``rng`` and ``chains``, the caller's
+    chain-state dict for this posterior stream (None starts any MCMC chain
+    cold and keeps nothing).  Failures raise SamplingError carrying i and
+    ``iteration`` (-1 is the initialization pass, or no run at all)."""
     if rng is None:
         s = model.exact_expectation(i, theta)
     else:
+        if n_samples < 1:
+            raise ValueError("n_samples must be positive")
         try:
-            s = mc_step(model, i, theta, n_samples, rng, chains)
+            s = model.mc_stat(i, theta, n_samples, rng, chains)
         except (SamplingError, ConfigError):
             raise
         except Exception as exc:
@@ -165,7 +160,7 @@ def epoch_refresh(model: ModelSpec, theta, n_samples: int, rng: np.random.Genera
     returns them as a table: the (n, k) entries and their batch mean."""
     entries = np.empty((model.n, model.stat_dim()))
     for i in range(model.n):
-        entries[i] = _estep(model, i, theta, n_samples, rng, chains, iteration)
+        entries[i] = mc_step(model, i, theta, n_samples, rng, chains, iteration)
     return PerSampleStatTable(entries)
 
 
@@ -329,7 +324,7 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
     def estep(i: int, theta, iteration: int, role: str = "mc") -> list:
         nonlocal singles
         singles += 1
-        return _estep(model, i, theta, mc, rngs[role], chains[role], iteration)
+        return mc_step(model, i, theta, mc, rngs[role], chains[role], iteration)
 
     # Initialization pass under theta0; batch and anchor replace its table at k = 0.
     table = epoch_refresh(model, theta0, mc, rngs["mc"], -1, chains["mc"])

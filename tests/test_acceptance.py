@@ -18,7 +18,7 @@ from ttsem.gmm import GmmModel, GmmParams
 from ttsem.rng import named_stream
 from ttsem.samplers import MhConfig, mh_chain
 
-GAMMA_HALF = StepSchedule.polynomial(0.5)
+GAMMA_HALF = StepSchedule(a=0.5)
 
 
 def _report(num: int, name: str, start: float, ok: bool, detail: str = ""):
@@ -56,7 +56,7 @@ class TestCriterion1Reductions:
         a = saem == vr
 
         saem1 = _gmm_run_bytes(data, variant="SAEM", total_iters=iters, seed=seed,
-                               gamma=StepSchedule.constant(1.0), mc_samples=10)
+                               gamma=StepSchedule(c=1.0), mc_samples=10)
         mcem = _gmm_run_bytes(data, variant="MCEM", total_iters=iters, seed=seed, mc_samples=10)
         b = saem1 == mcem
 

@@ -37,23 +37,23 @@ def pools_opened(monkeypatch):
 
 class TestGammaParsing:
     def test_plain_number_is_constant(self):
-        assert bench.parse_gamma("1", 100, "iSAEM") == StepSchedule.constant(1.0)
+        assert bench.parse_gamma("1", 100, "iSAEM") == StepSchedule(c=1.0)
 
     def test_const_prefix(self):
-        assert bench.parse_gamma("const:0.5", 100, "iSAEM") == StepSchedule.constant(0.5)
+        assert bench.parse_gamma("const:0.5", 100, "iSAEM") == StepSchedule(c=0.5)
 
     def test_poly_with_warmup_epochs(self):
         sched = bench.parse_gamma("poly:0.5:warmup=1ep", 100, "iSAEM")
-        assert sched == StepSchedule.polynomial(0.5, warmup_iters=100)
+        assert sched == StepSchedule(a=0.5, warmup_iters=100)
 
     def test_poly_with_iteration_warmup_and_c(self):
         sched = bench.parse_gamma("poly:0.7:c=0.9:warmup=25", 100, "iSAEM")
-        assert sched == StepSchedule.polynomial(0.7, c=0.9, warmup_iters=25)
+        assert sched == StepSchedule(a=0.7, c=0.9, warmup_iters=25)
         assert bench.parse_gamma("poly:0.7:warmup=2.4", 100, "iSAEM").warmup_iters == 2
 
     def test_zero_exponent_is_the_constant(self):
-        assert bench.parse_gamma("poly:0", 100, "iSAEM") == StepSchedule.constant(1.0)
-        assert bench.parse_gamma("poly:0:c=0.4", 100, "iSAEM") == StepSchedule.constant(0.4)
+        assert bench.parse_gamma("poly:0", 100, "iSAEM") == StepSchedule(c=1.0)
+        assert bench.parse_gamma("poly:0:c=0.4", 100, "iSAEM") == StepSchedule(c=0.4)
 
     def test_bad_specs_rejected(self):
         for bad in ("poly", "poly:abc", "linear:0.5", "poly:0.5:foo=1", "const",
@@ -91,6 +91,15 @@ class TestAlgoSpec:
     def test_exact_variant_gets_unit_gamma_by_default(self):
         cfg = AlgoSpec("EM").to_config(n=10, epochs=3.0, seed=0, model_kind="gmm")
         assert cfg.gamma.is_unit and cfg.total_iters == 3
+
+    @pytest.mark.parametrize("variant", ["EM", "iEM", "MCEM"])
+    def test_default_gamma_text_rejected_where_gamma_is_forced(self, variant):
+        with pytest.raises(ConfigError, match="requires gamma identically 1"):
+            AlgoSpec(variant, gamma=bench.DEFAULT_GAMMA).to_config(n=10, epochs=3.0, seed=0, model_kind="gmm")
+
+    def test_no_gamma_is_the_default_gamma(self):
+        assert (AlgoSpec("SAEM").to_config(n=100, epochs=3.0, seed=0, model_kind="gmm")
+                == AlgoSpec("SAEM", gamma=bench.DEFAULT_GAMMA).to_config(n=100, epochs=3.0, seed=0, model_kind="gmm"))
 
     def test_pk_defaults(self):
         cfg = AlgoSpec("SAEM").to_config(n=50, epochs=1.0, seed=0, model_kind="pk")
@@ -587,6 +596,19 @@ class TestModelRegistry:
             assert all(map(math.isfinite, final["precision"]["per_replicate"]))  # three means against three
         assert "sha256=" in capsys.readouterr().out
 
+    def test_worker_missing_the_record_fails_before_simulating(self, monkeypatch):
+        monkeypatch.setitem(bench.MODELS, "gmm-alias", bench.MODELS["gmm"])
+        spec = ExperimentSpec(model="gmm-alias", n=20, replicates=2, epochs=1.0, algorithms=(AlgoSpec("SAEM"),),
+                              seed=1, jobs=2)
+        monkeypatch.delitem(bench.MODELS, "gmm-alias")  # as a worker that imported MODELS afresh sees it
+        simulated = []
+        monkeypatch.setattr(gmm, "simulate", lambda *args: simulated.append(args))
+        with pytest.raises(ConfigError, match="'gmm-alias'") as exc:
+            bench._replicate_worker(spec, 0)
+        assert "not started by fork import MODELS afresh" in str(exc.value)
+        assert "register its record in a module the workers import, or use jobs=1" in str(exc.value)
+        assert simulated == []
+
 
 class TestPkNaiveInit:
     def test_deterministic_and_sane(self):
@@ -793,6 +815,7 @@ class TestCli:
         (["simulate", "--n", "abc"], None, 1),  # argparse's own type errors carry the prefix too
         (["run", "--algo", "iSAEM", "--epochs", "two"], None, 1),
         (["simulate", "--model", "nope"], None, 1),
+        (["run", "--algo", "EM", "--gamma", "poly:0.5:warmup=1ep"], None, 1),  # the default text, not gamma = 1
     ])
     def test_bad_values_are_usage_errors(self, tmp_path, capsys, argv, config, code):
         data = tmp_path / "d.txt"

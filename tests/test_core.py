@@ -50,46 +50,46 @@ class TestRunConfigConsistency:
         cfg = RunConfig(variant="EM", total_iters=5, seed=0)
         assert cfg.gamma.is_unit and cfg.rho == 1.0
         with pytest.raises(ConfigError):
-            RunConfig(variant="EM", total_iters=5, seed=0, gamma=StepSchedule.polynomial(0.5))
+            RunConfig(variant="EM", total_iters=5, seed=0, gamma=StepSchedule(a=0.5))
 
     def test_mcem_forces_unit_gamma_and_rho(self):
         cfg = RunConfig(variant="MCEM", total_iters=5, seed=0, mc_samples=3)
         assert cfg.gamma.is_unit and cfg.rho == 1.0
         with pytest.raises(ConfigError):
-            RunConfig(variant="MCEM", total_iters=5, seed=0, gamma=StepSchedule.constant(0.5))
+            RunConfig(variant="MCEM", total_iters=5, seed=0, gamma=StepSchedule(c=0.5))
         with pytest.raises(ConfigError):
             RunConfig(variant="MCEM", total_iters=5, seed=0, rho=0.5)
 
     def test_saem_forces_rho_one(self):
-        cfg = RunConfig(variant="SAEM", total_iters=5, seed=0, gamma=StepSchedule.polynomial(0.5))
+        cfg = RunConfig(variant="SAEM", total_iters=5, seed=0, gamma=StepSchedule(a=0.5))
         assert cfg.rho == 1.0
         with pytest.raises(ConfigError):
             RunConfig(
                 variant="SAEM", total_iters=5, seed=0,
-                gamma=StepSchedule.polynomial(0.5), rho=0.5,
+                gamma=StepSchedule(a=0.5), rho=0.5,
             )
 
     def test_isaem_forces_rho_one(self):
         with pytest.raises(ConfigError):
             RunConfig(
                 variant="iSAEM", total_iters=5, seed=0,
-                gamma=StepSchedule.polynomial(0.5), rho=0.2,
+                gamma=StepSchedule(a=0.5), rho=0.2,
             )
 
     def test_vrttem_needs_epoch_len(self):
         with pytest.raises(ConfigError):
             RunConfig(
                 variant="vrTTEM", total_iters=5, seed=0,
-                gamma=StepSchedule.polynomial(0.5), rho=0.5,
+                gamma=StepSchedule(a=0.5), rho=0.5,
             )
         with pytest.raises(ConfigError):
             RunConfig(
                 variant="vrTTEM", total_iters=5, seed=0,
-                gamma=StepSchedule.polynomial(0.5), rho=0.5, epoch_len=0,
+                gamma=StepSchedule(a=0.5), rho=0.5, epoch_len=0,
             )
         cfg = RunConfig(
             variant="vrTTEM", total_iters=5, seed=0,
-            gamma=StepSchedule.polynomial(0.5), rho=0.5, epoch_len=3,
+            gamma=StepSchedule(a=0.5), rho=0.5, epoch_len=3,
         )
         assert cfg.epoch_len == 3
 
@@ -97,7 +97,7 @@ class TestRunConfigConsistency:
         with pytest.raises(ConfigError):
             RunConfig(
                 variant="SAEM", total_iters=5, seed=0,
-                gamma=StepSchedule.polynomial(0.5), epoch_len=4,
+                gamma=StepSchedule(a=0.5), epoch_len=4,
             )
 
     def test_rho_range_checked(self):
@@ -105,12 +105,12 @@ class TestRunConfigConsistency:
             with pytest.raises(ConfigError):
                 RunConfig(
                     variant="fiTTEM", total_iters=5, seed=0,
-                    gamma=StepSchedule.polynomial(0.5), rho=bad,
+                    gamma=StepSchedule(a=0.5), rho=bad,
                 )
         # a string is not a rho, whichever branch checks it; the CLI parses text
         for variant in ("fiTTEM", "SAEM"):
             with pytest.raises(ConfigError, match="^rho must be a real number, got '0.5'$"):
-                RunConfig(variant=variant, total_iters=5, seed=0, gamma=StepSchedule.polynomial(0.5), rho="0.5")
+                RunConfig(variant=variant, total_iters=5, seed=0, gamma=StepSchedule(a=0.5), rho="0.5")
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
@@ -127,7 +127,7 @@ class TestRunConfigConsistency:
     def test_integer_fields_checked_as_integers(self):
         from ttsem.bench import AlgoSpec, ExperimentSpec
 
-        poly = StepSchedule.polynomial(0.5)
+        poly = StepSchedule(a=0.5)
         base = dict(variant="SAEM", total_iters=5, seed=0, gamma=poly)
         vr = dict(variant="vrTTEM", total_iters=5, seed=0, gamma=poly, rho=0.5)
         study = dict(model="gmm", n=10, replicates=2, epochs=1.0, algorithms=(AlgoSpec("SAEM"),), seed=0)
@@ -136,7 +136,7 @@ class TestRunConfigConsistency:
             lambda: RunConfig(**{**base, "total_iters": 2.5}),
             lambda: RunConfig(**{**base, "seed": 1.5}),
             lambda: RunConfig(**vr, epoch_len=2.5),
-            lambda: StepSchedule.polynomial(0.5, warmup_iters=1.5),
+            lambda: StepSchedule(a=0.5, warmup_iters=1.5),
             lambda: ExperimentSpec(**{**study, "n": 2.5}),
             lambda: ExperimentSpec(**{**study, "replicates": 1.5}),
             lambda: ExperimentSpec(**{**study, "seed": 1.5}),
@@ -150,4 +150,4 @@ class TestRunConfigConsistency:
         assert (cfg.epoch_len, cfg.mc_samples) == (2, 3) and type(cfg.epoch_len) is int
         spec = ExperimentSpec(**{**study, "n": np.int64(10), "seed": np.uint64(7)})
         assert type(spec.n) is int and type(spec.seed) is int and spec.seed == 7
-        assert type(StepSchedule.polynomial(0.5, warmup_iters=np.int64(4)).warmup_iters) is int
+        assert type(StepSchedule(a=0.5, warmup_iters=np.int64(4)).warmup_iters) is int

@@ -26,7 +26,7 @@ def csv_bytes(traj, model=None):
     return buf.getvalue()
 
 
-GAMMA = StepSchedule.polynomial(0.5)
+GAMMA = StepSchedule(a=0.5)
 
 
 class TestReductions:
@@ -50,7 +50,7 @@ class TestReductions:
         data = make_data()
         saem = self.run_bytes(
             data, variant="SAEM", total_iters=30, seed=5,
-            gamma=StepSchedule.constant(1.0), mc_samples=4,
+            gamma=StepSchedule(c=1.0), mc_samples=4,
         )
         mcem = self.run_bytes(data, variant="MCEM", total_iters=30, seed=5, mc_samples=4)
         assert saem == mcem
@@ -368,7 +368,8 @@ def implied_esteps(variant: str, n: int, total_iters: int, epoch_len=None) -> in
     n, then n per batch iteration, one per incremental iteration, two per
     fiTTEM iteration, and for vrTTEM a whole pass per anchor refresh, whose
     own iteration reuses its freshly refreshed entry.  The benchmark's traced
-    check asserts the same totals on its count of ``engine.mc_step`` spans."""
+    check asserts the same totals on its count of ``engine.mc_step`` spans,
+    which every E-step makes, exact ones included."""
     if variant in ("EM", "MCEM", "SAEM"):
         return n + total_iters * n
     if variant in ("iEM", "iSAEM"):
@@ -394,26 +395,24 @@ def count_calls(monkeypatch, owner, attr):
 
 
 class TestTracedSeams:
-    """Every per-sample E-step passes through the module globals a tracer
-    wraps: ``engine._estep``, and ``engine.mc_step`` for each Monte Carlo
-    one; a PK E-step makes one ``pk.mh_chain`` call on a 4-vector chain of
-    ``mc_samples`` transitions that draws all its normals, then all its
-    uniforms, which is what the accept replay reads back.  Every whole pass
-    is one call of the module global ``engine.epoch_refresh``."""
+    """Every per-sample E-step, exact or Monte Carlo, is one call of the
+    module global a tracer wraps, ``engine.mc_step``; a PK E-step makes one
+    ``pk.mh_chain`` call on a 4-vector chain of ``mc_samples`` transitions
+    that draws all its normals, then all its uniforms, which is what the
+    accept replay reads back.  Every whole pass is one call of the module
+    global ``engine.epoch_refresh``."""
 
     @pytest.mark.parametrize("variant, epoch_len",
                              [pytest.param(v, None, id=f"{v}-auto") for v in core.VARIANTS] + [("vrTTEM", 7)])
     def test_gmm(self, monkeypatch, variant, epoch_len):
         n = 40
         cfg = bench.AlgoSpec(variant, epoch_len=epoch_len).to_config(n, 1.5, 3, "gmm")
-        esteps = count_calls(monkeypatch, engine, "_estep")
-        mc_steps = count_calls(monkeypatch, engine, "mc_step")
+        esteps = count_calls(monkeypatch, engine, "mc_step")
         passes = count_calls(monkeypatch, engine, "epoch_refresh")
         traj = run(GmmModel(make_data(n=n)), cfg)
         implied = implied_esteps(variant, n, cfg.total_iters, cfg.epoch_len)
         assert len(esteps) == implied
         assert math.isclose(traj.epochs[-1], (len(esteps) - n) / n, rel_tol=1e-12)  # the epoch column's cost
-        assert len(mc_steps) == (0 if core.VARIANTS[variant].exact else implied)
         # the initialization pass, then one per batch iteration or anchor refresh
         k_f, proxy = cfg.total_iters, core.VARIANTS[variant].proxy
         later = k_f if proxy == "batch" else -(-k_f // cfg.epoch_len) if proxy == "anchor" else 0
@@ -425,8 +424,7 @@ class TestTracedSeams:
         n, mc = 12, 5
         cohort = pk.simulate(n, pk.paper_truth(), pk.default_design(), named_stream(66, "data"))
         cfg = bench.AlgoSpec(variant, mc_samples=mc, epoch_len=5).to_config(n, 1.5, 67, "pk")
-        esteps = count_calls(monkeypatch, engine, "_estep")
-        mc_steps = count_calls(monkeypatch, engine, "mc_step")
+        esteps = count_calls(monkeypatch, engine, "mc_step")
         posteriors = count_calls(monkeypatch, pk.PkModel, "sample_posterior")
         chains, original = [], pk.mh_chain
 
@@ -439,7 +437,7 @@ class TestTracedSeams:
         monkeypatch.setattr(pk, "mh_chain", chain)
         traj = run(pk.PkModel(cohort), cfg, theta0=bench.pk_naive_init(cohort))
         implied = implied_esteps(variant, n, cfg.total_iters, cfg.epoch_len)
-        assert len(esteps) == len(mc_steps) == len(posteriors) == len(chains) == implied
+        assert len(esteps) == len(posteriors) == len(chains) == implied
         assert math.isclose(traj.epochs[-1], (len(esteps) - n) / n, rel_tol=1e-12)  # the epoch column's cost
 
         def generator(bitgen, state):
@@ -616,6 +614,11 @@ class TestErrorPaths:
             run(model, cfg)
         assert exc.value.sample_index == 1  # n = 3, init consumed 3 calls
         assert exc.value.iteration == 0
+
+    def test_direct_mc_step_failure_carries_context(self):
+        with pytest.raises(SamplingError, match="posterior sampling failed: target blew up") as exc:
+            mc_step(_NoExactModel(fail_at=1), 2, 0.0, 1, named_stream(0, "mc"))
+        assert (exc.value.sample_index, exc.value.iteration) == (2, -1)  # -1: outside any run
 
     # n = 3 and SAEM makes one full pass per iteration: calls 1-3 are the
     # initialization pass (iteration -1), calls 7-9 iteration 1.  vrTTEM with

@@ -210,6 +210,12 @@ class TestMcStep:
         # the 1e-12 cushion covers float accumulation on zero-variance coords
         assert np.all(np.abs(s - exact) <= 4 * ses + 1e-12)
 
+    def test_no_stream_is_the_exact_expectation(self):
+        model, theta = self._model()
+        for i in range(model.n):
+            exact = model.exact_expectation(i, theta)
+            assert [v.hex() for v in mc_step(model, i, theta, 1, None)] == [v.hex() for v in exact]
+
     def test_rejects_nonpositive_sample_count(self):
         model, theta = self._model()
         with pytest.raises(ValueError):

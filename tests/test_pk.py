@@ -601,7 +601,7 @@ class TestModel:
         # reproduces fiTTEM on a fresh one bit for bit
         cohort = self._small_cohort(n=5, seed=53)
         theta0 = pk.paper_truth()
-        gamma = StepSchedule.polynomial(0.6)
+        gamma = StepSchedule(a=0.6)
         saem = RunConfig(variant="SAEM", total_iters=2, seed=54, gamma=gamma, mc_samples=10)
         fi = RunConfig(variant="fiTTEM", total_iters=10, seed=55, gamma=gamma, rho=0.5, mc_samples=10)
         model = PkModel(cohort)
@@ -618,7 +618,7 @@ class TestModel:
     ])
     def test_singular_prior_fails_loudly(self, omega2, message):
         theta0 = PkParams(log_pop=pk.paper_truth().log_pop, omega2=omega2, sigma2=0.5)
-        cfg = RunConfig(variant="SAEM", total_iters=2, seed=61, gamma=StepSchedule.polynomial(0.6), mc_samples=5)
+        cfg = RunConfig(variant="SAEM", total_iters=2, seed=61, gamma=StepSchedule(a=0.6), mc_samples=5)
         with pytest.raises(SamplingError, match=f"posterior sampling failed: .*{message}"):
             run(PkModel(self._small_cohort()), cfg, theta0=theta0)
 
@@ -637,7 +637,7 @@ class TestModel:
         theta0 = PkParams(log_pop=truth.log_pop + 0.05, omega2=0.1 * np.eye(4), sigma2=1.0)
         cfg = RunConfig(
             variant="SAEM", total_iters=50, seed=51,
-            gamma=StepSchedule.polynomial(0.6, warmup_iters=5), mc_samples=50,
+            gamma=StepSchedule(a=0.6, warmup_iters=5), mc_samples=50,
         )
         traj = run(model, cfg, theta0=theta0)
         final = traj.thetas[-1]
@@ -655,11 +655,11 @@ class TestReductions:
 
     def test_vrttem_rho1_m1_is_saem_and_saem_gamma1_is_mcem(self):
         cohort = pk.simulate(20, pk.paper_truth(), pk.default_design(), named_stream(63, "data"))
-        gamma = StepSchedule.polynomial(0.6)
+        gamma = StepSchedule(a=0.6)
         saem = self._thetas(cohort, variant="SAEM", gamma=gamma)
         vr = self._thetas(cohort, variant="vrTTEM", gamma=gamma, rho=1.0, epoch_len=1)
         assert np.array_equal(saem, vr)
-        saem1 = self._thetas(cohort, variant="SAEM", gamma=StepSchedule.constant(1.0))
+        saem1 = self._thetas(cohort, variant="SAEM", gamma=StepSchedule(c=1.0))
         mcem = self._thetas(cohort, variant="MCEM")
         assert np.array_equal(saem1, mcem)
         assert not np.array_equal(saem, saem1)  # the two identities are not one

@@ -12,8 +12,10 @@ is its ``--out``.  Run it on two checkouts, each with its own OUTDIR, and
 ``diff`` the two listings.  A command that fails stops the script with its
 stderr and exit status.
 
-The set: ``ttsem run`` trajectories of all seven GMM variants and of the
-five Monte Carlo PK variants, both commands of the ``gmm-cli`` benchmark
+The set: ``ttsem run`` trajectories of all seven GMM variants, of three
+GMM runs with the ``--gamma`` of ``GMM_GAMMAS`` (a constant, a polynomial
+with ``c`` and an epoch warmup, and EM's forced 1 given explicitly), and of
+the five Monte Carlo PK variants, both commands of the ``gmm-cli`` benchmark
 workload at seed 401 (its ``run`` keeps 5,001 of 10,001 records, the one
 thinned trajectory here), a GMM replicate study at ``--epochs 2.5``
 (whose grid ends at 2.5 while SAEM's budget rounds up to 3 passes), a
@@ -22,7 +24,7 @@ simulated from the truth files in ``THETAS``, which the script writes
 into OUTDIR first: a GMM truth given as all M weights and one given as
 the M-1 free ones, and a PK truth given as ``pop`` (also run through a
 replicate study, whose metrics compare against it) and one given as
-``log_pop`` with a full ``omega2``.  It takes about twelve seconds on two
+``log_pop`` with a full ``omega2``.  It takes about thirteen seconds on two
 cores.
 """
 
@@ -35,12 +37,15 @@ import subprocess
 import sys
 
 GMM_VARIANTS = ("EM", "iEM", "MCEM", "SAEM", "iSAEM", "vrTTEM", "fiTTEM")
+GMM_GAMMAS = (("SAEM", "const:0.8"), ("iSAEM", "poly:0.75:c=0.9:warmup=2ep"), ("EM", "1"))
 PK_VARIANTS = ("MCEM", "SAEM", "iSAEM", "vrTTEM", "fiTTEM")
 
 COMMANDS = [
     ["simulate", "--model", "gmm", "--n", "3000", "--seed", "401", "--out", "gmm.txt"],
     *(["run", "--model", "gmm", "--data", "gmm.txt", "--algo", v, "--epochs", "2", "--seed", "5",
        "--out", f"gmm-{v}.csv"] for v in GMM_VARIANTS),
+    *(["run", "--model", "gmm", "--data", "gmm.txt", "--algo", v, "--gamma", g, "--epochs", "2", "--seed", "5",
+       "--out", f"gmm-{v}-gamma.csv"] for v, g in GMM_GAMMAS),
     ["simulate", "--model", "pk", "--n", "30", "--seed", "3", "--out", "pk.csv"],
     *(["run", "--model", "pk", "--data", "pk.csv", "--algo", v, "--epochs", "2", "--seed", "5",
        "--mc-samples", "8", "--out", f"pk-{v}.csv"] for v in PK_VARIANTS),
