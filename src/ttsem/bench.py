@@ -57,6 +57,8 @@ def parse_gamma(text: str, n: int, variant: str) -> StepSchedule:
     of w epochs when w ends in "ep" (``Variant.iters_per_epoch`` iterations
     each).  The warmup must come out finite and nonnegative.
     """
+    if not isinstance(text, str):
+        raise ConfigError(f"gamma must be schedule text such as '0.5' or 'poly:0.5', got {text!r}")
     head, *fields = text.split(":")
     a, c, warmup = 0.0, 1.0, 0.0
     try:
@@ -112,9 +114,7 @@ class AlgoSpec:
         variant = self.variant
         if variant not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}")
-        if model_kind not in MODELS:
-            raise ConfigError(f"unknown model {model_kind!r}")
-        kind = MODELS[model_kind]
+        kind = _model_kind(model_kind)
         if VARIANTS[variant].exact and not kind.model.provides("exact_expectation"):
             raise ConfigError(f"{variant} needs a model with an exact E-step")
         # a given epoch_len is checked for every variant; only vrTTEM has an
@@ -151,8 +151,7 @@ class ExperimentSpec:
     configs: tuple[RunConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ConfigError(f"unknown model {self.model!r}")
+        _model_kind(self.model)
         set_ints(self, "n", "replicates", "jobs")
         object.__setattr__(self, "seed", check_seed(self.seed))
         if self.replicates < 1 or self.n < 1:
@@ -197,6 +196,8 @@ def metric_precision_gmm(mu: np.ndarray, mu_star: np.ndarray) -> float:
 
 def _json_floats(blob: dict, key: str, ndim: Optional[int] = None) -> np.ndarray:
     """``blob[key]`` as a float array, else a ValueError naming the field."""
+    if key not in blob:
+        raise ValueError(f"the truth has no {key!r} field")
     try:
         vec = np.asarray(blob[key], dtype=np.float64)
         if ndim in (None, vec.ndim):
@@ -223,6 +224,8 @@ def _pk_truth(blob: dict) -> pk.PkParams:
     log_pop = np.log(pop) if pop is not None else _json_floats(blob, "log_pop")
     try:
         sigma2 = float(blob["sigma2"])
+    except KeyError:
+        raise ValueError("the truth has no 'sigma2' field") from None
     except (TypeError, ValueError):
         raise ValueError(f"sigma2 must be a number, got {blob['sigma2']!r}") from None
     return pk.PkParams(log_pop=log_pop, omega2=_json_floats(blob, "omega2"), sigma2=sigma2)
@@ -282,6 +285,13 @@ MODELS = {
 }
 
 
+def _model_kind(name: str) -> ModelKind:
+    """The MODELS record of ``name``, else a ConfigError."""
+    if name not in MODELS:
+        raise ConfigError(f"unknown model {name!r}")
+    return MODELS[name]
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -338,17 +348,16 @@ def cmd_simulate(model_kind: str, truth, n: int, seed: int, out_path) -> str:
     """Write a synthetic dataset; returns (and prints nothing) its hash."""
     if (n := as_int("n", n)) < 1:
         raise ConfigError(f"n must be at least 1, got {n}")
-    kind = MODELS[model_kind]
+    kind = _model_kind(model_kind)
     data, _ = kind.dataset(truth, n, check_seed(seed))
     kind.write(out_path, data)
     with open(out_path, "rb") as fh:
         return _sha256(fh.read())
 
 
-def cmd_run(model_kind: str, data, config: RunConfig, out_path) -> Trajectory:
+def cmd_run(model: ModelSpec, config: RunConfig, out_path) -> Trajectory:
     """One run from the default start straight to a trajectory CSV, its NLL
     column computed on every usable CPU (``_nll_column``)."""
-    model = MODELS[model_kind].model(data)
     traj = run(model, config)
     nll = _nll_column(model, traj.thetas[traj.select_rows()]) if model.provides("penalized_nll") else None
     with open(out_path, "w", encoding="ascii", newline="\n") as fh:

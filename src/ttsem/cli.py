@@ -138,9 +138,9 @@ def main(argv=None) -> int:
             print(f"wrote {args.out} sha256={digest}")
         elif args.command == "run":
             data = kind.read(args.data)
-            kind.model(data)  # an empty dataset fails before its size resolves any setting
-            config = _algo(args, args.algo).to_config(len(data), args.epochs, args.seed, args.model)
-            traj = bench.cmd_run(args.model, data, config, args.out)
+            model = kind.model(data)  # an empty dataset fails before its size resolves any setting
+            config = _algo(args, args.algo).to_config(model.n, args.epochs, args.seed, args.model)
+            traj = bench.cmd_run(model, config, args.out)
             terminal = ",".join(repr(float(v)) for v in traj.terminal_theta)
             print(f"wrote {args.out} terminal_iter={traj.terminal_iter} theta=[{terminal}]")
         else:
@@ -159,7 +159,7 @@ def main(argv=None) -> int:
             summary_path = args.out + ".json"
             bench.cmd_replicate(spec, metrics_path, summary_path)
             print(f"wrote {metrics_path} and {summary_path}")
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"ttsem: error: {exc}", file=sys.stderr)
         return 1
     except (SamplingError, OSError, ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:

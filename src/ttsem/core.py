@@ -264,8 +264,8 @@ class ModelSpec(ABC):
 
     @classmethod
     def provides(cls, method: str) -> bool:
-        """Whether this class overrides ``method``, one of the optional ones
-        with a default here (``default_init``, ``exact_expectation``, ``penalized_nll``)."""
+        """Whether this class overrides ``method``, one of the optional ones whose
+        default here raises ConfigError (``default_init``, ``exact_expectation``, ``penalized_nll``)."""
         return getattr(cls, method) is not getattr(ModelSpec, method)
 
     @property
@@ -291,7 +291,7 @@ class ModelSpec(ABC):
 
     def default_init(self):
         """Deterministic starting point of a run given no theta0."""
-        raise ConfigError("no theta0 given and the model has no default_init()")
+        raise ConfigError(f"no theta0 given and {type(self).__name__} has no default_init()")
 
     @abstractmethod
     def mc_stat(self, i: int, theta, n_samples: int, rng: np.random.Generator,
@@ -309,9 +309,9 @@ class ModelSpec(ABC):
         keeps nothing.
         """
 
-    def exact_expectation(self, i: int, theta) -> Optional[list[float]]:
-        """Exact posterior expectation of the statistics, or None."""
-        return None
+    def exact_expectation(self, i: int, theta) -> list[float]:
+        """Exact posterior expectation of the statistics."""
+        raise ConfigError(f"{type(self).__name__} has no exact E-step, exact_expectation()")
 
     def project(self, s: list[float]) -> list[float]:
         """Map s onto the closed set of statistics the M-step is defined on.
@@ -328,6 +328,6 @@ class ModelSpec(ABC):
     def m_step(self, s: list[float]):
         """Parameters maximizing the penalized complete-data objective at s."""
 
-    def penalized_nll(self, theta) -> Optional[float]:
-        """Penalized negative log-likelihood of the data, or None."""
-        return None
+    def penalized_nll(self, theta) -> float:
+        """Penalized negative log-likelihood of the data."""
+        raise ConfigError(f"{type(self).__name__} has no likelihood, penalized_nll()")

@@ -94,20 +94,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def sa_step(s_hat: list, stt: list, gamma: float) -> list:
-    """Slow-timescale update s_hat + gamma * (stt - s_hat).
+def sa_step(s: list, target: list, step: float) -> list:
+    """The move of both timescales, s + step * (target - s): the SA-step
+    s_hat + gamma_k * (stt - s_hat), and as ``inc_step`` the Inc-step
+    stt + rho * (proxy - stt).  step = 1 returns target verbatim so
+    full-replacement reductions hold exactly in floating point."""
+    assert len(s) == len(target), "statistic length mismatch"
+    return list(target) if step == 1.0 else [a + step * (b - a) for a, b in zip(s, target)]
 
-    gamma = 1 returns stt verbatim so full-replacement reductions hold
-    exactly in floating point.
-    """
-    assert len(s_hat) == len(stt), "statistic length mismatch"
-    return list(stt) if gamma == 1.0 else [a + gamma * (b - a) for a, b in zip(s_hat, stt)]
 
-
-def inc_step(stt: list, proxy: list, rho: float) -> list:
-    """Fast-timescale update stt + rho * (proxy - stt); rho = 1 returns proxy."""
-    assert len(stt) == len(proxy), "statistic length mismatch"
-    return list(proxy) if rho == 1.0 else [a + rho * (b - a) for a, b in zip(stt, proxy)]
+inc_step = sa_step
 
 
 def gap_delta_s(a: list, b: list) -> float:

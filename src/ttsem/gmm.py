@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from functools import cached_property
 from itertools import accumulate
 
@@ -38,7 +38,6 @@ from .samplers import categorical_sample
 
 __all__ = [
     "GmmParams",
-    "GmmRegularizer",
     "GmmModel",
     "m_step",
     "penalized_nll",
@@ -100,18 +99,6 @@ class GmmParams:
         return np.array(self._wlist)
 
 
-@dataclass(frozen=True)
-class GmmRegularizer:
-    """Ridge strength on the means and Dirichlet concentration on weights."""
-
-    delta: float = 1e-3
-    epsilon: float = 1e-3
-
-    def __post_init__(self):
-        if self.delta <= 0.0 or self.epsilon <= 0.0:
-            raise ValueError("delta and epsilon must be strictly positive")
-
-
 def m_step(s: list, delta: float, epsilon: float, n_components: int) -> GmmParams:
     """Closed-form regularized M-step.
 
@@ -120,7 +107,7 @@ def m_step(s: list, delta: float, epsilon: float, n_components: int) -> GmmParam
     mu_M    = (s3 - sum s2) / (1 - sum s1 + delta)
 
     Tolerates the delta = epsilon = 0 edge as long as the denominators stay
-    positive; the model-level regularizer guarantees them away from zero.
+    positive; GmmModel's checks (delta, epsilon > 0) keep them away from zero.
     The parameters are checked once: finite here, interior weights in _fill,
     which builds them without the constructor's array round trip.
     """
@@ -171,14 +158,14 @@ def _shifted_joint(data: np.ndarray, params: GmmParams) -> tuple[np.ndarray, np.
     return p, shift
 
 
-def penalized_nll(data: np.ndarray, params: GmmParams, reg: GmmRegularizer) -> float:
+def penalized_nll(data: np.ndarray, params: GmmParams, delta: float, epsilon: float) -> float:
     """Average negative marginal log-likelihood plus the regularizer."""
     w = params.full_weights()
     p, shift = _shifted_joint(data, params)
     log_marg = np.log(p.sum(axis=0))
     log_marg += shift
     log_marg -= 0.5 * _LOG_2PI
-    pen = 0.5 * reg.delta * np.sum(params.mu**2) - reg.epsilon * np.sum(np.log(w))
+    pen = 0.5 * delta * np.sum(params.mu**2) - epsilon * np.sum(np.log(w))
     return float(-np.mean(log_marg) + pen)
 
 
@@ -196,9 +183,11 @@ def _stat_row(s1: list, y: float) -> list:
 
 
 class GmmModel(ModelSpec):
-    """Mixture model bound to a dataset of scalar observations."""
+    """Mixture model bound to a dataset of scalar observations, with the
+    regularizer's ridge strength ``delta`` on the means and Dirichlet
+    concentration ``epsilon`` on the weights."""
 
-    def __init__(self, data: np.ndarray, n_components: int = 2, reg: GmmRegularizer | None = None):
+    def __init__(self, data: np.ndarray, n_components: int = 2, delta: float = 1e-3, epsilon: float = 1e-3):
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 1 or data.size == 0:
             raise ValueError("data must be a nonempty 1-d array")
@@ -206,7 +195,10 @@ class GmmModel(ModelSpec):
             raise ValueError("need at least one component")
         self.data = data
         self.n_components = n_components
-        self.reg = reg if reg is not None else GmmRegularizer()
+        for name, value in (("delta", delta), ("epsilon", epsilon)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        self.delta, self.epsilon = delta, epsilon
         # data range as plain floats for the per-iteration membership test;
         # a NaN or an infinity in the data shows in one of them
         self._ymin = float(data.min())
@@ -279,10 +271,10 @@ class GmmModel(ModelSpec):
         return w.tolist() + np.clip(s2, w * lo, w * hi).tolist() + s[2 * m1 :]
 
     def m_step(self, s):
-        return m_step(s, self.reg.delta, self.reg.epsilon, self.n_components)
+        return m_step(s, self.delta, self.epsilon, self.n_components)
 
     def penalized_nll(self, theta):
-        return penalized_nll(self.data, theta, self.reg)
+        return penalized_nll(self.data, theta, self.delta, self.epsilon)
 
     def exact_batch_stat(self, theta: GmmParams) -> list:
         """Mean of exact_expectation over the whole dataset, vectorized."""

@@ -101,6 +101,13 @@ class TestAlgoSpec:
         assert (AlgoSpec("SAEM").to_config(n=100, epochs=3.0, seed=0, model_kind="gmm")
                 == AlgoSpec("SAEM", gamma=bench.DEFAULT_GAMMA).to_config(n=100, epochs=3.0, seed=0, model_kind="gmm"))
 
+    @pytest.mark.parametrize("variant, gamma", [("SAEM", 0.5), ("EM", 1)])
+    def test_gamma_must_be_text(self, variant, gamma):
+        # a library caller's number is a ConfigError, not an AttributeError from str.split
+        with pytest.raises(ConfigError, match=rf"^gamma must be schedule text such as '0\.5' or 'poly:0\.5', "
+                                              rf"got {gamma}$"):
+            AlgoSpec(variant, gamma=gamma).to_config(100, 1, 0, "gmm")
+
     def test_pk_defaults(self):
         cfg = AlgoSpec("SAEM").to_config(n=50, epochs=1.0, seed=0, model_kind="pk")
         assert cfg.mc_samples == 50
@@ -186,13 +193,29 @@ class TestSimulateCommand:
             bench.cmd_simulate(model, None, 2.5, 1, path)
         assert not path.exists()
 
+    def test_unknown_model_is_config_error(self, tmp_path):
+        path = tmp_path / "d.txt"
+        with pytest.raises(ConfigError, match="^unknown model 'nope'$"):
+            bench.cmd_simulate("nope", None, 5, 1, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("model, blob, field", [
+        ("gmm", {"omega": [0.5]}, "mu"),
+        ("gmm", {"mu": [0.5, -0.5]}, "omega"),
+        ("pk", {"log_pop": [0, 0, 2, -2], "omega2": [0.1] * 4}, "sigma2"),
+        ("pk", {"log_pop": [0, 0, 2, -2], "sigma2": 0.5}, "omega2"),
+    ])
+    def test_missing_truth_field_is_named(self, model, blob, field):
+        with pytest.raises(ValueError, match=f"^the truth has no '{field}' field$"):
+            bench.MODELS[model].truth_from_json(blob)
+
 
 class TestRunCommand:
     def test_em_nll_non_increasing(self, tmp_path):
         data = gmm.simulate(500, bench.MODELS["gmm"].truth(), named_stream(60, "data"))
         cfg = AlgoSpec("EM").to_config(n=500, epochs=100, seed=0, model_kind="gmm")
         out = tmp_path / "em.csv"
-        bench.cmd_run("gmm", data, cfg, out)
+        bench.cmd_run(gmm.GmmModel(data), cfg, out)
         rows = out.read_text().splitlines()
         header = rows[0].split(",")
         nll_col = header.index("nll")
@@ -206,7 +229,7 @@ class TestRunCommand:
             n=100, epochs=0.2, seed=4, model_kind="gmm"
         )
         out = tmp_path / "vr.csv"
-        bench.cmd_run("gmm", data, cfg, out)
+        bench.cmd_run(gmm.GmmModel(data), cfg, out)
         rows = out.read_text().splitlines()
         delta_col = rows[0].split(",").index("delta_s_sq")
         assert all(r.split(",")[delta_col] == "0.0" for r in rows[1:])
@@ -217,7 +240,7 @@ class TestRunCommand:
         outs = []
         for name in ("r1.csv", "r2.csv"):
             out = tmp_path / name
-            bench.cmd_run("gmm", data, cfg, out)
+            bench.cmd_run(gmm.GmmModel(data), cfg, out)
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
@@ -230,7 +253,7 @@ class TestRunCommand:
         for cpus in (1, 2):
             monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
             pools_opened.clear()
-            bench.cmd_run("gmm", data, cfg, tmp_path / f"{cpus}.csv")
+            bench.cmd_run(gmm.GmmModel(data), cfg, tmp_path / f"{cpus}.csv")
             pools[cpus] = list(pools_opened)
             assert multiprocessing.active_children() == []
             outs[cpus] = (tmp_path / f"{cpus}.csv").read_bytes()
@@ -245,7 +268,7 @@ class TestRunCommand:
         data = gmm.simulate(4, bench.MODELS["gmm"].truth(), named_stream(65, "data"))
         cfg = AlgoSpec("vrTTEM", epoch_len=1, mc_samples=1).to_config(n=4, epochs=3000, seed=6, model_kind="gmm")
         out = tmp_path / "vr.csv"
-        traj = bench.cmd_run("gmm", data, cfg, out)
+        traj = bench.cmd_run(gmm.GmmModel(data), cfg, out)
         assert traj.n_records == 12_001
         assert np.all(np.diff(np.floor(traj.epochs)) > 0)
         lines = out.read_text().splitlines()
@@ -441,7 +464,7 @@ class TestReplicateCommand:
         bench.cmd_replicate(self._spec(jobs=2, replicates=2), tmp_path / "a.csv", tmp_path / "a.json")
         data = gmm.simulate(200, bench.MODELS["gmm"].truth(), named_stream(66, "data"))
         cfg = AlgoSpec("SAEM", mc_samples=2).to_config(n=200, epochs=5, seed=5, model_kind="gmm")
-        bench.cmd_run("gmm", data, cfg, tmp_path / "run.csv")
+        bench.cmd_run(gmm.GmmModel(data), cfg, tmp_path / "run.csv")
         assert pools_opened == []
         # where the platform has no affinity mask, the CPU count stands in, and an unknown count is one CPU
         monkeypatch.delattr(bench.os, "sched_getaffinity")
@@ -566,6 +589,16 @@ class ThreeComponentGmm(gmm.GmmModel):
         super().__init__(data, n_components=3)
 
 
+class CountingGmm(gmm.GmmModel):
+    """GmmModel that records the size of every dataset it is built on."""
+
+    built: list = []
+
+    def __init__(self, data):
+        CountingGmm.built.append(len(data))
+        super().__init__(data)
+
+
 class TestModelRegistry:
     def test_registered_model_serves_every_command(self, tmp_path, monkeypatch, capsys):
         truth = gmm.GmmParams(omega=[0.2, 0.3], mu=[-2.0, 0.0, 2.0])
@@ -595,6 +628,16 @@ class TestModelRegistry:
             assert final.keys() == {"delta_s_sq", "nll", "precision"}
             assert all(map(math.isfinite, final["precision"]["per_replicate"]))  # three means against three
         assert "sha256=" in capsys.readouterr().out
+
+    def test_run_builds_one_model(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(bench.MODELS, "gmm", replace(bench.MODELS["gmm"], model=CountingGmm))
+        monkeypatch.setattr(CountingGmm, "built", [])
+        data = tmp_path / "d.txt"
+        gmm.write_dataset(data, np.linspace(-1.0, 1.0, 20))
+        assert cli.main(["run", "--model", "gmm", "--data", str(data), "--algo", "SAEM", "--epochs", "2",
+                         "--mc-samples", "1", "--out", str(tmp_path / "t.csv")]) == 0
+        assert CountingGmm.built == [20]
+        assert "terminal_iter=1" in capsys.readouterr().out
 
     def test_worker_missing_the_record_fails_before_simulating(self, monkeypatch):
         monkeypatch.setitem(bench.MODELS, "gmm-alias", bench.MODELS["gmm"])
@@ -710,6 +753,12 @@ class TestCli:
         pytest.param("pk", {"log_pop": [0, 0, 2, -2], "omega2": {"a": 1}, "sigma2": 0.5}, "omega2 must be a list",
                      id="omega2-object"),
         pytest.param("gmm", {"omega": [0.5], "mu": [1, {"a": 1}]}, "mu must be a list", id="object-in-mu"),
+        # a missing field is named, not reported as a bare key
+        pytest.param("gmm", {"omega": [0.5]}, "no 'mu' field", id="missing-mu"),
+        pytest.param("gmm", {"mu": [0.5, -0.5]}, "no 'omega' field", id="missing-omega"),
+        pytest.param("pk", {"log_pop": [0, 0, 2, -2], "omega2": [0.1] * 4}, "no 'sigma2' field",
+                     id="missing-sigma2"),
+        pytest.param("pk", {"log_pop": [0, 0, 2, -2], "sigma2": 0.5}, "no 'omega2' field", id="missing-omega2"),
     ])
     def test_invalid_truth_exits_two_before_work(self, command, model, theta, field, tmp_path, capsys,
                                                  monkeypatch):

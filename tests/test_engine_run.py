@@ -358,7 +358,8 @@ class TestSeamTypes:
         for s in stats:
             self.assert_floats(s, k)
             assert model.project(s) is s
-        assert model.exact_expectation(0, theta) is None
+        with pytest.raises(ConfigError, match="^PkModel has no exact E-step, exact_expectation\\(\\)$"):
+            model.exact_expectation(0, theta)
         self.assert_floats(model.flatten_params(theta), p)
         self.assert_floats(model.flatten_params(model.m_step(np.mean(stats, axis=0).tolist())), p)
 

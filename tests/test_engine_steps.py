@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ttsem.core import PerSampleStatTable
+from ttsem import engine, pk
+from ttsem.core import ConfigError, PerSampleStatTable
 from ttsem.engine import (
     gap_delta_s,
     inc_step,
@@ -35,6 +36,9 @@ class TestSaStep:
 
 
 class TestIncStep:
+    def test_one_function_for_both_timescales(self):
+        assert engine.inc_step is engine.sa_step
+
     def test_rho_one_returns_proxy_exactly(self):
         stt = np.array([1e20, 2.0])
         proxy = np.array([1.0, -1.0])
@@ -215,6 +219,12 @@ class TestMcStep:
         for i in range(model.n):
             exact = model.exact_expectation(i, theta)
             assert [v.hex() for v in mc_step(model, i, theta, 1, None)] == [v.hex() for v in exact]
+
+    def test_no_stream_on_a_model_without_an_exact_e_step(self):
+        # a typed error naming the model, not a TypeError from iterating a None
+        cohort = pk.simulate(2, pk.paper_truth(), pk.default_design(), named_stream(20, "data"))
+        with pytest.raises(ConfigError, match="^PkModel has no exact E-step"):
+            mc_step(pk.PkModel(cohort), 0, pk.paper_truth(), 1, None)
 
     def test_rejects_nonpositive_sample_count(self):
         model, theta = self._model()

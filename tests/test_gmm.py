@@ -7,7 +7,7 @@ import pytest
 
 from ttsem import VARIANTS, bench, gmm
 from ttsem.engine import run
-from ttsem.gmm import GmmModel, GmmParams, GmmRegularizer
+from ttsem.gmm import GmmModel, GmmParams
 from ttsem.rng import named_stream
 
 
@@ -127,11 +127,12 @@ class TestParams:
             GmmModel(data, n_components=2.5)
         assert GmmModel(data, n_components=np.int64(3)).stat_dim() == 5
 
-    def test_regularizer_must_be_positive(self):
-        with pytest.raises(ValueError):
-            GmmRegularizer(delta=0.0)
-        with pytest.raises(ValueError):
-            GmmRegularizer(epsilon=-1.0)
+    @pytest.mark.parametrize("field, value", [("delta", math.nan), ("epsilon", math.inf), ("delta", 0.0),
+                                              ("epsilon", -1.0)])
+    def test_regularizer_must_be_positive_and_finite(self, field, value):
+        # a NaN or infinite strength fails here, not as the M-step's FloatingPointError
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got {value}$"):
+            GmmModel(np.array([0.5, -0.5]), **{field: value})
 
 
 def _exact(y, params):
@@ -369,17 +370,15 @@ class TestProject:
 
 class TestPenalizedNll:
     def test_single_gaussian_at_its_mean(self):
-        reg = GmmRegularizer(delta=0.02, epsilon=1e-3)
         p = GmmParams(omega=np.empty(0), mu=[1.7])
-        val = gmm.penalized_nll(np.array([1.7]), p, reg)
+        val = gmm.penalized_nll(np.array([1.7]), p, 0.02, 1e-3)
         expected = 0.5 * np.log(2 * np.pi) + 0.5 * 0.02 * 1.7**2
         assert abs(val - expected) < 1e-14
 
     def test_invariant_under_component_permutation(self):
-        reg = GmmRegularizer()
         data = named_stream(1, "test").standard_normal(50)
-        a = gmm.penalized_nll(data, GmmParams(omega=[0.3], mu=[1.0, -2.0]), reg)
-        b = gmm.penalized_nll(data, GmmParams(omega=[0.7], mu=[-2.0, 1.0]), reg)
+        a = gmm.penalized_nll(data, GmmParams(omega=[0.3], mu=[1.0, -2.0]), 1e-3, 1e-3)
+        b = gmm.penalized_nll(data, GmmParams(omega=[0.7], mu=[-2.0, 1.0]), 1e-3, 1e-3)
         assert abs(a - b) < 1e-13
 
     def test_em_iterates_never_increase_it(self):
@@ -394,7 +393,7 @@ class TestPenalizedNll:
             prev = cur
 
 
-def _loop_reference(data, params, reg):
+def _loop_reference(data, params, delta, epsilon):
     """Penalized NLL and mean exact statistic, one observation at a time in
     plain floats, with the log-sum-exp written out."""
     w, mu = params.full_weights().tolist(), params.mu.tolist()
@@ -409,7 +408,7 @@ def _loop_reference(data, params, reg):
         post = [v / total for v in masses[: m - 1]]
         rows.append(post + [r * y for r in post] + [y])
     n = len(rows)
-    pen = 0.5 * reg.delta * math.fsum(v * v for v in mu) - reg.epsilon * math.fsum(map(math.log, w))
+    pen = 0.5 * delta * math.fsum(v * v for v in mu) - epsilon * math.fsum(map(math.log, w))
     stat = [math.fsum(col) / n for col in zip(*rows)]
     return -math.fsum(log_marg) / n + pen, np.array(stat)
 
@@ -471,7 +470,7 @@ class _NumpyOracleModel(GmmModel):
         return _exact_oracle(float(self.data[i]), theta).tolist()
 
     def m_step(self, s):
-        omega, mu = _m_step_oracle(np.array(s), self.reg.delta, self.reg.epsilon, self.n_components)
+        omega, mu = _m_step_oracle(np.array(s), self.delta, self.epsilon, self.n_components)
         assert np.all(np.isfinite(omega)) and np.all(np.isfinite(mu))
         return GmmParams(omega=omega, mu=mu)
 
@@ -502,9 +501,8 @@ class TestKernelParity:
         data = np.concatenate([rng.normal(0.0, 2.0, 200), [-60.0, -45.0, 43.0, 75.5]])
         assert np.min(np.abs(data[-4:, None] - mu[None, :])) > 40.0
         params = GmmParams(omega=omega, mu=mu)
-        reg = GmmRegularizer(delta=0.02, epsilon=0.01)
-        model = GmmModel(data, m, reg)
-        nll, stat = _loop_reference(data, params, reg)
+        model = GmmModel(data, m, delta=0.02, epsilon=0.01)
+        nll, stat = _loop_reference(data, params, 0.02, 0.01)
         np.testing.assert_allclose(model.penalized_nll(params), nll, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(model.exact_batch_stat(params), stat, rtol=1e-12, atol=0.0)
 

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import logsumexp
 
 from ttsem import bench, pk
-from ttsem.core import RunConfig, SamplingError, StepSchedule
+from ttsem.core import ConfigError, RunConfig, SamplingError, StepSchedule
 from ttsem.engine import run
 from ttsem.pk import PkIndividual, PkModel, PkParams
 from ttsem.rng import named_stream
@@ -623,9 +623,13 @@ class TestModel:
             run(PkModel(self._small_cohort()), cfg, theta0=theta0)
 
     def test_no_exact_expectation(self):
+        # the optional parts PK lacks fail with a ConfigError naming the model, as provides() says
         model = PkModel(self._small_cohort())
-        assert model.exact_expectation(0, pk.paper_truth()) is None
-        assert model.penalized_nll(pk.paper_truth()) is None
+        assert not (model.provides("exact_expectation") or model.provides("penalized_nll"))
+        with pytest.raises(ConfigError, match="^PkModel has no exact E-step"):
+            model.exact_expectation(0, pk.paper_truth())
+        with pytest.raises(ConfigError, match="^PkModel has no likelihood"):
+            model.penalized_nll(pk.paper_truth())
 
     def test_noise_free_pipeline_recovery(self):
         # degenerate-population data: the population prior collapses within a
