@@ -255,7 +255,7 @@ class ModelKind:
     write: Callable             # (path, dataset) -> None
     truth_from_json: Callable   # JSON object -> truth; ValueError names a bad field
     hash_values: Callable       # dataset -> the floats its replicate hash covers
-    reference: Callable         # (dataset, truth, theta0) -> what the metrics compare with
+    reference: Callable         # (model, truth, theta0) -> what the metrics compare with
     metrics: Callable           # (parameter rows, reference) -> {metric: array}
 
     def dataset(self, truth, n: int, seed: int) -> tuple:
@@ -270,7 +270,8 @@ MODELS = {
         simulate=lambda n, truth, rng: gmm.simulate(n, truth, rng),
         read=lambda path: gmm.read_dataset(path), write=lambda path, data: gmm.write_dataset(path, data),
         truth_from_json=_gmm_truth, hash_values=lambda data: data.tolist(),
-        reference=lambda data, truth, theta0: gmm.fit_reference_em(data, init=theta0).mu,
+        reference=lambda model, truth, theta0: gmm.fit_reference_em(
+            model.data, init=theta0, delta=model.delta, epsilon=model.epsilon).mu,
         metrics=_gmm_metrics,
     ),
     "pk": ModelKind(
@@ -279,7 +280,7 @@ MODELS = {
         read=lambda path: pk.read_cohort(path), write=lambda path, data: pk.write_cohort(path, data),
         truth_from_json=_pk_truth,
         hash_values=lambda data: [v for ind in data for v in ind.times.tolist() + ind.obs.tolist()],
-        reference=lambda data, truth, theta0: truth.pop,
+        reference=lambda model, truth, theta0: truth.pop,
         metrics=_pk_metrics,
     ),
 }
@@ -377,7 +378,7 @@ def _replicate_worker(spec: ExperimentSpec, r: int) -> dict:
 
     model = kind.model(data)
     theta0 = model.default_init()
-    reference = kind.reference(data, truth, theta0)
+    reference = kind.reference(model, truth, theta0)
     data_hash = _sha256("\n".join(map(repr, kind.hash_values(data))).encode())
     theta0_hash = _sha256(np.array(model.flatten_params(theta0)).tobytes())
 

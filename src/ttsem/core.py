@@ -302,11 +302,13 @@ class ModelSpec(ABC):
         generator per posterior role, read by every E-step in visit order).
         An exact sampler averages the statistic over ``n_samples`` draws; an
         MCMC-backed model may instead run ``n_samples`` transitions and
-        return the statistic of the final state.  ``chains`` is owned by the
-        caller (the engine keeps one per posterior stream and run): such a
-        model starts sample i's chain from ``chains[i]`` when present and
-        stores the final state there.  ``None`` means a cold start that
-        keeps nothing.
+        return the statistic of the final state.  ``chains`` is the caller's
+        state for this posterior stream (the engine keeps one per stream and
+        run): such a model starts sample i's chain from ``chains[i]`` when
+        present and stores the final state there, and a model may keep draws
+        taken from ``rng`` but not yet used there (GMM keeps a block of
+        uniforms), so one dict goes with one generator.  ``None`` means a cold
+        start that keeps nothing and draws only what this call uses.
         """
 
     def exact_expectation(self, i: int, theta) -> list[float]:

@@ -53,8 +53,9 @@ which moves no other stream.  Nothing else reads an index stream, so
 indices are drawn ahead in blocks of at most _INDEX_CHUNK; a block reads the
 stream exactly as single draws do.  MCMC chain states are part of the run's
 iterate (as in MCMC-SAEM, Kuhn & Lavielle 2004): the engine keeps one chain
-dict per role, starts each run with empty ones and hands them to the model,
-so ``run`` is a pure function of (model data, config, theta0).
+dict per role, starts each run with empty ones and hands them to the model
+with that role's stream (a dict may also hold the model's draws taken ahead
+from it), so ``run`` is a pure function of (model data, config, theta0).
 """
 
 from __future__ import annotations
@@ -332,8 +333,10 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
     traj = Trajectory(epochs=np.zeros(records), thetas=np.empty((records, len(names))),
                       delta_s_sq=np.zeros(records), wall_ns=np.zeros(records, dtype=np.int64),
                       param_names=names, terminal_iter=0)
-    traj.thetas[0] = model.flatten_params(theta)
-    traj.wall_ns[0] = time.perf_counter_ns()
+    epochs, thetas, gaps, wall_ns = traj.epochs, traj.thetas, traj.delta_s_sq, traj.wall_ns
+    gamma = config.gamma.eval
+    thetas[0] = model.flatten_params(theta)
+    wall_ns[0] = time.perf_counter_ns()
 
     for k in range(k_f):
         i_k = next(draws_i)
@@ -353,22 +356,23 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
                 table.replace(j := next(draws_j), estep(j, theta, k, role="mc_j"))
 
         stt = inc_step(stt, proxy, rho)
-        delta = gap_delta_s(stt, proxy)
+        # equal lists differ by all zeros, whose gap is +0.0: skip the sum
+        delta = 0.0 if stt == proxy else gap_delta_s(stt, proxy)
         if rho == 1.0:
             assert delta == 0.0, "rho = 1 must pin stt to the proxy"
-        s_hat = sa_step(s_hat, stt, config.gamma.eval(k))
+        s_hat = sa_step(s_hat, stt, gamma(k))
         assert all(map(math.isfinite, s_hat + stt))
         s_hat = model.project(s_hat)
         theta = model.m_step(s_hat)
 
         r = k + 1
-        traj.epochs[r] = singles / n + float(passes)
-        traj.thetas[r] = model.flatten_params(theta)
-        traj.delta_s_sq[r] = delta
-        traj.wall_ns[r] = time.perf_counter_ns()
+        epochs[r] = singles / n + float(passes)
+        thetas[r] = model.flatten_params(theta)
+        gaps[r] = delta
+        wall_ns[r] = time.perf_counter_ns()
 
     if config.randomized_termination and k_f > 0:
-        weights = [config.gamma.eval(k) for k in range(k_f)]
+        weights = [gamma(k) for k in range(k_f)]
         traj.terminal_iter = draw_termination(weights, named_stream(seed, "term"))
     else:
         traj.terminal_iter = max(k_f - 1, 0)

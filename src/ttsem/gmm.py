@@ -26,7 +26,6 @@ most of a pass on reduction overhead.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import FrozenInstanceError
 from functools import cached_property
 from itertools import accumulate
@@ -177,6 +176,22 @@ def simulate(n: int, params: GmmParams, rng: np.random.Generator) -> np.ndarray:
     return params.mu[labels] + rng.standard_normal(n)
 
 
+_UNIFORM_BLOCK = 256  # uniforms a posterior stream draws ahead: 8 kB of floats
+
+
+def _uniforms(n: int, rng: np.random.Generator, chains: dict | None) -> list:
+    """The next n uniforms of ``rng``: drawn now without ``chains``, else read
+    from the block ``chains`` keeps, refilled from ``rng`` when it runs short.
+    Either way the stream is read as per-call ``rng.random(n)`` draws read it."""
+    if chains is None:
+        return rng.random(n).tolist()
+    block, pos = chains.get("uniforms", ((), 0))
+    if pos + n > len(block):
+        block, pos = [*block[pos:], *rng.random(max(n, _UNIFORM_BLOCK)).tolist()], 0
+    chains["uniforms"] = block, pos + n
+    return block[pos : pos + n]
+
+
 def _stat_row(s1: list, y: float) -> list:
     """One observation's statistic from its M-1 indicator means s1."""
     return s1 + [p * y for p in s1] + [y]
@@ -226,16 +241,18 @@ class GmmModel(ModelSpec):
 
     def mc_stat(self, i, theta, n_samples, rng, chains=None):
         # n_samples exact posterior label draws by inverse CDF, one uniform
-        # each, averaged into the statistic; exact draws keep no chain
-        # state.  Labels past the last knot (the fsum total can exceed the
-        # running sum by an ulp) are clamped to the last component.
+        # each, averaged into the statistic: label m holds the draws with
+        # cdf[m-1] <= u * total < cdf[m], as bisect_right finds them.  Labels
+        # past the last knot (the fsum total can exceed the running sum by an
+        # ulp) fall to the last component, whose count the statistic omits.
         y, probs, total = self._posterior_unnorm(i, theta)
-        m = self.n_components
-        cdf = list(accumulate(probs))
-        counts = [0] * m
-        for u in rng.random(n_samples).tolist():
-            counts[bisect_right(cdf, u * total, 0, m - 1)] += 1
-        return _stat_row([c / n_samples for c in counts[: m - 1]], y)
+        us = _uniforms(n_samples, rng, chains)
+        s1, seen = [], 0
+        for knot in accumulate(probs[:-1]):
+            below = len([u for u in us if u * total < knot])
+            s1.append((below - seen) / n_samples)
+            seen = below
+        return _stat_row(s1, y)
 
     def _posterior_unnorm(self, i: int, theta: GmmParams):
         # observation i and its masses as _shifted_joint computes them
@@ -303,9 +320,11 @@ _REFERENCE_TOL = 1e-14  # stop once no parameter moves by this much
 _REFERENCE_MAX_ITER = 200_000  # bound on EM map evaluations; 40-500 usually suffice
 
 
-def fit_reference_em(data: np.ndarray, init: GmmParams | None = None) -> GmmParams:
+def fit_reference_em(data: np.ndarray, init: GmmParams | None = None, *, delta: float = 1e-3,
+                     epsilon: float = 1e-3) -> GmmParams:
     """Penalized-EM fixed point from ``init`` (which sets M; the two-component
-    default start when omitted), the reference of the precision metric.
+    default start when omitted) under the regularizer ``delta``, ``epsilon``
+    (GmmModel's), the reference of the precision metric.
 
     SQUAREM (Varadhan & Roland, Scand. J. Statist. 2008, SqS3) over the EM map
     F: with r = F(x) - x, v = F(F(x)) - 2 F(x) + x and a = min(-|r|/|v|, -1)
@@ -315,7 +334,7 @@ def fit_reference_em(data: np.ndarray, init: GmmParams | None = None) -> GmmPara
     first EM step that moves no parameter by ``_REFERENCE_TOL``, and raises
     FloatingPointError after ``_REFERENCE_MAX_ITER`` evaluations of F.
     """
-    model = GmmModel(data, init.n_components if init is not None else 2)
+    model = GmmModel(data, init.n_components if init is not None else 2, delta, epsilon)
     theta = init if init is not None else model.default_init()
     evals = 0
     while evals < _REFERENCE_MAX_ITER:

@@ -589,6 +589,13 @@ class ThreeComponentGmm(gmm.GmmModel):
         super().__init__(data, n_components=3)
 
 
+class RidgeGmm(gmm.GmmModel):
+    """The GMM with a stronger ridge on the means than the shipped default."""
+
+    def __init__(self, data):
+        super().__init__(data, delta=0.5)
+
+
 class CountingGmm(gmm.GmmModel):
     """GmmModel that records the size of every dataset it is built on."""
 
@@ -638,6 +645,20 @@ class TestModelRegistry:
                          "--mc-samples", "1", "--out", str(tmp_path / "t.csv")]) == 0
         assert CountingGmm.built == [20]
         assert "terminal_iter=1" in capsys.readouterr().out
+
+    def test_reference_is_the_run_models_fixed_point(self, monkeypatch):
+        # the precision reference is the EM fixed point of the model the runs
+        # use, regularizer included, not of a default GmmModel on the data
+        monkeypatch.setitem(bench.MODELS, "ridge", replace(bench.MODELS["gmm"], model=RidgeGmm))
+        fits, fit = [], gmm.fit_reference_em
+        monkeypatch.setattr(gmm, "fit_reference_em", lambda *args, **kwargs: fits.append(fit(*args, **kwargs))
+                            or fits[-1])
+        spec = ExperimentSpec(model="ridge", n=200, replicates=1, epochs=1.0, algorithms=(AlgoSpec("SAEM"),), seed=3)
+        bench._replicate_worker(spec, 0)
+        (theta,) = fits
+        model = RidgeGmm(bench.MODELS["gmm"].dataset(None, 200, derive_seed(3, "rep", 0, 0))[0])
+        image = model.m_step(model.exact_batch_stat(theta))
+        np.testing.assert_allclose(model.flatten_params(image), model.flatten_params(theta), rtol=0, atol=1e-12)
 
     def test_worker_missing_the_record_fails_before_simulating(self, monkeypatch):
         monkeypatch.setitem(bench.MODELS, "gmm-alias", bench.MODELS["gmm"])

@@ -226,6 +226,21 @@ class TestMcStep:
         with pytest.raises(ConfigError, match="^PkModel has no exact E-step"):
             mc_step(pk.PkModel(cohort), 0, pk.paper_truth(), 1, None)
 
+    def test_no_chains_draws_exactly_n_samples(self):
+        model, theta = self._model()
+        rng, twin = named_stream(21, "test"), named_stream(21, "test")
+        mc_step(model, 0, theta, 10, rng)
+        twin.random(10)
+        assert rng.random(8).tolist() == twin.random(8).tolist()
+
+    def test_shared_chains_read_the_per_call_draws(self):
+        # E-steps sharing one chains dict read their stream in the order that
+        # per-call draws of n_samples uniforms each would
+        model, theta = self._model()
+        blocked, per_call, chains = named_stream(22, "test"), named_stream(22, "test"), {}
+        for i in (0, 1):
+            assert mc_step(model, i, theta, 10, blocked, chains) == mc_step(model, i, theta, 10, per_call)
+
     def test_rejects_nonpositive_sample_count(self):
         model, theta = self._model()
         with pytest.raises(ValueError):

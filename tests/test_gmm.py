@@ -1,6 +1,8 @@
 import math
 import re
+from bisect import bisect_right
 from dataclasses import FrozenInstanceError
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -475,6 +477,20 @@ class _NumpyOracleModel(GmmModel):
         return GmmParams(omega=omega, mu=mu)
 
 
+class _BisectOracleModel(GmmModel):
+    """GmmModel with the per-call draw that block draws replaced: one
+    ``rng.random(n_samples)`` per E-step, each label by bisect_right."""
+
+    def mc_stat(self, i, theta, n_samples, rng, chains=None):
+        y, probs, total = self._posterior_unnorm(i, theta)
+        m = self.n_components
+        cdf = list(accumulate(probs))
+        counts = [0] * m
+        for u in rng.random(n_samples).tolist():
+            counts[bisect_right(cdf, u * total, 0, m - 1)] += 1
+        return gmm._stat_row([c / n_samples for c in counts[: m - 1]], y)
+
+
 class _Draws:
     """A stand-in generator whose uniforms are given."""
 
@@ -562,6 +578,20 @@ class TestKernelParity:
         cfg = bench.AlgoSpec(variant, mc_samples=3).to_config(n=60, epochs=2, seed=7, model_kind="gmm")
         ours = run(GmmModel(data, m), cfg)
         ref = run(_NumpyOracleModel(data, m), cfg)
+        for name in ("thetas", "epochs", "delta_s_sq"):
+            assert np.array_equal(getattr(ours, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("mc_samples", [1, 10, 300])
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("variant", ["MCEM", "SAEM", "iSAEM", "vrTTEM", "fiTTEM"])
+    def test_block_draws_match_per_call_draws(self, variant, m, mc_samples):
+        # each run makes at least 300 E-steps, so its blocks refill even at
+        # one draw each; an E-step of 300 draws outruns a whole block
+        assert gmm._UNIFORM_BLOCK < 300
+        truth = GmmParams(omega=np.full(m - 1, 1.0 / m), mu=np.linspace(-1.5, 1.5, m))
+        data = gmm.simulate(100, truth, named_stream(50 + m, "data"))
+        cfg = bench.AlgoSpec(variant, mc_samples=mc_samples).to_config(n=100, epochs=2, seed=9, model_kind="gmm")
+        ours, ref = run(GmmModel(data, m), cfg), run(_BisectOracleModel(data, m), cfg)
         for name in ("thetas", "epochs", "delta_s_sq"):
             assert np.array_equal(getattr(ours, name), getattr(ref, name)), name
 

@@ -14,7 +14,9 @@ stderr and exit status.
 
 The set: ``ttsem run`` trajectories of all seven GMM variants, of three
 GMM runs with the ``--gamma`` of ``GMM_GAMMAS`` (a constant, a polynomial
-with ``c`` and an epoch warmup, and EM's forced 1 given explicitly), and of
+with ``c`` and an epoch warmup, and EM's forced 1 given explicitly), of
+SAEM and fiTTEM at the ``--mc-samples`` of ``GMM_MC_SAMPLES`` (one draw
+per E-step, and more draws than one block of ``gmm``'s uniforms), and of
 the five Monte Carlo PK variants, both commands of the ``gmm-cli`` benchmark
 workload at seed 401 (its ``run`` keeps 5,001 of 10,001 records, the one
 thinned trajectory here), a GMM replicate study at ``--epochs 2.5``
@@ -24,7 +26,7 @@ simulated from the truth files in ``THETAS``, which the script writes
 into OUTDIR first: a GMM truth given as all M weights and one given as
 the M-1 free ones, and a PK truth given as ``pop`` (also run through a
 replicate study, whose metrics compare against it) and one given as
-``log_pop`` with a full ``omega2``.  It takes about thirteen seconds on two
+``log_pop`` with a full ``omega2``.  It takes about seventeen seconds on two
 cores.
 """
 
@@ -38,6 +40,8 @@ import sys
 
 GMM_VARIANTS = ("EM", "iEM", "MCEM", "SAEM", "iSAEM", "vrTTEM", "fiTTEM")
 GMM_GAMMAS = (("SAEM", "const:0.8"), ("iSAEM", "poly:0.75:c=0.9:warmup=2ep"), ("EM", "1"))
+GMM_MC_VARIANTS = ("SAEM", "fiTTEM")
+GMM_MC_SAMPLES = ("1", "300")  # one draw per E-step, and more than a whole block of uniforms
 PK_VARIANTS = ("MCEM", "SAEM", "iSAEM", "vrTTEM", "fiTTEM")
 
 COMMANDS = [
@@ -46,6 +50,8 @@ COMMANDS = [
        "--out", f"gmm-{v}.csv"] for v in GMM_VARIANTS),
     *(["run", "--model", "gmm", "--data", "gmm.txt", "--algo", v, "--gamma", g, "--epochs", "2", "--seed", "5",
        "--out", f"gmm-{v}-gamma.csv"] for v, g in GMM_GAMMAS),
+    *(["run", "--model", "gmm", "--data", "gmm.txt", "--algo", v, "--mc-samples", mc, "--epochs", "2", "--seed", "5",
+       "--out", f"gmm-{v}-mc{mc}.csv"] for v in GMM_MC_VARIANTS for mc in GMM_MC_SAMPLES),
     ["simulate", "--model", "pk", "--n", "30", "--seed", "3", "--out", "pk.csv"],
     *(["run", "--model", "pk", "--data", "pk.csv", "--algo", v, "--epochs", "2", "--seed", "5",
        "--mc-samples", "8", "--out", f"pk-{v}.csv"] for v in PK_VARIANTS),
