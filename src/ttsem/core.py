@@ -140,21 +140,20 @@ class PerSampleStatTable:
         self.n = entries.shape[0]
         self.mean = entries.mean(axis=0).tolist()
 
-    def _row(self, i: int) -> np.ndarray:
-        if not 0 <= i < self.n:
-            raise IndexError(f"sample index {i} outside [0, {self.n})")
-        return self.entries[i]
-
     def replace(self, i: int, vec) -> None:
         """Replace entry i by the k floats ``vec``; fold the change into the mean."""
-        n, row = self.n, self._row(i)
-        self.mean = [m + (v - e) / n for m, v, e in zip(self.mean, vec, row.tolist(), strict=True)]
-        row[:] = vec
+        n = self.n
+        if not 0 <= i < n:  # numpy would wrap a negative index
+            raise IndexError(f"sample index {i} outside [0, {n})")
+        self.mean = [m + (v - e) / n for m, v, e in zip(self.mean, vec, self.entries[i].tolist(), strict=True)]
+        self.entries[i] = vec
 
     def control(self, i: int, vec) -> list:
         """The control-variate read mean + (vec - entries[i]) as plain floats;
         the table is not changed."""
-        return [m + (v - e) for m, v, e in zip(self.mean, vec, self._row(i).tolist(), strict=True)]
+        if not 0 <= i < self.n:
+            raise IndexError(f"sample index {i} outside [0, {self.n})")
+        return [m + (v - e) for m, v, e in zip(self.mean, vec, self.entries[i].tolist(), strict=True)]
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,11 @@ the set, so runs that stay inside it are unchanged bit for bit.
 
 Iterates: stt, s_hat, the proxies and the table mean hold plain floats, since
 numpy dispatch on k numbers costs more than their element-wise arithmetic,
-which rounds the same; only the gap keeps np.dot's summation.  The ModelSpec
-seam passes plain floats too (E-step results, project / m_step input and
-flattened parameters), so no iterate makes an array round trip; arrays hold
-only whole passes' entries and the trajectory, whose rows are written in place.
+which rounds the same; only the gap keeps np.dot's BLAS sum, taken over a
+block of _GAP_BLOCK rows stt - proxy at a time.  The ModelSpec seam passes
+plain floats too (E-step results, project / m_step input and flattened
+parameters), so no iterate makes an array round trip; arrays hold only whole
+passes' entries, the gap block and the trajectory, written row by row.
 
 Randomness: index draws, posterior draws, and the termination draw live
 on separate named streams of the run seed (so the Monte Carlo sample count
@@ -107,16 +108,16 @@ def sa_step(s: list, target: list, step: float) -> list:
 inc_step = sa_step
 
 
-def gap_delta_s(a: list, b: list) -> float:
-    """Squared Euclidean distance between two statistic vectors: +0.0 for
-    equal ones, else np.dot's BLAS sum, whose order and FMA use a Python sum
-    would not reproduce.  np.vdot runs np.dot's kernel on two vectors but
-    checks no floating-point flags, so a sum that overflows is inf, unwarned."""
-    d = [x - y for x, y in zip(a, b, strict=True)]
-    if not any(d):
-        return 0.0
-    v = np.array(d)
-    return float(np.vdot(v, v))
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing row is inf, inf - inf nan, neither warned
+def gap_delta_s(a, b=0.0):
+    """Squared gap ||a - b||^2 of two statistic vectors (a float), or of each
+    row of two (R, k) blocks (an (R,) array); ``b`` defaults to zero, for rows
+    of differences already taken.  np.vecdot sums each row with the BLAS
+    kernel np.vdot runs, so a row has np.vdot's bits, whose order and FMA a
+    Python sum would not reproduce; equal rows give +0.0."""
+    d = np.subtract(a, b, dtype=np.float64)
+    sq = np.vecdot(d, d)
+    return float(sq) if d.ndim == 1 else sq
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +163,7 @@ def epoch_refresh(model: ModelSpec, theta, n_samples: int, rng: np.random.Genera
 
 
 _INDEX_CHUNK = 1024
+_GAP_BLOCK = 256  # timescale-gap rows collected before one gap_delta_s sum
 
 
 def _index_draws(rng: np.random.Generator, n: int, count: int):
@@ -307,24 +309,19 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
     draws_i = _index_draws(named_stream(seed, "index_i"), n, k_f)
     draws_j = _index_draws(named_stream(seed, "index_j"), n, k_f) if kind == "two_stream" else None
     # Posterior-stream roles: "mc" serves the initialization pass, the
-    # i-stream and every later whole pass; fiTTEM's j-draws get their
-    # own so that i_k = j_k still yields independent draws.  Each role has
-    # one stream, drawn in visit order, and its own fresh MCMC chain states.
-    roles = ("mc", "mc_j") if kind == "two_stream" else ("mc",)
-    rngs = {r: None if spec.exact else named_stream(seed, r) for r in roles}
-    chains = {r: {} for r in roles}
+    # i-stream and every later whole pass; fiTTEM's j-draws get their own,
+    # "mc_j", so that i_k = j_k still yields independent draws.  Each role
+    # has one stream, drawn in visit order, and its own fresh MCMC chain states.
+    rng, chain = None if spec.exact else named_stream(seed, "mc"), {}
+    if kind == "two_stream":
+        rng_j, chain_j = None if spec.exact else named_stream(seed, "mc_j"), {}
     mc = config.mc_samples
 
     # whole passes after initialization and single-index E-steps, counted where made
     singles = passes = 0
 
-    def estep(i: int, theta, iteration: int, role: str = "mc") -> list:
-        nonlocal singles
-        singles += 1
-        return mc_step(model, i, theta, mc, rngs[role], chains[role], iteration)
-
     # Initialization pass under theta0; batch and anchor replace its table at k = 0.
-    table = epoch_refresh(model, theta0, mc, rngs["mc"], -1, chains["mc"])
+    table = epoch_refresh(model, theta0, mc, rng, -1, chain)
     stt = table.mean
     s_hat = model.project(stt)
     theta = model.m_step(s_hat)
@@ -337,29 +334,35 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
     gamma = config.gamma.eval
     thetas[0] = model.flatten_params(theta)
     wall_ns[0] = time.perf_counter_ns()
+    # rows stt - proxy, summed when the block fills or the run ends; none for rho = 1
+    gap_rows = None if rho == 1.0 else np.empty((_GAP_BLOCK, model.stat_dim()))
 
     for k in range(k_f):
         i_k = next(draws_i)
         if period and k % period == 0:
             del table  # released first, so the pass's array is the only (n, k) one
-            table = epoch_refresh(model, theta, mc, rngs["mc"], k, chains["mc"])
+            table = epoch_refresh(model, theta, mc, rng, k, chain)
             passes += 1
             s_new = table.entries[i_k].tolist()  # refreshed this very iteration
         else:
-            s_new = estep(i_k, theta, k)
+            singles += 1
+            s_new = mc_step(model, i_k, theta, mc, rng, chain, k)
         if kind == "table":  # iEM / iSAEM: write entry i_k, read the mean
             table.replace(i_k, s_new)
             proxy = table.mean
         else:  # batch / vrTTEM / fiTTEM: read against entry i_k
             proxy = table.control(i_k, s_new)
             if kind == "two_stream":  # fiTTEM's j-stream then writes
-                table.replace(j := next(draws_j), estep(j, theta, k, role="mc_j"))
+                singles += 1
+                table.replace(j := next(draws_j), mc_step(model, j, theta, mc, rng_j, chain_j, k))
 
         stt = inc_step(stt, proxy, rho)
-        # equal lists differ by all zeros, whose gap is +0.0: skip the sum
-        delta = 0.0 if stt == proxy else gap_delta_s(stt, proxy)
-        if rho == 1.0:
-            assert delta == 0.0, "rho = 1 must pin stt to the proxy"
+        if gap_rows is None:
+            assert stt == proxy, "rho = 1 must pin stt to the proxy"
+        else:
+            gap_rows[row := k % _GAP_BLOCK] = [a - b for a, b in zip(stt, proxy)]
+            if row == _GAP_BLOCK - 1 or k == k_f - 1:  # iterations k - row .. k are records k - row + 1 .. k + 1
+                gaps[k - row + 1 : k + 2] = gap_delta_s(gap_rows[: row + 1])
         s_hat = sa_step(s_hat, stt, gamma(k))
         assert all(map(math.isfinite, s_hat + stt))
         s_hat = model.project(s_hat)
@@ -368,12 +371,10 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
         r = k + 1
         epochs[r] = singles / n + float(passes)
         thetas[r] = model.flatten_params(theta)
-        gaps[r] = delta
         wall_ns[r] = time.perf_counter_ns()
 
     if config.randomized_termination and k_f > 0:
-        weights = [gamma(k) for k in range(k_f)]
-        traj.terminal_iter = draw_termination(weights, named_stream(seed, "term"))
+        traj.terminal_iter = draw_termination([gamma(k) for k in range(k_f)], named_stream(seed, "term"))
     else:
         traj.terminal_iter = max(k_f - 1, 0)
     return traj

@@ -76,10 +76,10 @@ class GmmParams:
         # fails both comparisons.  numpy sums fewer than 8 terms left to right,
         # as _left_sum does; from 8 on it sums pairwise.
         total = _left_sum(omega) if len(omega) < 8 else float(np.sum(omega))
-        if not (all(w > 0.0 for w in omega) and total < 1.0):
+        if not (all(map((0.0).__lt__, omega)) and total < 1.0):
             raise ValueError("weights must lie in the interior of the simplex")
-        w = omega + [1.0 - total]
-        vars(self).update(_wlist=w, _logw=[math.log(v) for v in w], _mulist=mu, n_components=len(mu))
+        d, w = self.__dict__, omega + [1.0 - total]  # stored past __setattr__, which refuses
+        d["_wlist"], d["_logw"], d["_mulist"], d["n_components"] = w, [math.log(v) for v in w], mu, len(mu)
         return self
 
     def __setattr__(self, name, *_):
@@ -110,12 +110,12 @@ def m_step(s: list, delta: float, epsilon: float, n_components: int) -> GmmParam
     The parameters are checked once: finite here, interior weights in _fill,
     which builds them without the constructor's array round trip.
     """
-    m = n_components
+    m, scale = n_components, 1.0 + epsilon * n_components
     s1, s2, s3 = s[: m - 1], s[m - 1 : 2 * m - 2], s[2 * m - 2]
     # plain floats round as numpy does, and _left_sum adds as numpy does below
     # 8 terms; a zero denominator raises where numpy gave inf
     try:
-        omega = [(a + epsilon) / (1.0 + epsilon * m) for a in s1]
+        omega = [(a + epsilon) / scale for a in s1]
         mu = [b / (a + delta) for a, b in zip(s1, s2)] + [(s3 - _left_sum(s2)) / (1.0 - _left_sum(s1) + delta)]
         finite = all(map(math.isfinite, omega + mu))
     except ZeroDivisionError:

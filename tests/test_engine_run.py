@@ -108,6 +108,32 @@ class TestDeltaSDiagnostic:
         assert np.any(deltas > 0.0)
 
 
+class TestGapBlock:
+    """The gaps are summed a block of ``engine._GAP_BLOCK`` rows at a time;
+    any block size, a partial last block included, records the same bits."""
+
+    @staticmethod
+    def _models():
+        cohort = pk.simulate(4, pk.paper_truth(), pk.default_design(), named_stream(49, "data"))
+        return [(GmmModel(make_data(n=20)), 3), (pk.PkModel(cohort), 2)]
+
+    @pytest.mark.parametrize("variant,extra", [("fiTTEM", {}), ("vrTTEM", {"epoch_len": 7})])
+    def test_block_size_does_not_change_the_gaps(self, monkeypatch, variant, extra):
+        for model, mc in self._models():
+            cfg = RunConfig(variant=variant, total_iters=300, seed=4, gamma=GAMMA, rho=0.3,
+                            mc_samples=mc, **extra)
+            gaps = []
+            for block in (1, 7, engine._GAP_BLOCK):
+                assert cfg.total_iters % block or block == 1
+                with monkeypatch.context() as patch:
+                    patch.setattr(engine, "_GAP_BLOCK", block)
+                    gaps.append(run(model, cfg).delta_s_sq)
+            assert 0 < cfg.total_iters - engine._GAP_BLOCK < engine._GAP_BLOCK  # one whole block, one partial
+            assert gaps[0][0] == 0.0 and np.all(gaps[0][1:] > 0.0)
+            for other in gaps[1:]:
+                assert np.array_equal(other, gaps[0])
+
+
 class _ProjectionCountingGmm(GmmModel):
     """GmmModel that counts the projections that moved the statistic."""
 

@@ -71,6 +71,26 @@ class TestGapDeltaS:
             assert gap_delta_s([1e154, 1e154], [0.0, 0.0]) == math.inf  # each square finite, their sum not
             big = np.array([1e150, -3.0])
             assert gap_delta_s(big.tolist(), [0.0, 0.0]) == float(np.dot(big, big)) < math.inf
+            # a block sums each row alone: the overflowing one is inf, the others keep their bits
+            block = np.array([[0.5, -3.0, 1e-7], [1e200, 1e200, 0.0], [1e150, 2.0, -1.0], [0.0, 0.0, 0.0]])
+            sq = gap_delta_s(block)
+            assert sq[1] == math.inf
+            for r in (0, 2, 3):
+                assert _bits(sq[r]) == _bits(np.vdot(block[r], block[r])) and sq[r] < math.inf
+
+    @pytest.mark.parametrize("k", [1, 3, 15])
+    def test_block_rows_match_vdot_bit_for_bit(self, k):
+        rng = named_stream(24, "test", k)
+        a = rng.standard_normal((200, k)) * np.exp(rng.uniform(-20.0, 5.0, size=(200, 1)))
+        b = rng.standard_normal((200, k)) * np.exp(rng.uniform(-20.0, 5.0, size=(200, 1)))
+        b[::5] = a[::5]  # equal rows
+        sq = gap_delta_s(a, b)
+        assert sq.shape == (200,)
+        for r in range(200):
+            d = a[r] - b[r]
+            assert _bits(sq[r]) == _bits(np.vdot(d, d)) == _bits(gap_delta_s(a[r].tolist(), b[r].tolist()))
+        assert _bits(sq[::5]) == _bits(np.zeros(40))
+        assert _bits(gap_delta_s(a - b)) == _bits(sq)  # differences already taken
 
 
 # The proxies are the table's two operations: iSAEM replaces entry i and

@@ -16,18 +16,20 @@ The set: ``ttsem run`` trajectories of all seven GMM variants, of three
 GMM runs with the ``--gamma`` of ``GMM_GAMMAS`` (a constant, a polynomial
 with ``c`` and an epoch warmup, and EM's forced 1 given explicitly), of
 SAEM and fiTTEM at the ``--mc-samples`` of ``GMM_MC_SAMPLES`` (one draw
-per E-step, and more draws than one block of ``gmm``'s uniforms), and of
-the five Monte Carlo PK variants, both commands of the ``gmm-cli`` benchmark
-workload at seed 401 (its ``run`` keeps 5,001 of 10,001 records, the one
-thinned trajectory here), a GMM replicate study at ``--epochs 2.5``
-(whose grid ends at 2.5 while SAEM's budget rounds up to 3 passes), a
-PK replicate study under ``--jobs 1`` and ``--jobs 2``, and datasets
-simulated from the truth files in ``THETAS``, which the script writes
-into OUTDIR first: a GMM truth given as all M weights and one given as
-the M-1 free ones, and a PK truth given as ``pop`` (also run through a
-replicate study, whose metrics compare against it) and one given as
-``log_pop`` with a full ``omega2``.  It takes about seventeen seconds on two
-cores.
+per E-step, and more draws than one block of ``gmm``'s uniforms), of the
+five Monte Carlo PK variants (60 iterations each), and of the two PK
+variants with rho < 1 in ``PK_LONG_VARIANTS`` over 1,350 iterations (whole
+blocks of ``engine._GAP_BLOCK`` timescale gaps and a partial last one),
+both commands of the ``gmm-cli`` benchmark workload at seed 401 (its
+``run`` keeps 5,001 of 10,001 records, the one thinned trajectory here), a
+GMM replicate study at ``--epochs 2.5`` (whose grid ends at 2.5 while
+SAEM's budget rounds up to 3 passes), a PK replicate study under
+``--jobs 1`` and ``--jobs 2``, and datasets simulated from the truth files in
+``THETAS``, which the script writes into OUTDIR first: a GMM truth given
+as all M weights and one given as the M-1 free ones, and a PK truth given
+as ``pop`` (also run through a replicate study, whose metrics compare
+against it) and one given as ``log_pop`` with a full ``omega2``.  It takes
+about fourteen seconds on two cores.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ GMM_GAMMAS = (("SAEM", "const:0.8"), ("iSAEM", "poly:0.75:c=0.9:warmup=2ep"), ("
 GMM_MC_VARIANTS = ("SAEM", "fiTTEM")
 GMM_MC_SAMPLES = ("1", "300")  # one draw per E-step, and more than a whole block of uniforms
 PK_VARIANTS = ("MCEM", "SAEM", "iSAEM", "vrTTEM", "fiTTEM")
+PK_LONG_VARIANTS = ("vrTTEM", "fiTTEM")
 
 COMMANDS = [
     ["simulate", "--model", "gmm", "--n", "3000", "--seed", "401", "--out", "gmm.txt"],
@@ -55,6 +58,8 @@ COMMANDS = [
     ["simulate", "--model", "pk", "--n", "30", "--seed", "3", "--out", "pk.csv"],
     *(["run", "--model", "pk", "--data", "pk.csv", "--algo", v, "--epochs", "2", "--seed", "5",
        "--mc-samples", "8", "--out", f"pk-{v}.csv"] for v in PK_VARIANTS),
+    *(["run", "--model", "pk", "--data", "pk.csv", "--algo", v, "--epochs", "45", "--seed", "5",
+       "--mc-samples", "5", "--out", f"pk-{v}-45ep.csv"] for v in PK_LONG_VARIANTS),
     ["simulate", "--model", "gmm", "--n", "10000", "--seed", "401", "--out", "data.txt"],
     ["run", "--model", "gmm", "--data", "data.txt", "--algo", "fiTTEM", "--epochs", "1", "--seed", "401",
      "--out", "run.csv"],
