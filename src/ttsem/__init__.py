@@ -15,7 +15,6 @@ from .engine import (
     Trajectory,
     draw_termination,
     gap_delta_s,
-    inc_step,
     mc_step,
     run,
     sa_step,
@@ -38,7 +37,6 @@ __all__ = [
     "categorical_sample",
     "draw_termination",
     "gap_delta_s",
-    "inc_step",
     "mc_step",
     "mh_chain",
     "named_stream",

@@ -31,7 +31,6 @@ __all__ = [
     "MODELS",
     "ModelKind",
     "parse_gamma",
-    "resolve_rho",
     "epochs_to_iters",
     "metric_precision_gmm",
     "pk_naive_init",
@@ -85,13 +84,6 @@ def parse_gamma(text: str, n: int, variant: str) -> StepSchedule:
     return StepSchedule(c=c, a=a, warmup_iters=round(warmup))
 
 
-def resolve_rho(rho: Optional[float], n: int, variant: str) -> float:
-    """``rho``, or when None n**(-2/3) for the variance-reduced variants and 1 otherwise."""
-    if rho is not None:
-        return rho
-    return 1.0 if VARIANTS[variant].unit_rho else float(n) ** (-2.0 / 3.0)
-
-
 def epochs_to_iters(epochs: float, n: int, variant: str) -> int:
     """Iteration budget covering ``epochs`` of ``Variant.iters_per_epoch``."""
     if not 0 <= epochs < math.inf:
@@ -123,12 +115,14 @@ class AlgoSpec:
         epoch_len = (n if epoch_len is None else epoch_len) if VARIANTS[variant].proxy == "anchor" else None
         # no gamma: DEFAULT_GAMMA, or the unit schedule RunConfig fills for a variant that forces it
         gamma = DEFAULT_GAMMA if self.gamma is None and not VARIANTS[variant].unit_gamma else self.gamma
+        # no rho: n**(-2/3) where rho is free, else the 1 RunConfig fills
+        rho = float(n) ** (-2.0 / 3.0) if self.rho is None and not VARIANTS[variant].unit_rho else self.rho
         return RunConfig(
             variant=variant,
             total_iters=epochs_to_iters(epochs, n, variant),
             seed=seed,
             gamma=None if gamma is None else parse_gamma(gamma, n, variant),
-            rho=resolve_rho(self.rho, n, variant),
+            rho=rho,
             mc_samples=self.mc_samples if self.mc_samples is not None else kind.mc_samples,
             epoch_len=epoch_len,
         )

@@ -72,8 +72,9 @@ def _apply_config_file(command: argparse.ArgumentParser, args: argparse.Namespac
 
 def _add_algo_flags(command: argparse.ArgumentParser) -> None:
     """Flags of the algorithm settings shared by ``run`` and ``replicate``."""
-    command.add_argument("--gamma", default=None,
-                         help=f"SA-step stepsize (default: {bench.DEFAULT_GAMMA}, or 1 for EM, iEM and MCEM)")
+    *unit, last = (v for v, f in VARIANTS.items() if f.unit_gamma)  # the variants RunConfig forces gamma = 1 on
+    command.add_argument("--gamma", default=None, help=f"SA-step stepsize (default: {bench.DEFAULT_GAMMA}, "
+                                                       f"or 1 for {', '.join(unit)} and {last})")
     command.add_argument("--rho", type=_auto(float), default=None,
                          help="Inc-step stepsize (auto: n^-2/3 for vrTTEM and fiTTEM, else 1)")
     command.add_argument("--mc-samples", type=int, default=None)

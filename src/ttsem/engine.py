@@ -82,7 +82,6 @@ from .samplers import categorical_sample
 __all__ = [
     "mc_step",
     "sa_step",
-    "inc_step",
     "epoch_refresh",
     "gap_delta_s",
     "draw_termination",
@@ -98,26 +97,20 @@ __all__ = [
 
 def sa_step(s: list, target: list, step: float) -> list:
     """The move of both timescales, s + step * (target - s): the SA-step
-    s_hat + gamma_k * (stt - s_hat), and as ``inc_step`` the Inc-step
-    stt + rho * (proxy - stt).  step = 1 returns target verbatim so
-    full-replacement reductions hold exactly in floating point."""
+    s_hat + gamma_k * (stt - s_hat) and the Inc-step stt + rho * (proxy - stt).
+    step = 1 returns target verbatim so full-replacement reductions hold
+    exactly in floating point."""
     assert len(s) == len(target), "statistic length mismatch"
     return list(target) if step == 1.0 else [a + step * (b - a) for a, b in zip(s, target)]
 
 
-inc_step = sa_step
-
-
-@np.errstate(over="ignore", invalid="ignore")  # an overflowing row is inf, inf - inf nan, neither warned
-def gap_delta_s(a, b=0.0):
-    """Squared gap ||a - b||^2 of two statistic vectors (a float), or of each
-    row of two (R, k) blocks (an (R,) array); ``b`` defaults to zero, for rows
-    of differences already taken.  np.vecdot sums each row with the BLAS
-    kernel np.vdot runs, so a row has np.vdot's bits, whose order and FMA a
-    Python sum would not reproduce; equal rows give +0.0."""
-    d = np.subtract(a, b, dtype=np.float64)
-    sq = np.vecdot(d, d)
-    return float(sq) if d.ndim == 1 else sq
+@np.errstate(over="ignore")  # an overflowing row is inf, not warned about
+def gap_delta_s(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of an (R, k) block of differences stt - proxy,
+    as an (R,) array.  np.vecdot sums each row with the BLAS kernel np.vdot
+    runs, so a row has np.vdot's bits, whose order and FMA a Python sum would
+    not reproduce; a zero row gives +0.0."""
+    return np.vecdot(rows, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +143,7 @@ def mc_step(model: ModelSpec, i: int, theta, n_samples: int, rng: Optional[np.ra
     return s
 
 
-def epoch_refresh(model: ModelSpec, theta, n_samples: int, rng: np.random.Generator, iteration: int = 0,
+def epoch_refresh(model: ModelSpec, theta, n_samples: int, rng: np.random.Generator, iteration: int = -1,
                   chains: Optional[dict] = None) -> PerSampleStatTable:
     """The one whole pass: initialization, each batch iteration and each
     anchor refresh.  Recomputes every sample's statistic under the current
@@ -185,7 +178,7 @@ def draw_termination(gammas, rng: np.random.Generator) -> int:
         raise ValueError("need at least one stepsize to draw a termination index")
     if not (np.all(np.isfinite(g) & (g > 0.0)) and math.isfinite(total := g.sum())):
         raise ValueError("termination weights must be finite and strictly positive, with a finite sum")
-    return categorical_sample(g / total, rng)
+    return int(categorical_sample(g / total, rng, 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +292,6 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
         raise ConfigError("model has no data")
     spec = VARIANTS[config.variant]
     kind = spec.proxy
-    if spec.exact and not model.provides("exact_expectation"):
-        raise ConfigError(f"{config.variant} needs a model with an exact E-step")
     theta0 = model.default_init() if theta0 is None else theta0
 
     seed, rho, k_f = config.seed, config.rho, config.total_iters
@@ -356,7 +347,7 @@ def run(model: ModelSpec, config: RunConfig, theta0=None) -> Trajectory:
                 singles += 1
                 table.replace(j := next(draws_j), mc_step(model, j, theta, mc, rng_j, chain_j, k))
 
-        stt = inc_step(stt, proxy, rho)
+        stt = sa_step(stt, proxy, rho)
         if gap_rows is None:
             assert stt == proxy, "rho = 1 must pin stt to the proxy"
         else:

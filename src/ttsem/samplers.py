@@ -9,18 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable
 
 import numpy as np
 
 __all__ = ["categorical_sample", "MhConfig", "mh_chain"]
 
 
-def categorical_sample(weights, rng: np.random.Generator, size: Optional[int] = None) -> Union[int, np.ndarray]:
-    """Draw indices from a normalized probability vector by inverse CDF.
-
-    One uniform per draw; ``size=None`` returns a single int index.
-    """
+def categorical_sample(weights, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` indices from a normalized probability vector by inverse
+    CDF, one uniform per draw."""
     w = np.asarray(weights, dtype=np.float64)
     if np.any(w < 0.0):
         raise ValueError("categorical weights must be nonnegative")
@@ -29,8 +27,6 @@ def categorical_sample(weights, rng: np.random.Generator, size: Optional[int] = 
         raise ValueError(f"categorical weights must sum to 1, got {total!r}")
     cdf = np.cumsum(w)
     cdf[-1] = 1.0
-    if size is None:
-        return int(np.searchsorted(cdf, rng.random(), side="right"))
     idx = np.searchsorted(cdf, rng.random(size), side="right")
     return np.minimum(idx, len(w) - 1)
 

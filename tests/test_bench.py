@@ -70,9 +70,12 @@ class TestGammaParsing:
         assert batch.warmup_iters == 1
 
     def test_resolve_rho(self):
-        assert bench.resolve_rho(None, 1000, "vrTTEM") == pytest.approx(1000 ** (-2 / 3))
-        assert bench.resolve_rho(None, 1000, "SAEM") == 1.0
-        assert bench.resolve_rho(0.25, 1000, "fiTTEM") == 0.25
+        def rho(variant, given=None):
+            return AlgoSpec(variant, rho=given).to_config(1000, 1, 0, "gmm").rho
+
+        assert rho("vrTTEM") == pytest.approx(1000 ** (-2 / 3))
+        assert rho("SAEM") == 1.0
+        assert rho("fiTTEM", 0.25) == 0.25
 
     def test_epochs_to_iters(self):
         assert bench.epochs_to_iters(7.0, 100, "SAEM") == 7

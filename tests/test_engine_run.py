@@ -340,6 +340,25 @@ class TestTermination:
         assert len(ks) == 1  # deterministic given the seed
         assert 0 <= ks.pop() <= 11
 
+    def test_draws_are_pinned(self):
+        # fixed values: each draw reads one uniform by inverse CDF, so a
+        # change to how the categorical sampler reads its stream moves them
+        g = bench.parse_gamma("poly:0.5", 30, "SAEM")
+        rng = named_stream(34, "test")
+        draws = [draw_termination([g.eval(k) for k in range(30)], rng) for _ in range(20)]
+        assert draws == [2, 11, 26, 5, 1, 1, 7, 13, 16, 5, 0, 25, 7, 2, 9, 8, 26, 2, 4, 22]
+
+    @pytest.mark.parametrize("variant, iters, extra, pinned", [
+        ("SAEM", 60, {}, [22, 18, 15]),
+        ("fiTTEM", 90, {"rho": 0.3}, [32, 27, 22]),
+    ])
+    def test_randomized_terminal_iter_is_pinned(self, variant, iters, extra, pinned):
+        data = make_data()
+        got = [run(GmmModel(data), RunConfig(variant=variant, total_iters=iters, seed=seed, gamma=GAMMA,
+                                             mc_samples=2, randomized_termination=True, **extra)).terminal_iter
+               for seed in (3, 4, 5)]
+        assert got == pinned
+
     def test_default_terminal_is_last_iteration_index(self):
         data = make_data(n=10)
         cfg = RunConfig(variant="SAEM", total_iters=12, seed=9, gamma=GAMMA, mc_samples=2)
@@ -397,12 +416,14 @@ def implied_esteps(variant: str, n: int, total_iters: int, epoch_len=None) -> in
     own iteration reuses its freshly refreshed entry.  The benchmark's traced
     check asserts the same totals on its count of ``engine.mc_step`` spans,
     which every E-step makes, exact ones included."""
-    if variant in ("EM", "MCEM", "SAEM"):
+    proxy = core.VARIANTS[variant].proxy
+    if proxy == "batch":
         return n + total_iters * n
-    if variant in ("iEM", "iSAEM"):
+    if proxy == "table":
         return n + total_iters
-    if variant == "fiTTEM":
+    if proxy == "two_stream":
         return n + 2 * total_iters
+    assert proxy == "anchor", proxy
     refreshes = -(-total_iters // epoch_len)
     return n + refreshes * n + (total_iters - refreshes)
 
@@ -641,6 +662,11 @@ class TestErrorPaths:
             run(model, cfg)
         assert exc.value.sample_index == 1  # n = 3, init consumed 3 calls
         assert exc.value.iteration == 0
+
+    def test_direct_epoch_refresh_failure_reads_no_iteration(self):
+        with pytest.raises(SamplingError, match="non-finite statistic") as exc:
+            epoch_refresh(_NoExactModel(nan_at=2), 0.0, 1, named_stream(0, "mc"))
+        assert (exc.value.sample_index, exc.value.iteration) == (1, -1)  # -1: outside any run
 
     def test_direct_mc_step_failure_carries_context(self):
         with pytest.raises(SamplingError, match="posterior sampling failed: target blew up") as exc:

@@ -4,11 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from ttsem import engine, pk
+from ttsem import pk
 from ttsem.core import ConfigError, PerSampleStatTable
 from ttsem.engine import (
     gap_delta_s,
-    inc_step,
     mc_step,
     sa_step,
 )
@@ -36,41 +35,47 @@ class TestSaStep:
 
 
 class TestIncStep:
-    def test_one_function_for_both_timescales(self):
-        assert engine.inc_step is engine.sa_step
+    """The Inc-step stt + rho * (proxy - stt) is ``sa_step`` with step rho."""
 
     def test_rho_one_returns_proxy_exactly(self):
         stt = np.array([1e20, 2.0])
         proxy = np.array([1.0, -1.0])
-        out = inc_step(stt, proxy, 1.0)
+        out = sa_step(stt, proxy, 1.0)
         np.testing.assert_array_equal(out, proxy)
 
     def test_midpoint(self):
-        np.testing.assert_array_equal(inc_step(np.array([2.0]), np.array([0.0]), 0.5), [1.0])
+        np.testing.assert_array_equal(sa_step(np.array([2.0]), np.array([0.0]), 0.5), [1.0])
 
     def test_hand_value(self):
-        out = inc_step(np.zeros(2), np.array([10.0, -10.0]), 0.1)
+        out = sa_step(np.zeros(2), np.array([10.0, -10.0]), 0.1)
         np.testing.assert_allclose(out, [1.0, -1.0])
+
+
+def _gap(a, b):
+    """gap_delta_s of the one-row block of differences a - b, as a float."""
+    sq = gap_delta_s(np.subtract([a], [b], dtype=np.float64))
+    assert sq.shape == (1,)
+    return float(sq[0])
 
 
 class TestGapDeltaS:
     def test_equal_vectors(self):
-        assert gap_delta_s(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
+        assert _gap(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
 
     def test_unit_axes(self):
-        assert gap_delta_s(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 2.0
+        assert _gap(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 2.0
 
     def test_three_four_five(self):
-        assert gap_delta_s(np.array([3.0, 4.0]), np.zeros(2)) == 25.0
+        assert _gap(np.array([3.0, 4.0]), np.zeros(2)) == 25.0
 
     def test_overflow_is_inf_without_a_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert gap_delta_s([1e300, 0.5], [0.0, 0.0]) == math.inf
-            assert gap_delta_s([-1e300, 2.0, 3.0], [1e300, 2.0, 0.0]) == math.inf  # d = -2e300
-            assert gap_delta_s([1e154, 1e154], [0.0, 0.0]) == math.inf  # each square finite, their sum not
+            assert _gap([1e300, 0.5], [0.0, 0.0]) == math.inf
+            assert _gap([-1e300, 2.0, 3.0], [1e300, 2.0, 0.0]) == math.inf  # d = -2e300
+            assert _gap([1e154, 1e154], [0.0, 0.0]) == math.inf  # each square finite, their sum not
             big = np.array([1e150, -3.0])
-            assert gap_delta_s(big.tolist(), [0.0, 0.0]) == float(np.dot(big, big)) < math.inf
+            assert _gap(big.tolist(), [0.0, 0.0]) == float(np.dot(big, big)) < math.inf
             # a block sums each row alone: the overflowing one is inf, the others keep their bits
             block = np.array([[0.5, -3.0, 1e-7], [1e200, 1e200, 0.0], [1e150, 2.0, -1.0], [0.0, 0.0, 0.0]])
             sq = gap_delta_s(block)
@@ -84,13 +89,12 @@ class TestGapDeltaS:
         a = rng.standard_normal((200, k)) * np.exp(rng.uniform(-20.0, 5.0, size=(200, 1)))
         b = rng.standard_normal((200, k)) * np.exp(rng.uniform(-20.0, 5.0, size=(200, 1)))
         b[::5] = a[::5]  # equal rows
-        sq = gap_delta_s(a, b)
+        sq = gap_delta_s(a - b)
         assert sq.shape == (200,)
         for r in range(200):
             d = a[r] - b[r]
-            assert _bits(sq[r]) == _bits(np.vdot(d, d)) == _bits(gap_delta_s(a[r].tolist(), b[r].tolist()))
+            assert _bits(sq[r]) == _bits(np.vdot(d, d)) == _bits(_gap(a[r].tolist(), b[r].tolist()))
         assert _bits(sq[::5]) == _bits(np.zeros(40))
-        assert _bits(gap_delta_s(a - b)) == _bits(sq)  # differences already taken
 
 
 # The proxies are the table's two operations: iSAEM replaces entry i and
@@ -334,15 +338,15 @@ class TestStepsMatchNumpyOracles:
             a, b = _stat(rng, k), _stat(rng, k)
             step = 1.0 if t % 4 == 0 else float(rng.uniform(1e-6, 1.0))
             assert _bits(sa_step(a.tolist(), b.tolist(), step)) == _bits(_sa_step_oracle(a, b, step))
-            assert _bits(inc_step(a.tolist(), b.tolist(), step)) == _bits(_inc_step_oracle(a, b, step))
-            assert _bits(gap_delta_s(a.tolist(), b.tolist())) == _bits(_gap_oracle(a, b))
-            assert _bits(gap_delta_s(a.tolist(), a.tolist())) == _bits(_gap_oracle(a, a.copy()))
+            assert _bits(sa_step(a.tolist(), b.tolist(), step)) == _bits(_inc_step_oracle(a, b, step))
+            assert _bits(_gap(a.tolist(), b.tolist())) == _bits(_gap_oracle(a, b))
+            assert _bits(_gap(a.tolist(), a.tolist())) == _bits(_gap_oracle(a, a.copy()))
 
     def test_unit_rho_gap_is_positive_zero(self):
         rng = named_stream(22, "test")
         for _ in range(100):
             proxy = _stat(rng, 3).tolist()
-            gap = gap_delta_s(inc_step(_stat(rng, 3).tolist(), proxy, 1.0), proxy)
+            gap = _gap(sa_step(_stat(rng, 3).tolist(), proxy, 1.0), proxy)
             assert _bits(gap) == _bits(0.0)
 
     @pytest.mark.parametrize("k", [1, 3, 15])
@@ -376,4 +380,4 @@ class TestStepsMatchNumpyOracles:
         with pytest.raises(ValueError):
             table.control(0, [1.0])
         with pytest.raises(AssertionError):
-            inc_step([0.0], [0.0, 1.0], 0.5)
+            sa_step([0.0], [0.0, 1.0], 0.5)

@@ -9,7 +9,7 @@ from ttsem.samplers import MhConfig, categorical_sample, mh_chain
 class TestCategoricalSample:
     def test_degenerate_always_hits_the_mass(self):
         rng = named_stream(0, "test")
-        draws = [categorical_sample([1.0, 0.0], rng) for _ in range(200)]
+        draws = [categorical_sample([1.0, 0.0], rng, 1)[0] for _ in range(200)]
         assert set(draws) == {0}
 
     def test_fair_coin_frequency(self):
@@ -31,18 +31,18 @@ class TestCategoricalSample:
     def test_rejects_unnormalized(self):
         rng = named_stream(3, "test")
         with pytest.raises(ValueError):
-            categorical_sample([0.5, 0.6], rng)
+            categorical_sample([0.5, 0.6], rng, 1)
         with pytest.raises(ValueError):
-            categorical_sample([0.9, -0.1, 0.2], rng)
+            categorical_sample([0.9, -0.1, 0.2], rng, 1)
         for weights in ([np.nan, 1.0], [np.inf, 1.0], [1.0, np.nan, 0.0]):
             with pytest.raises(ValueError, match="sum to 1"):
-                categorical_sample(weights, rng)
+                categorical_sample(weights, rng, 1)
 
     def test_single_uniform_per_draw(self):
         # inverse-CDF sampling consumes exactly one uniform per draw
         rng1 = named_stream(4, "test")
         rng2 = named_stream(4, "test")
-        categorical_sample([0.3, 0.7], rng1)
+        categorical_sample([0.3, 0.7], rng1, 1)
         rng2.random()
         np.testing.assert_array_equal(rng1.random(4), rng2.random(4))
 
