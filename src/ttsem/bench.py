@@ -287,10 +287,6 @@ def _model_kind(name: str) -> ModelKind:
     return MODELS[name]
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform has one."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -347,7 +343,7 @@ def cmd_simulate(model_kind: str, truth, n: int, seed: int, out_path) -> str:
     data, _ = kind.dataset(truth, n, check_seed(seed))
     kind.write(out_path, data)
     with open(out_path, "rb") as fh:
-        return _sha256(fh.read())
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def cmd_run(model: ModelSpec, config: RunConfig, out_path) -> Trajectory:
@@ -373,8 +369,8 @@ def _replicate_worker(spec: ExperimentSpec, r: int) -> dict:
     model = kind.model(data)
     theta0 = model.default_init()
     reference = kind.reference(model, truth, theta0)
-    data_hash = _sha256("\n".join(map(repr, kind.hash_values(data))).encode())
-    theta0_hash = _sha256(np.array(model.flatten_params(theta0)).tobytes())
+    data_hash = hashlib.sha256("\n".join(map(repr, kind.hash_values(data))).encode()).hexdigest()
+    theta0_hash = hashlib.sha256(np.array(model.flatten_params(theta0)).tobytes()).hexdigest()
 
     grid = spec.grid()
     series: dict[str, dict[str, np.ndarray]] = {}

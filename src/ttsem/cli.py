@@ -1,8 +1,8 @@
 """Command-line interface: ``ttsem simulate | run | replicate``.
 
 Exit codes: 0 success, 1 usage error (reported as "ttsem: error: ..."), 2
-runtime failure.  A JSON file given via --config overrides any flag of the
-same name; its values are checked and converted like the flag's text.
+runtime failure.  The entries of a --config JSON file are parsed as flags
+given after the command line's, so they win, and an error names the flag.
 """
 
 from __future__ import annotations
@@ -45,38 +45,32 @@ def _load_truth(kind: bench.ModelKind, path):
     return kind.truth_from_json(blob)
 
 
-def _apply_config_file(command: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.Namespace:
-    if getattr(args, "config", None) is None:
-        return args
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The --config file's entries as ``--name=value`` flags, parsed after the command line's."""
     with open(args.config, "r", encoding="ascii") as fh:
-        overrides = json.load(fh)
-    if not isinstance(overrides, dict):
+        entries = json.load(fh)
+    if not isinstance(entries, dict):
         raise ConfigError("config file must hold a JSON object")
-    actions = {a.dest: a for a in command._actions if a.dest != "help"}
-    for key, value in overrides.items():
-        action = actions.get(key.replace("-", "_"))
-        if action is None:
+    names = vars(args).keys() - {"command"}  # the command's flags; a key must name one exactly
+    for key, value in entries.items():
+        if key.replace("-", "_") not in names:
             raise ConfigError(f"unknown config key {key!r}")
         if value is None:
             raise ConfigError(f"config key {key!r}: null is not a value")
-        # convert the value's text exactly as the parser converts a flag's
-        try:
-            value = (action.type or str)(str(value))
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: invalid value {value!r}") from None
-        if action.choices is not None and value not in action.choices:
-            raise ConfigError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
-        setattr(args, action.dest, value)
-    return args
+    return [f"--{key.replace('_', '-')}={value}" for key, value in entries.items()]
 
 
 def _add_algo_flags(command: argparse.ArgumentParser) -> None:
     """Flags of the algorithm settings shared by ``run`` and ``replicate``."""
-    *unit, last = (v for v, f in VARIANTS.items() if f.unit_gamma)  # the variants RunConfig forces gamma = 1 on
+    def variants(marked):
+        """The variants whose row is ``marked``, listed as "A, B and C"."""
+        *head, last = (v for v, f in VARIANTS.items() if marked(f))
+        return f"{', '.join(head)} and {last}" if head else last
+
     command.add_argument("--gamma", default=None, help=f"SA-step stepsize (default: {bench.DEFAULT_GAMMA}, "
-                                                       f"or 1 for {', '.join(unit)} and {last})")
+                                                       f"or 1 for {variants(lambda f: f.unit_gamma)})")
     command.add_argument("--rho", type=_auto(float), default=None,
-                         help="Inc-step stepsize (auto: n^-2/3 for vrTTEM and fiTTEM, else 1)")
+                         help=f"Inc-step stepsize (auto: n^-2/3 for {variants(lambda f: not f.unit_rho)}, else 1)")
     command.add_argument("--mc-samples", type=int, default=None)
     command.add_argument("--epoch-len", type=_auto(int), default=None,
                          help="vrTTEM anchor period (auto: n); parsed for all variants, used by vrTTEM only")
@@ -91,7 +85,6 @@ def _algo(args: argparse.Namespace, variant: str) -> bench.AlgoSpec:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ttsem", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices
     # flags every command takes
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--model", required=True, choices=list(bench.MODELS))
@@ -126,13 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    try:
-        args = _apply_config_file(parser.commands[args.command], args)
+        if args.config is not None:
+            args = parser.parse_args(argv + _config_flags(args))
         kind = bench.MODELS[args.model]
         if args.command == "simulate":
             digest = bench.cmd_simulate(args.model, _load_truth(kind, args.theta), args.n, args.seed, args.out)
@@ -160,6 +151,8 @@ def main(argv=None) -> int:
             summary_path = args.out + ".json"
             bench.cmd_replicate(spec, metrics_path, summary_path)
             print(f"wrote {metrics_path} and {summary_path}")
+    except SystemExit as exc:  # argparse has printed its usage error, or the help
+        return int(exc.code or 0)
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"ttsem: error: {exc}", file=sys.stderr)
         return 1

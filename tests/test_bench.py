@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -906,3 +907,117 @@ class TestCli:
         assert cli.main(argv[:1] + base + argv[1:]) == code  # later flags win
         err = capsys.readouterr().err
         assert ("ttsem: error:" in err) == (code == 1)
+
+
+class TestConfigFile:
+    """What a ``--config`` file may hold, and how its entries combine with the
+    command line's flags."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        path = tmp_path / "d.txt"
+        gmm.write_dataset(path, np.linspace(-1.0, 1.0, 20))
+        return path
+
+    @staticmethod
+    def _run(tmp_path, data, out, *flags, config=None):
+        argv = ["run", "--model", "gmm", "--data", str(data), "--algo", "vrTTEM", "--epochs", "1",
+                "--mc-samples", "1", "--out", str(out), *flags]
+        if config is not None:
+            (tmp_path / "c.json").write_text(config if isinstance(config, str) else json.dumps(config))
+            argv += ["--config", str(tmp_path / "c.json")]
+        return cli.main(argv)
+
+    @pytest.mark.parametrize("command, config, message", [
+        pytest.param("replicate", {"rep": 2}, "unknown config key 'rep'", id="abbreviated-replicates"),
+        pytest.param("run", {"epoch": 1}, "unknown config key 'epoch'", id="abbreviated-epochs"),
+        pytest.param("run", {"algos": "SAEM"}, "unknown config key 'algos'", id="replicate-key-on-run"),
+        pytest.param("replicate", {"data": "d.txt"}, "unknown config key 'data'", id="run-key-on-replicate"),
+        pytest.param("simulate", {"epochs": 1}, "unknown config key 'epochs'", id="run-key-on-simulate"),
+        pytest.param("run", {"command": "run"}, "unknown config key 'command'", id="command"),
+        pytest.param("run", {"help": True}, "unknown config key 'help'", id="help"),
+        pytest.param("run", {"--seed": 1}, "unknown config key '--seed'", id="dashed-name"),
+        pytest.param("run", {"seed": 1, "gamma": None}, "config key 'gamma': null is not a value", id="null"),
+        pytest.param("run", [["seed", 1]], "config file must hold a JSON object", id="array-file"),
+        pytest.param("run", "3", "config file must hold a JSON object", id="number-file"),
+        # a list is read from its text, as a flag's value would be
+        pytest.param("simulate", {"n": [5]}, "ttsem: error:", id="list-n"),
+        pytest.param("run", {"gamma": [0.5]}, "ttsem: error:", id="list-gamma"),
+    ])
+    def test_rejected_files_are_usage_errors(self, tmp_path, capsys, data, command, config, message):
+        (tmp_path / "c.json").write_text(config if isinstance(config, str) else json.dumps(config))
+        out = tmp_path / "o"
+        argv = {
+            "simulate": ["simulate", "--model", "gmm", "--n", "5"],
+            "run": ["run", "--model", "gmm", "--data", str(data), "--algo", "SAEM", "--epochs", "1"],
+            "replicate": ["replicate", "--model", "gmm", "--n", "20", "--replicates", "1", "--algos", "SAEM",
+                          "--epochs", "1"],
+        }[command]
+        before = set(tmp_path.iterdir())
+        assert cli.main(argv + ["--mc-samples", "1"] * (command != "simulate")
+                        + ["--out", str(out), "--config", str(tmp_path / "c.json")]) == 1
+        err = capsys.readouterr().err
+        assert "ttsem: error:" in err and message in err
+        assert set(tmp_path.iterdir()) == before
+
+    def test_abbreviation_is_a_flag_not_a_key(self, tmp_path, capsys):
+        # argparse takes --rep for --replicates on the command line; a config key must be exact
+        rc = cli.main(["replicate", "--model", "gmm", "--n", "20", "--rep", "1", "--algos", "SAEM", "--epochs", "1",
+                       "--mc-samples", "1", "--out", str(tmp_path / "r")])
+        assert rc == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("key", ["epoch-len", "epoch_len"])
+    def test_both_spellings_set_the_flag(self, tmp_path, capsys, data, key):
+        assert self._run(tmp_path, data, tmp_path / "flag.csv", "--epoch-len", "3") == 0
+        assert self._run(tmp_path, data, tmp_path / "default.csv") == 0
+        assert self._run(tmp_path, data, tmp_path / "file.csv", config={key: 3}) == 0
+        capsys.readouterr()
+        assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+        assert (tmp_path / "file.csv").read_bytes() != (tmp_path / "default.csv").read_bytes()
+
+    @pytest.mark.parametrize("flags_after", [False, True])
+    def test_file_values_win_over_flags(self, tmp_path, capsys, data, flags_after):
+        assert self._run(tmp_path, data, tmp_path / "flag.csv", "--seed", "5", "--mc-samples", "2") == 0
+        argv = ["run", "--model", "gmm", "--data", str(data), "--algo", "vrTTEM", "--epochs", "1",
+                "--out", str(tmp_path / "file.csv")]
+        flags = ["--seed", "1", "--mc-samples", "7"]
+        (tmp_path / "c.json").write_text(json.dumps({"seed": 5, "mc-samples": "2"}))
+        config = ["--config", str(tmp_path / "c.json")]
+        assert cli.main(argv + (config + flags if flags_after else flags + config)) == 0
+        capsys.readouterr()
+        assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
+    def test_value_starting_with_a_dash(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps({"out": "-x.csv"}))
+        assert cli.main(["simulate", "--model", "gmm", "--n", "4", "--out", "o.txt", "--config", "c.json"]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["-x.csv", "c.json"]
+
+    def test_list_value_is_converted_from_its_text(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps({"out": [1, "a"], "seed": 3}))
+        assert cli.main(["simulate", "--model", "gmm", "--n", "4", "--out", "o.txt", "--config", "c.json"]) == 0
+        assert cli.main(["simulate", "--model", "gmm", "--n", "4", "--seed", "3", "--out", "flag.txt"]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "[1, 'a']").read_bytes() == (tmp_path / "flag.txt").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "replicate"])
+def test_step_size_help_names_the_marked_variants(command, capsys, monkeypatch):
+    # an extra row with gamma forced to 1 and a free rho, as an exact fiTTEM (FIEM) would be
+    variants = {**VARIANTS, "FIEM": VARIANTS["fiTTEM"]._replace(exact=True, unit_gamma=True)}
+    monkeypatch.setattr(cli, "VARIANTS", variants)
+    monkeypatch.setenv("COLUMNS", "1000")  # one help line per flag
+    assert cli.main([command, "--help"]) == 0
+    text = capsys.readouterr().out
+
+    def listed(pattern):
+        return re.split(r", | and ", re.search(pattern, text).group(1))
+
+    unit_gamma = [v for v, f in variants.items() if f.unit_gamma]
+    free_rho = [v for v, f in variants.items() if not f.unit_rho]
+    assert "FIEM" in unit_gamma and "FIEM" in free_rho
+    assert listed(r"--gamma GAMMA +SA-step stepsize \(default: \S+, or 1 for (.*)\)\n") == unit_gamma
+    assert listed(r"--rho RHO +Inc-step stepsize \(auto: n\^-2/3 for (.*), else 1\)\n") == free_rho

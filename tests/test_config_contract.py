@@ -5,13 +5,18 @@ One seeded draw of configurations over extreme data and settings, run
 with warnings raised as errors.  A variant that needs
 an exact E-step on the PK model must be refused with a ``ConfigError``: the
 model's ``exact_expectation`` default is the one place that rule lives.
+
+A second seeded draw drives flag combinations through ``cli.main``, a third
+of them with their settings in a ``--config`` file: each must exit 0, 1 or 2
+with the prefix its code prints, and never with an exception.
 """
 
+import json
 import warnings
 
 import numpy as np
 
-from ttsem import core, pk
+from ttsem import cli, core, gmm, pk
 from ttsem.core import ConfigError, RunConfig, SamplingError, StepSchedule
 from ttsem.engine import run
 from ttsem.gmm import GmmModel
@@ -93,3 +98,119 @@ def test_every_accepted_configuration_runs_or_fails_typed():
             assert np.all(np.isfinite(traj.thetas)), where
             outcomes["ran"] += 1
     assert sum(outcomes.values()) == CASES and outcomes["ran"] >= CASES // 2, outcomes
+
+
+CLI_SEED = 73
+CLI_CASES = 300
+
+# each flag's ordinary text, then its odd text, which a case draws one time in five; no
+# text makes a run longer than two epochs or a replicate study larger than 8 x 2
+TEXTS = {
+    "--gamma": (["0.5", "const:0.8", "poly:0.5", "poly:0.75:c=0.9:warmup=2ep"],
+                ["1", "1e-300", "0", "-1", "abc", "poly:1.5", "poly:0.5:warmup=nan", "const:0.5:warmup=3"]),
+    "--rho": (["auto", "1", "0.3"], ["1e-300", "0", "-0.5", "2", "nan", "inf", "abc"]),
+    "--mc-samples": (["1", "3"], ["50", "0", "-1", "2.5", "abc"]),
+    "--epoch-len": (["auto", "1", "7"], ["0", "-3", "2.5", "x"]),
+    "--epochs": (["1", "2"], ["0.5", "0", "1e-300", "0.05", "-1", "nan", "inf", "1e400", "two"]),
+    "--seed": (["0", "7", str(2**32)], [str(2**64 - 1), str(2**64), "-1", "2.5", "abc"]),
+    "--n": (["3", "8"], ["1", "0", "-5", "abc"]),
+    "--replicates": (["1", "2"], ["0", "-1"]),
+    "--jobs": (["1", "3"], ["0"]),
+}
+REQUIRED = ("--model", "--n", "--data", "--algo", "--out")
+ALGO = ("--seed", "--gamma", "--rho", "--mc-samples", "--epoch-len", "--epochs")
+OPTIONAL = {"simulate": ("--seed",), "run": ALGO, "replicate": (*ALGO, "--replicates", "--jobs")}
+
+
+def _text(rng, flag):
+    ordinary, odd = TEXTS[flag]
+    return str(rng.choice(odd if rng.random() < 0.2 else ordinary))
+
+
+def _cli_files(tmp_path):
+    """Datasets and truth files: each model's own, keyed by its name, and
+    under "other" every file a case may name, empty, bad and missing ones too."""
+    gmm.write_dataset(tmp_path / "gmm.txt", np.linspace(-2.0, 2.0, 12))
+    pk.write_cohort(tmp_path / "pk.csv", pk.simulate(3, pk.paper_truth(), pk.default_design(),
+                                                     np.random.default_rng(0)))
+    (tmp_path / "empty.txt").write_text("")
+    (tmp_path / "pk-empty.csv").write_text("id,dose,time,obs\n")
+    truths = {"gmm-theta.json": {"omega": [0.3], "mu": [-1.0, 1.0]},
+              "pk-theta.json": {"pop": [1.2, 0.8, 9.0, 0.12], "omega2": [0.09] * 4, "sigma2": 0.4},
+              "bad-theta.json": {"omega": [0.5, 0.6], "mu": [0.5, -0.5]}, "list-theta.json": [0.5, 0.5]}
+    for name, truth in truths.items():
+        (tmp_path / name).write_text(json.dumps(truth))
+    data = ("gmm.txt", "pk.csv", "empty.txt", "pk-empty.csv", "missing.txt")
+    return ({"gmm": tmp_path / "gmm.txt", "pk": tmp_path / "pk.csv", "other": [tmp_path / f for f in data]},
+            {"gmm": tmp_path / "gmm-theta.json", "pk": tmp_path / "pk-theta.json",
+             "other": [tmp_path / f for f in (*truths, "missing.json")]})
+
+
+def _path(rng, files, model):
+    """The model's own file seven times in ten, else any file of the kind."""
+    return str(files[model] if model in files and rng.random() < 0.7 else rng.choice(files["other"]))
+
+
+def _cli_flags(rng, data, thetas, out):
+    """One command with its flags, as a dict from flag to text."""
+    command = str(rng.choice(["simulate", "run", "replicate"]))
+    model = str(rng.choice(["gmm", "pk", "nope"], p=[0.45, 0.45, 0.1]))
+    variants = [*core.VARIANTS, "nope"]
+    flags = {"--model": model, "--out": str(out)}
+    if command == "simulate":
+        flags["--n"] = _text(rng, "--n")
+    elif command == "run":
+        flags["--data"] = _path(rng, data, model)
+        flags["--algo"] = str(rng.choice(variants))
+    else:
+        flags["--n"] = _text(rng, "--n")
+        flags["--algos"] = ",".join(rng.choice(variants, int(rng.integers(1, 3))))
+        flags["--epochs"] = _text(rng, "--epochs")
+    for flag in OPTIONAL[command]:
+        if flag not in flags and rng.random() < 0.4:
+            flags[flag] = _text(rng, flag)
+    if command != "run" and rng.random() < 0.3:
+        flags["--theta"] = _path(rng, thetas, model)
+    return command, flags
+
+
+def _as_config(rng, flags, path):
+    """Move most flags into a --config file at ``path``, in either key
+    spelling, as JSON numbers where the text is an integer; a required flag
+    stays on the command line, and the file sometimes repeats it."""
+    entries, kept = {}, {}
+    for flag, text in flags.items():
+        in_file = rng.random() < (0.2 if flag in REQUIRED else 0.7)
+        if in_file:
+            key = flag[2:].replace("-", "_") if rng.random() < 0.5 else flag[2:]
+            entries[key] = int(text) if text.lstrip("-").isdigit() and rng.random() < 0.5 else text
+        if flag in REQUIRED or not in_file:
+            kept[flag] = text
+    path.write_text(json.dumps(entries))
+    return {**kept, "--config": str(path)}
+
+
+def test_every_flag_combination_exits_with_a_code(tmp_path, capsys):
+    rng = np.random.default_rng(CLI_SEED)
+    data, thetas = _cli_files(tmp_path)
+    codes, ran = {0: 0, 1: 0, 2: 0}, set()
+    for case in range(CLI_CASES):
+        command, flags = _cli_flags(rng, data, thetas, tmp_path / f"out{case}")
+        via_config = case % 3 == 0
+        if via_config:
+            flags = _as_config(rng, flags, tmp_path / f"config{case}.json")
+        argv = [command, *(token for flag, text in flags.items() for token in (flag, text))]
+        where = f"case {case}: ttsem {' '.join(argv)}"
+        try:
+            code = cli.main(argv)
+        except BaseException as exc:  # SystemExit included: main returns every exit code
+            raise AssertionError(where) from exc
+        err = capsys.readouterr().err
+        assert code in codes, where
+        assert code != 1 or "ttsem: error:" in err, where
+        assert code != 2 or "ttsem: runtime failure:" in err, where
+        codes[code] += 1
+        if code == 0:
+            ran.add((command, via_config))
+    # every exit code occurs, and every command runs both from flags and from a config file
+    assert all(codes.values()) and len(ran) == 6, (codes, ran)

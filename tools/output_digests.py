@@ -28,8 +28,11 @@ SAEM's budget rounds up to 3 passes), a PK replicate study under
 ``THETAS``, which the script writes into OUTDIR first: a GMM truth given
 as all M weights and one given as the M-1 free ones, and a PK truth given
 as ``pop`` (also run through a replicate study, whose metrics compare
-against it) and one given as ``log_pop`` with a full ``omega2``.  It takes
-about fourteen seconds on two cores.
+against it) and one given as ``log_pop`` with a full ``omega2``.  Last
+come one ``run`` and one ``replicate`` whose settings are in the
+``--config`` files of ``CONFIGS``, written into OUTDIR with the truths;
+each repeats a flag-form command above, so their files' digests match that
+command's.  It takes about seventeen seconds on two cores.
 """
 
 from __future__ import annotations
@@ -73,6 +76,11 @@ COMMANDS = [
        "--out", f"{name}.txt"] for name in ("gmm-weights-all", "gmm-weights-free", "pk-pop", "pk-log_pop")),
     ["replicate", "--model", "pk", "--n", "10", "--replicates", "1", "--epochs", "1", "--mc-samples", "5",
      "--algos", "SAEM,fiTTEM", "--seed", "13", "--theta", "pk-pop.json", "--out", "pk-rep-theta"],
+    # the settings of gmm-SAEM-mc1.csv and pk-rep-jobs1 from the files in CONFIGS, over flags they override
+    ["run", "--model", "gmm", "--data", "gmm.txt", "--algo", "SAEM", "--seed", "1", "--config", "run-config.json",
+     "--out", "gmm-SAEM-mc1-config.csv"],
+    ["replicate", "--model", "pk", "--n", "12", "--jobs", "2", "--config", "replicate-config.json",
+     "--out", "pk-rep-config"],
 ]
 
 # simulation truths, written as JSON into OUTDIR before the commands run
@@ -83,6 +91,12 @@ THETAS = {
     "pk-log_pop": {"log_pop": [0.1, -0.2, 2.2, -2.1], "sigma2": 0.3,
                    "omega2": [[0.09, 0.01, 0.0, 0.0], [0.01, 0.16, 0.0, 0.0], [0.0, 0.0, 0.04, 0.0],
                               [0.0, 0.0, 0.0, 0.09]]},
+}
+
+# --config files, written into OUTDIR with the truths; their keys use both spellings
+CONFIGS = {
+    "run-config": {"mc_samples": 1, "epochs": "2", "seed": 5},
+    "replicate-config": {"replicates": 2, "epochs": 2, "mc-samples": "5", "seed": 9, "jobs": 1},
 }
 
 
@@ -103,9 +117,9 @@ def main(argv: list[str]) -> int:
         return 1
     outdir = argv[1]
     os.makedirs(outdir, exist_ok=True)
-    for name, theta in THETAS.items():
+    for name, blob in {**THETAS, **CONFIGS}.items():
         with open(os.path.join(outdir, f"{name}.json"), "w", encoding="ascii") as fh:
-            json.dump(theta, fh)
+            json.dump(blob, fh)
     env = {**os.environ, "PYTHONPATH": src}
     for args in COMMANDS:
         proc = subprocess.run([sys.executable, "-m", "ttsem.cli", *args], cwd=outdir, env=env,
