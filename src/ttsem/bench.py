@@ -88,7 +88,9 @@ def epochs_to_iters(epochs: float, n: int, variant: str) -> int:
     """Iteration budget covering ``epochs`` of ``Variant.iters_per_epoch``."""
     if not 0 <= epochs < math.inf:
         raise ConfigError(f"epochs must be nonnegative and finite, got {epochs}")
-    return math.ceil(epochs * VARIANTS[variant].iters_per_epoch(n))
+    if not (iters := epochs * VARIANTS[variant].iters_per_epoch(n)) < math.inf:
+        raise ConfigError(f"epochs={epochs} overflows the {variant} iteration count at n={n}")
+    return math.ceil(iters)
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
         entries = json.load(fh)
     if not isinstance(entries, dict):
         raise ConfigError("config file must hold a JSON object")
-    names = vars(args).keys() - {"command"}  # the command's flags; a key must name one exactly
+    names = vars(args).keys() - {"command", "config"}  # the command's flags; a key must name one exactly
     for key, value in entries.items():
         if key.replace("-", "_") not in names:
             raise ConfigError(f"unknown config key {key!r}")

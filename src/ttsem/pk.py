@@ -19,9 +19,10 @@ Statistic layout (k = 15):
 The moment M-step reads the population mean and covariance straight off
 (s1, s2) and the residual variance off s3.
 
-Each MH chain evaluates the log target ``_log_target`` prepares per (patient,
-theta): the prior factored once, then each step on plain floats through the
-curve formulas ``structural`` calls too.  ``log_posterior`` is a call into it.
+Each MH chain evaluates the log target ``_log_target`` prepares per patient
+over the prior factor ``PkParams`` builds once per theta, each step on plain
+floats through the curve formulas ``structural`` and ``suff_stat`` call too.
+``log_posterior`` is a call into it.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,6 +110,21 @@ class PkParams:
         """Fixed effects on the natural scale."""
         return np.exp(self.log_pop)
 
+    @cached_property
+    def _prior(self) -> list:
+        """The factor of omega2 every log target under these params reads: the
+        reciprocal diagonal, else the rows of the inverse Cholesky factor.
+        Built on first use, so a singular omega2 raises LinAlgError there."""
+        diag = self._diag
+        if diag is not None and not min(diag) > 0.0:
+            raise np.linalg.LinAlgError("omega2 is singular")
+        return [1.0 / x for x in diag] if diag else np.linalg.inv(np.linalg.cholesky(self.omega2)).tolist()
+
+    @cached_property
+    def _sds(self) -> np.ndarray:
+        """The prior standard deviations, positive once ``_prior`` is built."""
+        return np.sqrt(self.omega2.diagonal())
+
 
 @dataclass(frozen=True)
 class PkIndividual:
@@ -160,15 +177,11 @@ def structural(t, z, dose: float):
 
 def _log_target(indiv: PkIndividual, params: PkParams):
     """``log_posterior`` of one patient at fixed params, prepared for a chain:
-    the prior factored once (a singular omega2 raises LinAlgError here), then
-    every call on plain floats."""
+    the prior factor ``params`` holds (a singular omega2 raises LinAlgError
+    here), then every call on plain floats."""
     times, obs, dose = indiv.times.tolist(), indiv.obs.tolist(), indiv.dose
-    mu, sigma2, diag = params.log_pop.tolist(), params.sigma2, params._diag
-    if diag is not None and not min(diag) > 0.0:
-        raise np.linalg.LinAlgError("omega2 is singular")
-    # the reciprocal diagonal, else the rows of the inverse Cholesky factor
-    prior = [1.0 / x for x in diag] if diag else np.linalg.inv(np.linalg.cholesky(params.omega2)).tolist()
-    (m0, m1, m2, m3), (p0, p1, p2, p3) = mu, prior  # p: the reciprocals, or the rows
+    sigma2, diag, prior = params.sigma2, params._diag, params._prior
+    (m0, m1, m2, m3), (p0, p1, p2, p3) = params.log_pop.tolist(), prior  # p: the reciprocals, or the rows
 
     def log_target(z_log: np.ndarray) -> float:
         z0, z1, z2, z3 = z_log.tolist()
@@ -205,7 +218,9 @@ def log_posterior(indiv: PkIndividual, z_log: np.ndarray, params: PkParams) -> f
 def suff_stat(indiv: PkIndividual, z_log: np.ndarray) -> list:
     """Statistic vector for one patient at a sampled log-latent, as k floats."""
     z_log = np.asarray(z_log, dtype=np.float64)
-    resid = indiv.obs - structural(indiv.times, np.exp(z_log), indiv.dose)
+    tlag, ka, v, k = np.exp(z_log).tolist()  # the curve as the log target evaluates it
+    conc = _conc_limit if abs(ka - k) < _BRANCH_RTOL * max(ka, k) else _conc_general
+    resid = indiv.obs - np.array(conc(indiv.times.tolist(), tlag, ka, v, k, indiv.dose))
     z = z_log.tolist()  # the outer product's upper triangle, row-major, as np.outer rounds it
     return z + [a * b for r, a in enumerate(z) for b in z[r:]] + [float(resid @ resid) / len(indiv.obs)]
 
@@ -229,16 +244,16 @@ def m_step(s, diagonal: bool = True) -> PkParams:
     eigenvalues in full-matrix mode) and the event logged; s3 is floored at
     a tiny positive value so the next E-step target stays proper.
     """
-    s = np.asarray(s, dtype=np.float64)  # the k floats, converted once
-    s1 = s[:LATENT_DIM]
-    cov = unpack_sym(s[LATENT_DIM : LATENT_DIM + 10]) - np.outer(s1, s1)
     if diagonal:
-        diag = np.diag(cov).copy()
-        if np.any(diag < OMEGA_EIG_FLOOR):
-            logger.info("flooring %d diagonal variance(s) at %.1e", int(np.sum(diag < OMEGA_EIG_FLOOR)), OMEGA_EIG_FLOOR)
-            diag = np.maximum(diag, OMEGA_EIG_FLOOR)
+        # s2_rr - s1_r^2 at s2's diagonal places: np.diag(unpack_sym(s2) - np.outer(s1, s1)), bit for bit
+        diag = [s[r] - s[c] * s[c] for c, r in enumerate((4, 8, 11, 13))]
+        if low := sum(x < OMEGA_EIG_FLOOR for x in diag):
+            logger.info("flooring %d diagonal variance(s) at %.1e", low, OMEGA_EIG_FLOOR)
+            diag = [max(x, OMEGA_EIG_FLOOR) for x in diag]
         omega2 = np.diag(diag)
     else:
+        s = np.asarray(s, dtype=np.float64)
+        cov = unpack_sym(s[LATENT_DIM : LATENT_DIM + 10]) - np.outer(s[:LATENT_DIM], s[:LATENT_DIM])
         vals, vecs = np.linalg.eigh(cov)
         if vals[0] < OMEGA_EIG_FLOOR:
             logger.info("flooring covariance eigenvalues at %.1e (min was %.3e)", OMEGA_EIG_FLOOR, vals[0])
@@ -247,8 +262,7 @@ def m_step(s, diagonal: bool = True) -> PkParams:
             omega2 = 0.5 * (omega2 + omega2.T)
         else:
             omega2 = cov
-    sigma2 = max(float(s[-1]), SIGMA2_FLOOR)
-    return PkParams(log_pop=s1, omega2=omega2, sigma2=sigma2)
+    return PkParams(log_pop=s[:LATENT_DIM], omega2=omega2, sigma2=max(float(s[-1]), SIGMA2_FLOOR))
 
 
 def simulate(
@@ -362,8 +376,7 @@ class PkModel(ModelSpec):
         i, started from ``chains[i]`` when present and stored back there."""
         target = _log_target(self.individuals[i], theta)  # fails first on a singular prior
         init = (chains or {}).get(i, theta.log_pop)  # mh_chain copies it
-        sds = map(math.sqrt, theta.omega2.diagonal().tolist())  # positive: the target's factoring checked
-        scales = [max(self.PROPOSAL_FACTOR * sd, self.MIN_PROPOSAL_SCALE) for sd in sds]
+        scales = np.maximum(self.PROPOSAL_FACTOR * theta._sds, self.MIN_PROPOSAL_SCALE)
         final = mh_chain(target, MhConfig(chain_len=int(n_samples), proposal_scales=scales, init=init), rng)
         if chains is not None:
             chains[i] = final

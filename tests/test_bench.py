@@ -83,6 +83,14 @@ class TestGammaParsing:
         assert bench.epochs_to_iters(7.0, 100, "iSAEM") == 700
         assert bench.epochs_to_iters(2.5, 100, "EM") == 3
 
+    def test_budget_past_a_finite_iteration_count_is_a_config_error(self):
+        # finite epochs whose product with n overflows to inf, which math.ceil cannot convert
+        with pytest.raises(ConfigError, match="overflows the fiTTEM iteration count at n=10"):
+            AlgoSpec("fiTTEM").to_config(10, 1e308, 0, "gmm")
+        with pytest.raises(ConfigError, match="overflows the iSAEM iteration count"):
+            bench.epochs_to_iters(1e307, 100, "iSAEM")
+        assert bench.epochs_to_iters(1e308, 100, "SAEM") == int(1e308)  # one iteration per epoch
+
 
 class TestAlgoSpec:
     def test_auto_fields(self):
@@ -704,6 +712,18 @@ class TestCli:
         assert rc == 0
         assert traj_path.read_text().startswith("iter,epoch,")
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--data", "{data}", "--algo", "fiTTEM", "--epochs", "1e308", "--out", "{tmp}/o.csv"],
+        ["replicate", "--n", "100", "--epochs", "1e307", "--algos", "iSAEM", "--out", "{tmp}/rep"],
+    ], ids=["run", "replicate"])
+    def test_budget_past_a_finite_iteration_count_exits_one(self, tmp_path, capsys, argv):
+        data = tmp_path / "d.txt"
+        gmm.write_dataset(data, np.linspace(-1.0, 1.0, 20))
+        argv = [a.format(data=data, tmp=tmp_path) for a in argv]
+        assert cli.main(argv[:1] + ["--model", "gmm"] + argv[1:]) == 1
+        assert "ttsem: error: epochs=1e+30" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [data]
+
     def test_usage_errors_exit_one(self, tmp_path, capsys):
         assert cli.main(["run", "--model", "gmm"]) == 1  # missing required flags
         assert cli.main(["simulate", "--model", "nope", "--n", "1",
@@ -936,6 +956,7 @@ class TestConfigFile:
         pytest.param("simulate", {"epochs": 1}, "unknown config key 'epochs'", id="run-key-on-simulate"),
         pytest.param("run", {"command": "run"}, "unknown config key 'command'", id="command"),
         pytest.param("run", {"help": True}, "unknown config key 'help'", id="help"),
+        pytest.param("simulate", {"config": "does-not-exist.json"}, "unknown config key 'config'", id="config"),
         pytest.param("run", {"--seed": 1}, "unknown config key '--seed'", id="dashed-name"),
         pytest.param("run", {"seed": 1, "gamma": None}, "config key 'gamma': null is not a value", id="null"),
         pytest.param("run", [["seed", 1]], "config file must hold a JSON object", id="array-file"),

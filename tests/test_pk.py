@@ -7,7 +7,7 @@ from scipy.special import logsumexp
 
 from ttsem import bench, pk
 from ttsem.core import ConfigError, RunConfig, SamplingError, StepSchedule
-from ttsem.engine import run
+from ttsem.engine import epoch_refresh, run
 from ttsem.pk import PkIndividual, PkModel, PkParams
 from ttsem.rng import named_stream
 from ttsem.samplers import MhConfig, mh_chain
@@ -299,7 +299,8 @@ class TestKernelParity:
 
 # -- The PK E-step as it was written before its plain-float rewrite --------
 # (the closure, the curve helpers, the chain loop, the proposal scales and
-# the statistic), kept verbatim as the bit-for-bit oracle of the current one.
+# the statistic), and the numpy M-step, kept verbatim as the bit-for-bit
+# oracles of the current ones.
 
 def _old_conc_general(t, tlag, ka, v, k, dose):
     if not isinstance(t, list):
@@ -370,6 +371,30 @@ def _old_suff_stat(indiv, z_log):
     resid = indiv.obs - np.array(conc(indiv.times.tolist(), tlag, ka, v, k, indiv.dose))
     s3 = float(resid @ resid) / len(indiv.obs)
     return np.concatenate([z_log, outer[np.triu_indices(4)], [s3]])
+
+
+def _old_m_step(s, diagonal=True):
+    s = np.asarray(s, dtype=np.float64)
+    s1 = s[:4]
+    cov = pk.unpack_sym(s[4:14]) - np.outer(s1, s1)
+    if diagonal:
+        diag = np.diag(cov).copy()
+        if np.any(diag < pk.OMEGA_EIG_FLOOR):
+            pk.logger.info("flooring %d diagonal variance(s) at %.1e", int(np.sum(diag < pk.OMEGA_EIG_FLOOR)),
+                           pk.OMEGA_EIG_FLOOR)
+            diag = np.maximum(diag, pk.OMEGA_EIG_FLOOR)
+        omega2 = np.diag(diag)
+    else:
+        vals, vecs = np.linalg.eigh(cov)
+        if vals[0] < pk.OMEGA_EIG_FLOOR:
+            pk.logger.info("flooring covariance eigenvalues at %.1e (min was %.3e)", pk.OMEGA_EIG_FLOOR, vals[0])
+            vals = np.maximum(vals, pk.OMEGA_EIG_FLOOR)
+            omega2 = (vecs * vals) @ vecs.T
+            omega2 = 0.5 * (omega2 + omega2.T)
+        else:
+            omega2 = cov
+    sigma2 = max(float(s[-1]), pk.SIGMA2_FLOOR)
+    return PkParams(log_pop=s1, omega2=omega2, sigma2=sigma2)
 
 
 class _OldEstepPk(PkModel):
@@ -524,6 +549,34 @@ class TestMStep:
         floored[-1] = 0.0
         assert pk.m_step(floored).sigma2 == pk.SIGMA2_FLOOR
 
+    @staticmethod
+    def _logged_m_step(m_step, s, diagonal, caplog):
+        caplog.clear()
+        with caplog.at_level("INFO", logger=pk.logger.name):
+            theta = m_step(s, diagonal=diagonal)
+        return theta, [r.getMessage() for r in caplog.records]
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_bits_and_floor_records_match_the_numpy_oracle(self, diagonal, caplog):
+        # statistics of random latents, some with their s2 diagonal lowered or
+        # no spread at all, so that some variances floor
+        rng = named_stream(66, "test")
+        stats = []
+        for spread in (1.0, 1e-3, 0.0):
+            zs = rng.standard_normal((20, 4)) * spread * rng.random(4) + rng.standard_normal(4)
+            s = np.concatenate([zs.mean(axis=0), pk.pack_sym(zs.T @ zs / 20), [rng.random()]])
+            stats += [s, s - np.concatenate([np.zeros(4), pk.pack_sym(np.diag(rng.random(4) * 1e-6)), [1.0]])]
+        floored = 0
+        for s in stats:
+            ours, logged = self._logged_m_step(pk.m_step, s.tolist(), diagonal, caplog)
+            old, old_logged = self._logged_m_step(_old_m_step, s, diagonal, caplog)
+            assert logged == old_logged
+            floored += len(logged)
+            for a, b in ((ours.log_pop, old.log_pop), (ours.omega2, old.omega2)):
+                assert a.tobytes() == b.tobytes()
+            assert _bits(ours.sigma2) == _bits(old.sigma2)
+        assert 0 < floored < len(stats)
+
     def test_diagonal_mode_drops_cross_terms(self):
         rng = named_stream(44, "test")
         zs = rng.standard_normal((50, 4))
@@ -621,6 +674,16 @@ class TestModel:
         cfg = RunConfig(variant="SAEM", total_iters=2, seed=61, gamma=StepSchedule(a=0.6), mc_samples=5)
         with pytest.raises(SamplingError, match=f"posterior sampling failed: .*{message}"):
             run(PkModel(self._small_cohort()), cfg, theta0=theta0)
+
+    def test_prior_prepared_once_per_theta(self, monkeypatch):
+        # one whole pass under a full omega2 factors it once, not once per patient
+        cohort = self._small_cohort(n=7)
+        a = named_stream(67, "test").standard_normal((4, 4))
+        theta = PkParams(log_pop=pk.paper_truth().log_pop, omega2=0.05 * a @ a.T + 0.02 * np.eye(4), sigma2=0.5)
+        calls, cholesky = [], np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m) or cholesky(m))
+        table = epoch_refresh(PkModel(cohort), theta, 5, named_stream(68, "test"))
+        assert len(calls) == 1 and table.entries.shape == (7, pk.STAT_DIM)
 
     def test_no_exact_expectation(self):
         # the optional parts PK lacks fail with a ConfigError naming the model, as provides() says
