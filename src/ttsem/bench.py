@@ -21,7 +21,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import gmm, pk
-from .core import VARIANTS, ConfigError, ModelSpec, RunConfig, StepSchedule, as_int, check_seed, set_ints
+from .core import (INDEX_MAX, SEED_MAX, VARIANTS, ConfigError, ModelSpec, RunConfig, StepSchedule, as_int,
+                   check_real, set_ints)
 from .engine import Trajectory, run
 from .rng import derive_seed, named_stream
 
@@ -86,6 +87,7 @@ def parse_gamma(text: str, n: int, variant: str) -> StepSchedule:
 
 def epochs_to_iters(epochs: float, n: int, variant: str) -> int:
     """Iteration budget covering ``epochs`` of ``Variant.iters_per_epoch``."""
+    check_real("epochs", epochs)
     if not 0 <= epochs < math.inf:
         raise ConfigError(f"epochs must be nonnegative and finite, got {epochs}")
     if not (iters := epochs * VARIANTS[variant].iters_per_epoch(n)) < math.inf:
@@ -109,11 +111,12 @@ class AlgoSpec:
         if variant not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}")
         kind = _model_kind(model_kind)
+        n = as_int("n", n, 1, INDEX_MAX)
         if VARIANTS[variant].exact and not kind.model.provides("exact_expectation"):
             raise ConfigError(f"{variant} needs a model with an exact E-step")
         # a given epoch_len is checked for every variant; only vrTTEM has an
         # anchor, so the others leave a valid value unused
-        epoch_len = None if self.epoch_len is None else as_int("epoch_len", self.epoch_len)
+        epoch_len = None if self.epoch_len is None else as_int("epoch_len", self.epoch_len, -math.inf, math.inf)
         epoch_len = (n if epoch_len is None else epoch_len) if VARIANTS[variant].proxy == "anchor" else None
         # no gamma: DEFAULT_GAMMA, or the unit schedule RunConfig fills for a variant that forces it
         gamma = DEFAULT_GAMMA if self.gamma is None and not VARIANTS[variant].unit_gamma else self.gamma
@@ -148,15 +151,11 @@ class ExperimentSpec:
 
     def __post_init__(self):
         _model_kind(self.model)
-        set_ints(self, "n", "replicates", "jobs")
-        object.__setattr__(self, "seed", check_seed(self.seed))
-        if self.replicates < 1 or self.n < 1:
-            raise ConfigError("need at least one replicate and one sample")
+        set_ints(self, n=(1, INDEX_MAX), replicates=(1, INDEX_MAX), jobs=(1, INDEX_MAX), seed=(0, SEED_MAX))
+        check_real("epochs", self.epochs)
         if not 1 <= self.epochs * GRID_RESOLUTION < math.inf:
             raise ConfigError(f"epochs must reach the first grid point, {1 / GRID_RESOLUTION}, "
                               f"and be finite, got {self.epochs}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
         if not self.algorithms:
             raise ConfigError("need at least one algorithm")
         variants = [a.variant for a in self.algorithms]
@@ -339,10 +338,9 @@ def _metric_values(kind: ModelKind, traj: Trajectory, rows: np.ndarray, referenc
 
 def cmd_simulate(model_kind: str, truth, n: int, seed: int, out_path) -> str:
     """Write a synthetic dataset; returns (and prints nothing) its hash."""
-    if (n := as_int("n", n)) < 1:
-        raise ConfigError(f"n must be at least 1, got {n}")
+    n, seed = as_int("n", n, 1, INDEX_MAX), as_int("seed", seed, 0, SEED_MAX)
     kind = _model_kind(model_kind)
-    data, _ = kind.dataset(truth, n, check_seed(seed))
+    data, _ = kind.dataset(truth, n, seed)
     kind.write(out_path, data)
     with open(out_path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()

@@ -5,10 +5,16 @@ Statistic vectors are lists of k floats (k model-declared) at the model
 interface; each model documents its own index layout.  The table
 and the schedules are the only stateful pieces here, and the table is
 mutated by exactly one engine run at a time.
+
+Every integer setting, here and in the harness, passes ``as_int`` with its
+own closed range: counts up to INDEX_MAX, seeds up to SEED_MAX.  A value
+outside it, or not an integer, raises one ConfigError form, ``<name> must be
+an integer in [low, high], got <v>``.  A real setting passes ``check_real``.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 from abc import ABC, abstractmethod
@@ -19,8 +25,10 @@ import numpy as np
 
 __all__ = [
     "ConfigError",
+    "INDEX_MAX",
+    "SEED_MAX",
     "as_int",
-    "check_seed",
+    "check_real",
     "set_ints",
     "SamplingError",
     "StepSchedule",
@@ -36,28 +44,32 @@ class ConfigError(ValueError):
     """Invalid configuration, rejected before any work starts."""
 
 
-def as_int(name: str, value) -> int:
+INDEX_MAX = 2**63 - 1  # numpy's largest index, the bound of every count
+SEED_MAX = 2**64 - 1  # seeds are 64 unsigned bits
+
+
+def as_int(name: str, value, low, high) -> int:
+    """``value`` as an int (``operator.index``: 2.5 is not truncated) in the
+    closed range [low, high], else a ConfigError naming ``name``."""
     try:
-        return operator.index(value)
+        if low <= (value := operator.index(value)) <= high:
+            return value
     except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        pass
+    raise ConfigError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
 
 
-def check_seed(seed) -> int:
-    """The root seed as an int; rejects a non-integer and a seed that does
-    not fit in 64 unsigned bits."""
-    seed = as_int("seed", seed)
-    if not 0 <= seed <= 2**64 - 1:
-        raise ConfigError(f"seed must fit in 64 unsigned bits, got {seed}")
-    return seed
+def check_real(name: str, value) -> None:
+    """A ConfigError unless ``value`` is a real number; it is not converted."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
 
 
-def set_ints(obj, *names: str) -> None:
-    """Normalise integer fields of a frozen dataclass with ``operator.index``
-    (None stays None); a non-integer value is a ConfigError."""
-    for name in names:
-        if (value := getattr(obj, name)) is not None:
-            object.__setattr__(obj, name, as_int(name, value))
+def set_ints(obj, **bounds) -> None:
+    """Normalise integer fields of a frozen dataclass with ``as_int``, each
+    keyword naming a field and giving its (low, high) bounds."""
+    for name, (low, high) in bounds.items():
+        object.__setattr__(obj, name, as_int(name, getattr(obj, name), low, high))
 
 
 class SamplingError(RuntimeError):
@@ -91,13 +103,13 @@ class StepSchedule:
     warmup_iters: int = 0
 
     def __post_init__(self):
-        set_ints(self, "warmup_iters")
+        set_ints(self, warmup_iters=(0, math.inf))  # any finite warmup is accepted
+        check_real("c", self.c)
+        check_real("a", self.a)
         if not (0.0 < self.c <= 1.0):
             raise ConfigError(f"schedule value c must be in (0, 1], got {self.c}")
         if not (0.0 <= self.a < 1.0):
             raise ConfigError(f"polynomial exponent a must be in [0, 1), got {self.a}")
-        if self.warmup_iters < 0:
-            raise ConfigError("warmup_iters must be nonnegative")
 
     def eval(self, k: int) -> float:
         """Stepsize at iteration k >= 0; always in (0, 1]."""
@@ -207,14 +219,9 @@ class RunConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {tuple(VARIANTS)}")
-        set_ints(self, "total_iters", "mc_samples", "epoch_len")
-        object.__setattr__(self, "seed", check_seed(self.seed))
-        if self.rho is not None and not isinstance(self.rho, numbers.Real):
-            raise ConfigError(f"rho must be a real number, got {self.rho!r}")
-        if self.total_iters < 0:
-            raise ConfigError("total_iters must be nonnegative")
-        if self.mc_samples < 1:
-            raise ConfigError("mc_samples must be a positive integer")
+        set_ints(self, total_iters=(0, INDEX_MAX), seed=(0, SEED_MAX), mc_samples=(1, INDEX_MAX))
+        if self.rho is not None:
+            check_real("rho", self.rho)
 
         spec = VARIANTS[self.variant]
         if spec.unit_gamma:
@@ -238,8 +245,7 @@ class RunConfig:
 
         # the epoch length sets when the anchor is refreshed
         if spec.proxy == "anchor":
-            if self.epoch_len is None or self.epoch_len < 1:
-                raise ConfigError(f"{self.variant} requires epoch_len >= 1")
+            set_ints(self, epoch_len=(1, INDEX_MAX))
         elif self.epoch_len is not None:
             raise ConfigError(f"epoch_len is meaningful only for vrTTEM, not {self.variant}")
 

@@ -32,14 +32,13 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import ModelSpec, as_int
+from .core import INDEX_MAX, ModelSpec, as_int
 from .samplers import categorical_sample
 
 __all__ = [
     "GmmParams",
     "GmmModel",
     "m_step",
-    "penalized_nll",
     "simulate",
     "fit_reference_em",
     "read_dataset",
@@ -157,17 +156,6 @@ def _shifted_joint(data: np.ndarray, params: GmmParams) -> tuple[np.ndarray, np.
     return p, shift
 
 
-def penalized_nll(data: np.ndarray, params: GmmParams, delta: float, epsilon: float) -> float:
-    """Average negative marginal log-likelihood plus the regularizer."""
-    w = params.full_weights()
-    p, shift = _shifted_joint(data, params)
-    log_marg = np.log(p.sum(axis=0))
-    log_marg += shift
-    log_marg -= 0.5 * _LOG_2PI
-    pen = 0.5 * delta * np.sum(params.mu**2) - epsilon * np.sum(np.log(w))
-    return float(-np.mean(log_marg) + pen)
-
-
 def simulate(n: int, params: GmmParams, rng: np.random.Generator) -> np.ndarray:
     """Draw n observations: component per mixing weights, then N(mu_z, 1)."""
     if n == 0:
@@ -206,10 +194,8 @@ class GmmModel(ModelSpec):
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 1 or data.size == 0:
             raise ValueError("data must be a nonempty 1-d array")
-        if (n_components := as_int("n_components", n_components)) < 1:
-            raise ValueError("need at least one component")
         self.data = data
-        self.n_components = n_components
+        self.n_components = as_int("n_components", n_components, 1, INDEX_MAX)
         for name, value in (("delta", delta), ("epsilon", epsilon)):
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
@@ -290,8 +276,15 @@ class GmmModel(ModelSpec):
     def m_step(self, s):
         return m_step(s, self.delta, self.epsilon, self.n_components)
 
-    def penalized_nll(self, theta):
-        return penalized_nll(self.data, theta, self.delta, self.epsilon)
+    def penalized_nll(self, theta: GmmParams) -> float:
+        """Average negative marginal log-likelihood plus the regularizer."""
+        w = theta.full_weights()
+        p, shift = _shifted_joint(self.data, theta)
+        log_marg = np.log(p.sum(axis=0))
+        log_marg += shift
+        log_marg -= 0.5 * _LOG_2PI
+        pen = 0.5 * self.delta * np.sum(theta.mu**2) - self.epsilon * np.sum(np.log(w))
+        return float(-np.mean(log_marg) + pen)
 
     def exact_batch_stat(self, theta: GmmParams) -> list:
         """Mean of exact_expectation over the whole dataset, vectorized."""

@@ -90,6 +90,9 @@ class TestGammaParsing:
         with pytest.raises(ConfigError, match="overflows the iSAEM iteration count"):
             bench.epochs_to_iters(1e307, 100, "iSAEM")
         assert bench.epochs_to_iters(1e308, 100, "SAEM") == int(1e308)  # one iteration per epoch
+        # a finite count past numpy's largest index is refused by RunConfig
+        with pytest.raises(ConfigError, match=rf"^total_iters must be an integer in \[0, {2**63 - 1}\], got 1"):
+            AlgoSpec("SAEM").to_config(10, 1e300, 0, "gmm")
 
 
 class TestAlgoSpec:
@@ -125,14 +128,32 @@ class TestAlgoSpec:
         assert cfg.mc_samples == 50
 
     @pytest.mark.parametrize("epoch_len, message", [
-        (2.5, "epoch_len must be an integer, got 2.5"),  # not truncated to 2
-        pytest.param("2.5", "epoch_len must be an integer, got '2.5'", id="text-2.5"),  # the CLI parses text
-        pytest.param("x", "epoch_len must be an integer, got 'x'", id="text-x"),
+        pytest.param(2.5, "got 2.5", id="2.5"),  # not truncated to 2
+        pytest.param("2.5", "got '2.5'", id="text-2.5"),  # the CLI parses text
+        pytest.param("x", "got 'x'", id="text-x"),
     ])
     def test_epoch_len_must_be_an_integer(self, epoch_len, message):
-        with pytest.raises(ConfigError, match=message):
+        # only the type is checked here: a variant without an anchor leaves the value unused
+        with pytest.raises(ConfigError, match=re.escape(f"epoch_len must be an integer in [-inf, inf], {message}")):
             AlgoSpec("vrTTEM", epoch_len=epoch_len).to_config(n=100, epochs=1, seed=0, model_kind="gmm")
         assert AlgoSpec("vrTTEM", epoch_len=7).to_config(100, 1, 0, "gmm").epoch_len == 7
+
+    @pytest.mark.parametrize("variant", ["fiTTEM", "vrTTEM", "SAEM"])
+    @pytest.mark.parametrize("n", [0, -3, 2.5, 2**63, 10**400], ids=["0", "-3", "2.5", "2**63", "10**400"])
+    def test_n_must_be_a_count(self, variant, n):
+        # checked before n sizes rho, the epoch length or the budget
+        with pytest.raises(ConfigError, match=rf"^n must be an integer in \[1, {2**63 - 1}\], got {n!r}$"):
+            AlgoSpec(variant).to_config(n, 1, 0, "gmm")
+
+    @pytest.mark.parametrize("make", [
+        lambda epochs: AlgoSpec("SAEM").to_config(10, epochs, 0, "gmm"),
+        lambda epochs: ExperimentSpec(model="gmm", n=10, replicates=1, epochs=epochs,
+                                      algorithms=(AlgoSpec("SAEM"),), seed=0),
+    ], ids=["to_config", "ExperimentSpec"])
+    @pytest.mark.parametrize("epochs", ["3", None])
+    def test_epochs_must_be_a_real_number(self, make, epochs):
+        with pytest.raises(ConfigError, match=f"^epochs must be a real number, got {epochs!r}$"):
+            make(epochs)
 
     @pytest.mark.parametrize("variant", ["SAEM", "iSAEM", "fiTTEM", "EM"])
     def test_epoch_len_checked_for_every_variant(self, variant):
@@ -201,7 +222,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("model", ["gmm", "pk"])
     def test_non_integer_n_is_config_error(self, tmp_path, model):
         path = tmp_path / "d.txt"
-        with pytest.raises(ConfigError, match=r"^n must be an integer, got 2\.5$"):
+        with pytest.raises(ConfigError, match=r"^n must be an integer in \[1, 9223372036854775807\], got 2\.5$"):
             bench.cmd_simulate(model, None, 2.5, 1, path)
         assert not path.exists()
 
@@ -723,6 +744,15 @@ class TestCli:
         assert cli.main(argv[:1] + ["--model", "gmm"] + argv[1:]) == 1
         assert "ttsem: error: epochs=1e+30" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [data]
+
+    @pytest.mark.parametrize("command", ["simulate", "replicate"])
+    def test_n_past_numpy_index_exits_one(self, tmp_path, capsys, command):
+        # not an OverflowError from resolving rho = n**(-2/3), nor a dataset of 10**400 draws
+        argv = [command, "--model", "gmm", "--n", str(10**400), "--out", str(tmp_path / "o")]
+        extra = ["--epochs", "1", "--replicates", "1"] if command == "replicate" else []
+        assert cli.main(argv + extra) == 1
+        assert f"ttsem: error: n must be an integer in [1, {2**63 - 1}], got 1000" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_usage_errors_exit_one(self, tmp_path, capsys):
         assert cli.main(["run", "--model", "gmm"]) == 1  # missing required flags

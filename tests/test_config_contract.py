@@ -113,9 +113,9 @@ TEXTS = {
     "--epoch-len": (["auto", "1", "7"], ["0", "-3", "2.5", "x"]),
     "--epochs": (["1", "2"], ["0.5", "0", "1e-300", "0.05", "-1", "nan", "inf", "1e400", "two"]),
     "--seed": (["0", "7", str(2**32)], [str(2**64 - 1), str(2**64), "-1", "2.5", "abc"]),
-    "--n": (["3", "8"], ["1", "0", "-5", "abc"]),
+    "--n": (["3", "8"], ["1", "0", "-5", "abc", str(10**400), str(2**63)]),
     "--replicates": (["1", "2"], ["0", "-1"]),
-    "--jobs": (["1", "3"], ["0"]),
+    "--jobs": (["1", "3"], ["0", str(2**63)]),
 }
 REQUIRED = ("--model", "--n", "--data", "--algo", "--out")
 ALGO = ("--seed", "--gamma", "--rho", "--mc-samples", "--epoch-len", "--epochs")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,3 +153,32 @@ class TestRunConfigConsistency:
         spec = ExperimentSpec(**{**study, "n": np.int64(10), "seed": np.uint64(7)})
         assert type(spec.n) is int and type(spec.seed) is int and spec.seed == 7
         assert type(StepSchedule(a=0.5, warmup_iters=np.int64(4)).warmup_iters) is int
+
+    def test_integer_fields_share_one_range_rule(self):
+        from ttsem.bench import AlgoSpec, ExperimentSpec
+        from ttsem.gmm import GmmModel
+
+        poly = StepSchedule(a=0.5)
+        base = dict(variant="SAEM", total_iters=5, seed=0, gamma=poly)
+        study = dict(model="gmm", n=10, replicates=2, epochs=1.0, algorithms=(AlgoSpec("SAEM"),), seed=0)
+        count, seed = 2**63 - 1, 2**64 - 1  # numpy's largest index; 64 unsigned bits
+        cases = [  # (name, low, high, build with the field at a value)
+            ("total_iters", 0, count, lambda v: RunConfig(**{**base, "total_iters": v})),
+            ("mc_samples", 1, count, lambda v: RunConfig(**{**base, "mc_samples": v})),
+            ("seed", 0, seed, lambda v: RunConfig(**{**base, "seed": v})),
+            ("epoch_len", 1, count, lambda v: RunConfig("vrTTEM", 5, 0, poly, rho=0.5, epoch_len=v)),
+            ("warmup_iters", 0, math.inf, lambda v: StepSchedule(warmup_iters=v)),
+            ("n", 1, count, lambda v: ExperimentSpec(**{**study, "n": v})),
+            ("replicates", 1, count, lambda v: ExperimentSpec(**{**study, "replicates": v})),
+            ("jobs", 1, count, lambda v: ExperimentSpec(**{**study, "jobs": v})),
+            ("seed", 0, seed, lambda v: ExperimentSpec(**{**study, "seed": v})),
+            ("n_components", 1, count, lambda v: GmmModel(np.zeros(3), v)),
+        ]
+        for name, low, high, build in cases:
+            for bad in (low - 1, high + 1, None):
+                if bad != math.inf:
+                    with pytest.raises(ConfigError, match=rf"^{name} must be an integer in \[{low}, {high}\], "
+                                                          rf"got {bad!r}$"):
+                        build(bad)
+            build(low)
+            build(high if high != math.inf else 10**400)  # no finite warmup is refused

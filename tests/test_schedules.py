@@ -67,6 +67,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             StepSchedule(c=1.5)
 
+    @pytest.mark.parametrize("field, value", [("c", "0.5"), ("a", None)])
+    def test_non_real_value_is_config_error(self, field, value):
+        # not a TypeError from comparing it with the bounds
+        with pytest.raises(ConfigError, match=f"^{field} must be a real number, got {value!r}$"):
+            StepSchedule(**{field: value})
+
     def test_negative_iteration_rejected(self):
         with pytest.raises(ValueError):
             StepSchedule(c=1.0).eval(-1)
