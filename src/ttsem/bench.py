@@ -90,7 +90,7 @@ def epochs_to_iters(epochs: float, n: int, variant: str) -> int:
     check_real("epochs", epochs)
     if not 0 <= epochs < math.inf:
         raise ConfigError(f"epochs must be nonnegative and finite, got {epochs}")
-    if not (iters := epochs * VARIANTS[variant].iters_per_epoch(n)) < math.inf:
+    if not (iters := epochs * VARIANTS[variant].iters_per_epoch(n)) < 2.0**63:  # its ceiling at most INDEX_MAX
         raise ConfigError(f"epochs={epochs} overflows the {variant} iteration count at n={n}")
     return math.ceil(iters)
 

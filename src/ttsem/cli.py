@@ -156,8 +156,8 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"ttsem: error: {exc}", file=sys.stderr)
         return 1
-    except (SamplingError, OSError, ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(f"ttsem: runtime failure: {exc}", file=sys.stderr)
+    except (SamplingError, OSError, ValueError, FloatingPointError, np.linalg.LinAlgError, MemoryError) as exc:
+        print(f"ttsem: runtime failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     return 0
 

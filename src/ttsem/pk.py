@@ -141,9 +141,10 @@ class PkIndividual:
             raise ValueError(f"dose must be positive and finite, got {self.dose}")
         if self.times.ndim != 1 or len(self.times) < 1 or len(self.times) != len(self.obs):
             raise ValueError("times and obs must be equal-length nonempty vectors")
-        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.obs))):
+        times = self.times.tolist()  # plain floats, cheaper than numpy on a few values
+        if not all(map(math.isfinite, times + self.obs.ravel().tolist())):
             raise ValueError("times and obs must be finite")
-        if np.any(np.diff(self.times) <= 0.0):
+        if not all(map(float.__lt__, times, times[1:])):  # finite here, so a < b exactly when b - a > 0
             raise ValueError("times must be strictly increasing")
 
 
@@ -168,11 +169,16 @@ def structural(t, z, dose: float):
     switch.  Scalar t in, float out; an array of times gives one of its shape.
     """
     tlag, ka, v, k = np.asarray(z, dtype=np.float64).tolist()
+    out = _curve(np.asarray(t, dtype=np.float64).reshape(-1).tolist(), tlag, ka, v, k, dose)
+    return out[0] if np.ndim(t) == 0 else np.array(out).reshape(np.shape(t))
+
+
+def _curve(t: list, tlag, ka, v, k, dose) -> list:
+    """``structural`` on plain floats: the curve at each time of the list t."""
     if min(tlag, ka, v, k) <= 0.0:
         raise ValueError("latent PK parameters must be strictly positive")
     conc = _conc_limit if abs(ka - k) < _BRANCH_RTOL * max(ka, k) else _conc_general
-    out = conc(np.asarray(t, dtype=np.float64).reshape(-1).tolist(), tlag, ka, v, k, dose)
-    return out[0] if np.ndim(t) == 0 else np.array(out).reshape(np.shape(t))
+    return conc(t, tlag, ka, v, k, dose)
 
 
 def _log_target(indiv: PkIndividual, params: PkParams):
@@ -271,22 +277,26 @@ def simulate(
     design: tuple[float, np.ndarray],
     rng: np.random.Generator,
 ) -> list[PkIndividual]:
-    """Simulate a cohort under a shared (dose, times) design."""
+    """Simulate a cohort under a shared (dose, times) design.
+
+    The stream is read as one (n, 4 + J) block of normals: row i holds
+    patient i's 4 latent normals, then their J noise normals.
+    """
     dose, times = design
     times = np.asarray(times, dtype=np.float64)
-    cohort = []
     try:
         chol = np.linalg.cholesky(params.omega2)
     except np.linalg.LinAlgError:  # a singular covariance is legal here
         vals, vecs = np.linalg.eigh(params.omega2)
         chol = vecs * np.sqrt(np.maximum(vals, 0.0))
     sd = float(np.sqrt(params.sigma2))
-    for _ in range(n):
-        z_log = params.log_pop + chol @ rng.standard_normal(LATENT_DIM)
-        mean = structural(times, np.exp(z_log), dose)
-        obs = mean + sd * rng.standard_normal(len(times))
-        cohort.append(PkIndividual(dose=dose, times=times, obs=obs))
-    return cohort
+    normals = rng.standard_normal((n, LATENT_DIM + len(times)))
+    # chol @ d per patient: a batched product goes through gemm, which rounds a full omega2 differently
+    shifts = np.array([chol @ d for d in normals[:, :LATENT_DIM]]).reshape(n, LATENT_DIM)
+    t = times.tolist()
+    curves = [_curve(t, *z, dose) for z in np.exp(params.log_pop + shifts).tolist()]
+    obs = np.array(curves).reshape(n, len(t)) + sd * normals[:, LATENT_DIM:]
+    return [PkIndividual(dose=dose, times=times, obs=row) for row in obs]
 
 
 def default_design() -> tuple[float, np.ndarray]:
@@ -348,26 +358,26 @@ class PkModel(ModelSpec):
         Medians of crude per-patient estimates (peak volume, terminal slope,
         inverse time-to-peak, half the first sampling time), perturbed +20%.
         """
-        ests = np.empty((self.n, 4))
-        for row, indiv in enumerate(self.individuals):
-            cmax = max(float(indiv.obs.max()), 1e-6)
-            tmax = float(indiv.times[int(np.argmax(indiv.obs))])
-            v0 = indiv.dose / cmax
-            k0 = 0.1
-            pos = np.flatnonzero(indiv.obs > 0.05 * cmax)
-            if len(pos) >= 2:
-                a, b = pos[-2], pos[-1]
-                if indiv.obs[b] > 0 and indiv.obs[a] > indiv.obs[b]:
-                    k0 = float(
-                        (np.log(indiv.obs[a]) - np.log(indiv.obs[b]))
-                        / (indiv.times[b] - indiv.times[a])
-                    )
-            ests[row] = (
-                max(0.5 * float(indiv.times[0]), 0.01),
-                float(np.clip(2.0 / max(tmax, 0.1), 0.05, 20.0)),
-                float(np.clip(v0, 1e-3, 1e4)),
-                float(np.clip(k0, 1e-2, 5.0)),
-            )
+        rows, slopes = [], []  # slopes: a row, its terminal pair of observations, their times' gap
+        for indiv in self.individuals:
+            times, obs = indiv.times.tolist(), indiv.obs.tolist()
+            peak = max(obs)
+            cmax = max(peak, 1e-6)
+            tail = [j for j, y in enumerate(obs) if y > 0.05 * cmax][-2:]  # both positive, as cmax is
+            if len(tail) == 2 and obs[tail[0]] > obs[tail[1]]:
+                a, b = tail
+                slopes.append((len(rows), obs[a], obs[b], times[b] - times[a]))
+            rows.append([
+                max(0.5 * times[0], 0.01),
+                min(max(2.0 / max(times[obs.index(peak)], 0.1), 0.05), 20.0),  # the peak's first time
+                min(max(indiv.dose / cmax, 1e-3), 1e4),
+                0.1,  # k0 without a terminal slope
+            ])
+        ests = np.array(rows)
+        if slopes:  # one np.log over all pairs: math.log rounds differently
+            at, ya, yb, gap = zip(*slopes)
+            log_a, log_b = np.log([ya, yb])
+            ests[list(at), 3] = np.clip((log_a - log_b) / gap, 1e-2, 5.0)
         med = np.median(ests, axis=0)
         return PkParams(log_pop=np.log(1.2 * med), omega2=0.1 * np.eye(4), sigma2=1.0)
 

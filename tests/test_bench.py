@@ -89,10 +89,12 @@ class TestGammaParsing:
             AlgoSpec("fiTTEM").to_config(10, 1e308, 0, "gmm")
         with pytest.raises(ConfigError, match="overflows the iSAEM iteration count"):
             bench.epochs_to_iters(1e307, 100, "iSAEM")
-        assert bench.epochs_to_iters(1e308, 100, "SAEM") == int(1e308)  # one iteration per epoch
-        # a finite count past numpy's largest index is refused by RunConfig
-        with pytest.raises(ConfigError, match=rf"^total_iters must be an integer in \[0, {2**63 - 1}\], got 1"):
+        # a finite count past numpy's largest index is refused as well, in the same words, which name epochs
+        with pytest.raises(ConfigError, match=r"^epochs=1e\+300 overflows the SAEM iteration count at n=10$"):
             AlgoSpec("SAEM").to_config(10, 1e300, 0, "gmm")
+        assert bench.epochs_to_iters(2.0**63 - 1024, 1, "SAEM") == 2**63 - 1024  # the largest double below 2**63
+        with pytest.raises(ConfigError, match="overflows the SAEM iteration count at n=1"):
+            bench.epochs_to_iters(2.0**63, 1, "SAEM")  # float(2**63 - 1) rounds up to it
 
 
 class TestAlgoSpec:
@@ -744,6 +746,32 @@ class TestCli:
         assert cli.main(argv[:1] + ["--model", "gmm"] + argv[1:]) == 1
         assert "ttsem: error: epochs=1e+30" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [data]
+
+    def test_oversized_budget_message_names_the_flag(self, tmp_path, capsys):
+        # not a 301-digit total_iters, which is no flag
+        data = tmp_path / "d.txt"
+        gmm.write_dataset(data, np.linspace(-1.0, 1.0, 20))
+        argv = ["run", "--model", "gmm", "--data", str(data), "--algo", "SAEM", "--epochs", "1e300",
+                "--out", str(tmp_path / "o.csv")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "ttsem: error: epochs=1e+300 overflows the SAEM iteration count" in err
+        assert len(err.splitlines()[-1]) < 200
+        assert list(tmp_path.iterdir()) == [data]
+
+    @pytest.mark.parametrize("model, n", [("gmm", 10**12), ("pk", 10**12), ("pk", 2**63 - 1)])
+    def test_allocation_failure_exits_two(self, tmp_path, model, n):
+        # a count inside [1, 2**63-1] whose draws cannot be held: a runtime failure, not a
+        # MemoryError traceback, nor a PK cohort that grows until memory runs out
+        src = os.path.dirname(os.path.dirname(bench.__file__))
+        code = ("import resource, sys, ttsem.cli; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
+                "sys.exit(ttsem.cli.main(sys.argv[1:]))")
+        argv = ["simulate", "--model", model, "--n", str(n), "--out", str(tmp_path / "o")]
+        res = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=30,
+                             env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr.startswith("ttsem: runtime failure:")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["simulate", "replicate"])
     def test_n_past_numpy_index_exits_one(self, tmp_path, capsys, command):

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -299,8 +300,10 @@ class TestKernelParity:
 
 # -- The PK E-step as it was written before its plain-float rewrite --------
 # (the closure, the curve helpers, the chain loop, the proposal scales and
-# the statistic), and the numpy M-step, kept verbatim as the bit-for-bit
-# oracles of the current ones.
+# the statistic), the numpy M-step, and the cohort set-up as it was written
+# one patient at a time on numpy (the curve, the simulation, the patient
+# checks and the naive start), kept verbatim as the bit-for-bit oracles of
+# the current ones.
 
 def _old_conc_general(t, tlag, ka, v, k, dose):
     if not isinstance(t, list):
@@ -397,6 +400,74 @@ def _old_m_step(s, diagonal=True):
     return PkParams(log_pop=s1, omega2=omega2, sigma2=sigma2)
 
 
+def _old_structural(t, z, dose):
+    tlag, ka, v, k = np.asarray(z, dtype=np.float64).tolist()
+    if min(tlag, ka, v, k) <= 0.0:
+        raise ValueError("latent PK parameters must be strictly positive")
+    conc = _old_conc_limit if abs(ka - k) < 1e-8 * max(ka, k) else _old_conc_general
+    out = conc(np.asarray(t, dtype=np.float64).reshape(-1).tolist(), tlag, ka, v, k, dose)
+    return out[0] if np.ndim(t) == 0 else np.array(out).reshape(np.shape(t))
+
+
+def _old_simulate(n, params, design, rng):
+    """The cohort as (dose, times, obs) triples."""
+    dose, times = design
+    times = np.asarray(times, dtype=np.float64)
+    cohort = []
+    try:
+        chol = np.linalg.cholesky(params.omega2)
+    except np.linalg.LinAlgError:
+        vals, vecs = np.linalg.eigh(params.omega2)
+        chol = vecs * np.sqrt(np.maximum(vals, 0.0))
+    sd = float(np.sqrt(params.sigma2))
+    for _ in range(n):
+        z_log = params.log_pop + chol @ rng.standard_normal(4)
+        mean = _old_structural(times, np.exp(z_log), dose)
+        obs = mean + sd * rng.standard_normal(len(times))
+        cohort.append((dose, times, obs))
+    return cohort
+
+
+def _old_individual_checks(dose, times, obs):
+    """The message PkIndividual raised on these inputs, else None."""
+    times = np.asarray(times, dtype=np.float64)
+    obs = np.asarray(obs, dtype=np.float64)
+    if not 0.0 < dose < math.inf:
+        return f"dose must be positive and finite, got {dose}"
+    if times.ndim != 1 or len(times) < 1 or len(times) != len(obs):
+        return "times and obs must be equal-length nonempty vectors"
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(obs))):
+        return "times and obs must be finite"
+    if np.any(np.diff(times) <= 0.0):
+        return "times must be strictly increasing"
+    return None
+
+
+def _old_default_init(individuals):
+    ests = np.empty((len(individuals), 4))
+    for row, indiv in enumerate(individuals):
+        cmax = max(float(indiv.obs.max()), 1e-6)
+        tmax = float(indiv.times[int(np.argmax(indiv.obs))])
+        v0 = indiv.dose / cmax
+        k0 = 0.1
+        pos = np.flatnonzero(indiv.obs > 0.05 * cmax)
+        if len(pos) >= 2:
+            a, b = pos[-2], pos[-1]
+            if indiv.obs[b] > 0 and indiv.obs[a] > indiv.obs[b]:
+                k0 = float(
+                    (np.log(indiv.obs[a]) - np.log(indiv.obs[b]))
+                    / (indiv.times[b] - indiv.times[a])
+                )
+        ests[row] = (
+            max(0.5 * float(indiv.times[0]), 0.01),
+            float(np.clip(2.0 / max(tmax, 0.1), 0.05, 20.0)),
+            float(np.clip(v0, 1e-3, 1e4)),
+            float(np.clip(k0, 1e-2, 5.0)),
+        )
+    med = np.median(ests, axis=0)
+    return PkParams(log_pop=np.log(1.2 * med), omega2=0.1 * np.eye(4), sigma2=1.0)
+
+
 class _OldEstepPk(PkModel):
     """A PkModel whose E-step is the oracle pieces above, end to end."""
 
@@ -488,6 +559,105 @@ class TestBitParity:
         old = run(_OldEstepPk(cohort), cfg, theta0=theta0)
         assert ours.thetas.tobytes() == old.thetas.tobytes()
         assert ours.delta_s_sq.tobytes() == old.delta_s_sq.tobytes()
+
+
+class TestSetupParity:
+    """The block cohort set-up against the one-patient-at-a-time oracles
+    above: the simulated bits and the stream left behind, the naive start's
+    bits, and the patient checks' outcomes and messages."""
+
+    _FULL = np.array([[0.09, 0.02, -0.01, 0.0], [0.02, 0.16, 0.01, 0.03],
+                      [-0.01, 0.01, 0.04, 0.0], [0.0, 0.03, 0.0, 0.09]])
+    TRUTHS = {
+        "diagonal": pk.paper_truth(),
+        "full": PkParams(log_pop=[0.1, -0.2, 2.2, -2.1], omega2=_FULL, sigma2=0.3),
+        "singular": PkParams(log_pop=[0.1, -0.2, 2.2, -2.1], omega2=[0.09, 0.0, 0.04, 0.09], sigma2=0.3),
+        # ka = k for every patient: the limit branch
+        "equal-rates": PkParams(log_pop=[0.1, -2.3, 2.2, -2.3], omega2=[0.09, 0.0, 0.04, 0.0], sigma2=0.3),
+    }
+    DESIGNS = {"default": pk.default_design(), "one-time": (5.0, np.array([2.0])),
+               "integer-dose": (100, np.array([0.3, 1.0, 4.0, 30.0]))}
+
+    def _check_start(self, individuals):
+        # the whole cohort, then each patient alone, whose start is log(1.2 * its own estimates)
+        for cohort in [individuals] + [[indiv] for indiv in individuals]:
+            ours, old = PkModel(cohort).default_init(), _old_default_init(cohort)
+            assert ours.log_pop.tobytes() == old.log_pop.tobytes()
+            assert (ours.omega2.tobytes(), ours.sigma2) == (old.omega2.tobytes(), old.sigma2)
+
+    @pytest.mark.parametrize("truth", sorted(TRUTHS))
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    def test_simulate_and_start_bits(self, truth, design):
+        for seed in (87, 89, 97):
+            ours_rng, old_rng = named_stream(seed, "test"), named_stream(seed, "test")
+            ours = pk.simulate(23, self.TRUTHS[truth], self.DESIGNS[design], ours_rng)
+            old = _old_simulate(23, self.TRUTHS[truth], self.DESIGNS[design], old_rng)
+            assert len(ours) == len(old)
+            for indiv, (dose, times, obs) in zip(ours, old):
+                assert indiv.dose == dose and type(indiv.dose) is type(dose)
+                assert (indiv.times.tobytes(), indiv.obs.tobytes()) == (times.tobytes(), obs.tobytes())
+            assert ours_rng.random() == old_rng.random()  # the same share of the stream read
+            self._check_start(ours)
+
+    def test_start_on_edge_cohorts(self):
+        t4 = [0.5, 1.0, 2.0, 4.0]
+        edge = [
+            PkIndividual(100.0, t4, [0.0, 0.0, 0.0, 0.0]),  # all zero
+            PkIndividual(100.0, t4, [-0.0, 0.0, -1.0, -2.0]),  # a tie of signed zeros at the peak
+            PkIndividual(100.0, t4, [-1.0, -2.0, -0.5, -3.0]),  # nothing positive
+            PkIndividual(100.0, t4, [0.0, 3.0, 0.0, 0.1]),  # fewer than two points above 5% of the peak
+            PkIndividual(100.0, t4, [1.0, 4.0, 2.0, 0.0]),  # the tail ends at or below zero
+            PkIndividual(100.0, t4, [1.0, 4.0, 2.0, -1.0]),
+            PkIndividual(100.0, t4, [1.0, 2.0, 3.0, 4.0]),  # rising to the end
+            PkIndividual(100.0, t4, [1.0, 4.0, 2.0, 2.0]),  # a flat tail
+            PkIndividual(100.0, t4, [1.0, 4.0, 4.0, 2.0]),  # a tied maximum
+            PkIndividual(7.0, [0.01, 0.05], [5.0, 1e-300]),  # a steep tail, and v0 at its floor
+            PkIndividual(1e300, [3.0, 1e6], [1e-300, 5e-301]),  # v0 past its cap, a shallow tail
+            PkIndividual(100.0, [0.001], [2.5]),  # one sample
+        ]
+        # terminal slopes of about 0.02 whose last log math.log rounds apart from np.log, by an ulp that shows
+        ys = named_stream(113, "test").uniform(1e4, 1e6, 50000)
+        odd = ys[np.log(ys) != np.array([math.log(y) for y in ys.tolist()])][:30]
+        edge += [PkIndividual(100.0, [1.0, 2.0], [1.02 * y, y]) for y in odd.tolist()]
+        # random patients on their own grids, as read_cohort gives them, some of them mostly noise
+        rng = named_stream(101, "test")
+        ragged = []
+        for _ in range(40):
+            j = int(rng.integers(1, 12))
+            times = np.cumsum(rng.uniform(0.01, 3.0, j)) + rng.uniform(-1.0, 1.0)
+            obs = rng.standard_normal(j) * 10.0 ** rng.uniform(-3, 2) + rng.uniform(-1.0, 5.0)
+            ragged.append(PkIndividual(float(rng.uniform(1.0, 500.0)), times, obs))
+        cohorts = pk.simulate(9, pk.paper_truth(), pk.default_design(), named_stream(103, "test"))
+        cohorts += pk.simulate(9, pk.paper_truth(), (100.0, np.array([1.0, 6.0, 24.0])), named_stream(107, "test"))
+        self._check_start(edge)
+        self._check_start(ragged)
+        self._check_start(cohorts)
+        self._check_start(edge + ragged + cohorts)
+
+    def test_patient_checks_match_numpy(self):
+        rng = named_stream(109, "test")
+        specials = [math.nan, math.inf, -math.inf]
+        seen = set()
+        for case in range(3000):
+            j = int(rng.integers(0, 6))
+            times = np.cumsum(rng.uniform(0.0, 2.0, j)).tolist()
+            obs = rng.standard_normal(j + int(rng.integers(0, 8) == 0)).tolist()  # sometimes one too many
+            for values in (times, obs):
+                if values and rng.random() < 0.4:
+                    kind = int(rng.integers(0, 3))
+                    at = int(rng.integers(0, len(values)))
+                    values[at] = (specials[int(rng.integers(0, 3))] if kind == 0
+                                  else values[at - 1] if kind == 1 else values[at] - 3.0)  # equal, decreasing
+            dose = [0.0, -2.0, math.nan, math.inf][int(rng.integers(0, 4))] if rng.random() < 0.2 else 50.0
+            expected = _old_individual_checks(dose, times, obs)
+            seen.add(expected)
+            if expected is None:
+                indiv = PkIndividual(dose, times, obs)
+                assert (indiv.times.tolist(), indiv.obs.tolist()) == (times, obs)
+            else:
+                with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                    PkIndividual(dose, times, obs)
+        assert len(seen) >= 8  # every outcome, and more than one dose message
 
 
 class TestSuffStat:

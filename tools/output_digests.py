@@ -32,13 +32,19 @@ against it) and one given as ``log_pop`` with a full ``omega2``.  Last
 come one ``run`` and one ``replicate`` whose settings are in the
 ``--config`` files of ``CONFIGS``, written into OUTDIR with the truths;
 each repeats a flag-form command above, so their files' digests match that
-command's.  It takes about seventeen seconds on two cores.
+command's.  Then a PK dataset simulated from a truth whose ``omega2`` has a
+zero variance (no Cholesky factor, so ``simulate`` factors it by ``eigh``),
+and a PK ``run`` on ``RAGGED_COHORT``, a cohort the script writes into
+OUTDIR whose patients are sampled on two time grids (the naive start of
+patients with their own grids).  It takes about eighteen seconds on two
+cores.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -49,6 +55,7 @@ GMM_MC_VARIANTS = ("SAEM", "fiTTEM")
 GMM_MC_SAMPLES = ("1", "300")  # one draw per E-step, and more than a whole block of uniforms
 PK_VARIANTS = ("MCEM", "SAEM", "iSAEM", "vrTTEM", "fiTTEM")
 PK_LONG_VARIANTS = ("vrTTEM", "fiTTEM")
+RAGGED_COHORT = "pk-ragged.csv"  # written into OUTDIR by ragged_cohort()
 
 COMMANDS = [
     ["simulate", "--model", "gmm", "--n", "3000", "--seed", "401", "--out", "gmm.txt"],
@@ -81,6 +88,10 @@ COMMANDS = [
      "--out", "gmm-SAEM-mc1-config.csv"],
     ["replicate", "--model", "pk", "--n", "12", "--jobs", "2", "--config", "replicate-config.json",
      "--out", "pk-rep-config"],
+    ["simulate", "--model", "pk", "--n", "40", "--seed", "13", "--theta", "pk-singular.json", "--out",
+     "pk-singular.txt"],
+    ["run", "--model", "pk", "--data", RAGGED_COHORT, "--algo", "fiTTEM", "--epochs", "2", "--seed", "5",
+     "--mc-samples", "8", "--out", "pk-ragged-fiTTEM.csv"],
 ]
 
 # simulation truths, written as JSON into OUTDIR before the commands run
@@ -91,6 +102,7 @@ THETAS = {
     "pk-log_pop": {"log_pop": [0.1, -0.2, 2.2, -2.1], "sigma2": 0.3,
                    "omega2": [[0.09, 0.01, 0.0, 0.0], [0.01, 0.16, 0.0, 0.0], [0.0, 0.0, 0.04, 0.0],
                               [0.0, 0.0, 0.0, 0.09]]},
+    "pk-singular": {"log_pop": [0.1, -0.2, 2.2, -2.1], "omega2": [0.09, 0.0, 0.04, 0.09], "sigma2": 0.3},
 }
 
 # --config files, written into OUTDIR with the truths; their keys use both spellings
@@ -98,6 +110,20 @@ CONFIGS = {
     "run-config": {"mc_samples": 1, "epochs": "2", "seed": 5},
     "replicate-config": {"replicates": 2, "epochs": 2, "mc-samples": "5", "seed": 9, "jobs": 1},
 }
+
+
+def ragged_cohort() -> str:
+    """``RAGGED_COHORT``'s CSV: twelve patients, alternately on seven and on
+    four sampling times, their curves plus a deterministic sine noise."""
+    lines = ["id,dose,time,obs"]
+    for pid in range(12):
+        tlag, ka, v, k = 0.3 + 0.05 * (pid % 4), 0.8 + 0.1 * pid, 7.0 + pid % 3, 0.08 + 0.01 * (pid % 5)
+        times = (0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 24.0) if pid % 2 else (1.0, 3.0, 6.0, 12.0)
+        for j, t in enumerate(times):
+            dt = max(t - tlag, 0.0)
+            conc = 100.0 * ka / (v * (ka - k)) * (math.exp(-k * dt) - math.exp(-ka * dt))
+            lines.append(f"{pid},100.0,{t!r},{conc + 0.3 * math.sin(7 * pid + 3.1 * j)!r}")
+    return "\n".join(lines) + "\n"
 
 
 def outputs(args: list[str]) -> list[str]:
@@ -120,6 +146,8 @@ def main(argv: list[str]) -> int:
     for name, blob in {**THETAS, **CONFIGS}.items():
         with open(os.path.join(outdir, f"{name}.json"), "w", encoding="ascii") as fh:
             json.dump(blob, fh)
+    with open(os.path.join(outdir, RAGGED_COHORT), "w", encoding="ascii", newline="\n") as fh:
+        fh.write(ragged_cohort())
     env = {**os.environ, "PYTHONPATH": src}
     for args in COMMANDS:
         proc = subprocess.run([sys.executable, "-m", "ttsem.cli", *args], cwd=outdir, env=env,
