@@ -79,31 +79,37 @@ class PkParams:
     sigma2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "log_pop", np.asarray(self.log_pop, dtype=np.float64))
-        om = np.asarray(self.omega2, dtype=np.float64)
-        if om.ndim == 1:
-            om = np.diag(om)
-        object.__setattr__(self, "omega2", om)
-        if self.log_pop.shape != (LATENT_DIM,):
+        log_pop = np.asarray(self.log_pop, dtype=np.float64)
+        omega2 = np.asarray(self.omega2, dtype=np.float64)
+        if omega2.ndim == 1:
+            omega2 = np.diag(omega2)
+        if log_pop.shape != (LATENT_DIM,):
             raise ValueError("log_pop must have length 4")
-        if self.omega2.shape != (LATENT_DIM, LATENT_DIM):
+        if omega2.shape != (LATENT_DIM, LATENT_DIM):
             raise ValueError("omega2 must be 4x4 (or a length-4 diagonal)")
         # plain floats, cheaper than numpy on a 4x4: np.allclose(omega2, omega2.T)
-        om = self.omega2.tolist()
+        om = omega2.tolist()
         pairs = [(om[r][c], om[c][r], r == c) for r in range(LATENT_DIM) for c in range(LATENT_DIM)]
         if not all(x == y or abs(x - y) <= 1e-8 + 1e-5 * abs(y) < math.inf for x, y, _ in pairs):
             raise ValueError("omega2 must be symmetric")
-        if not all(map(math.isfinite, self.log_pop.tolist() + sum(om, []) + [float(self.sigma2)])):
+        if not all(map(math.isfinite, log_pop.tolist() + sum(om, []) + [float(self.sigma2)])):
             raise ValueError("log_pop, omega2 and sigma2 must be finite")
         # Positive semidefinite is enough to carry the parameters around
         # (degenerate values are legal for simulation); estimation paths
         # that need a proper prior fail loudly on a singular omega2.
         diag = None if any(x for x, _, on in pairs if not on) else [x for x, _, on in pairs if on]
-        object.__setattr__(self, "_diag", diag)  # the eigenvalues, when omega2 is diagonal
-        if (min(diag) if diag else np.linalg.eigvalsh(self.omega2)[0]) < -1e-12:
+        if (min(diag) if diag else np.linalg.eigvalsh(omega2)[0]) < -1e-12:
             raise ValueError("omega2 must be positive semidefinite")
         if self.sigma2 < 0.0:
             raise ValueError("sigma2 must be nonnegative")
+        self._fill(log_pop, omega2, self.sigma2, diag)
+
+    def _fill(self, log_pop: np.ndarray, omega2: np.ndarray, sigma2, diag) -> PkParams:
+        # m_step builds here too, from finite floored variances, whose np.diag
+        # passes the constructor's checks; diag is the eigenvalues, when omega2 is diagonal
+        d = self.__dict__  # stored past the frozen dataclass's __setattr__
+        d["log_pop"], d["omega2"], d["sigma2"], d["_diag"] = log_pop, omega2, sigma2, diag
+        return self
 
     @property
     def pop(self) -> np.ndarray:
@@ -125,6 +131,9 @@ class PkParams:
         """The prior standard deviations, positive once ``_prior`` is built."""
         return np.sqrt(self.omega2.diagonal())
 
+    # checked MH configs of chains under these params, by (chain length, proposal factor, scale floor)
+    _configs = cached_property(lambda self: {})
+
 
 @dataclass(frozen=True)
 class PkIndividual:
@@ -139,7 +148,7 @@ class PkIndividual:
         object.__setattr__(self, "obs", np.asarray(self.obs, dtype=np.float64))
         if not 0.0 < self.dose < math.inf:
             raise ValueError(f"dose must be positive and finite, got {self.dose}")
-        if self.times.ndim != 1 or len(self.times) < 1 or len(self.times) != len(self.obs):
+        if self.times.ndim != 1 or self.obs.ndim != 1 or len(self.times) < 1 or len(self.times) != len(self.obs):
             raise ValueError("times and obs must be equal-length nonempty vectors")
         times = self.times.tolist()  # plain floats, cheaper than numpy on a few values
         if not all(map(math.isfinite, times + self.obs.ravel().tolist())):
@@ -226,9 +235,10 @@ def suff_stat(indiv: PkIndividual, z_log: np.ndarray) -> list:
     z_log = np.asarray(z_log, dtype=np.float64)
     tlag, ka, v, k = np.exp(z_log).tolist()  # the curve as the log target evaluates it
     conc = _conc_limit if abs(ka - k) < _BRANCH_RTOL * max(ka, k) else _conc_general
-    resid = indiv.obs - np.array(conc(indiv.times.tolist(), tlag, ka, v, k, indiv.dose))
-    z = z_log.tolist()  # the outer product's upper triangle, row-major, as np.outer rounds it
-    return z + [a * b for r, a in enumerate(z) for b in z[r:]] + [float(resid @ resid) / len(indiv.obs)]
+    resid = indiv.obs - conc(indiv.times.tolist(), tlag, ka, v, k, indiv.dose)
+    z0, z1, z2, z3 = z = z_log.tolist()  # the outer product's upper triangle, row-major, as np.outer rounds it
+    return z + [z0 * z0, z0 * z1, z0 * z2, z0 * z3, z1 * z1, z1 * z2, z1 * z3, z2 * z2, z2 * z3, z3 * z3,
+                float(resid @ resid) / len(indiv.obs)]
 
 
 def pack_sym(mat: np.ndarray) -> np.ndarray:
@@ -250,25 +260,28 @@ def m_step(s, diagonal: bool = True) -> PkParams:
     eigenvalues in full-matrix mode) and the event logged; s3 is floored at
     a tiny positive value so the next E-step target stays proper.
     """
+    sigma2 = max(float(s[-1]), SIGMA2_FLOOR)
     if diagonal:
+        s = s if type(s) is list else np.asarray(s, dtype=np.float64).tolist()  # plain floats, as _diag holds
         # s2_rr - s1_r^2 at s2's diagonal places: np.diag(unpack_sym(s2) - np.outer(s1, s1)), bit for bit
         diag = [s[r] - s[c] * s[c] for c, r in enumerate((4, 8, 11, 13))]
         if low := sum(x < OMEGA_EIG_FLOOR for x in diag):
             logger.info("flooring %d diagonal variance(s) at %.1e", low, OMEGA_EIG_FLOOR)
             diag = [max(x, OMEGA_EIG_FLOOR) for x in diag]
-        omega2 = np.diag(diag)
+        if not all(map(math.isfinite, [*s[:LATENT_DIM], *diag, sigma2])):
+            raise ValueError("log_pop, omega2 and sigma2 must be finite")
+        return object.__new__(PkParams)._fill(np.asarray(s[:LATENT_DIM], dtype=np.float64), np.diag(diag), sigma2, diag)
+    s = np.asarray(s, dtype=np.float64)
+    cov = unpack_sym(s[LATENT_DIM : LATENT_DIM + 10]) - np.outer(s[:LATENT_DIM], s[:LATENT_DIM])
+    vals, vecs = np.linalg.eigh(cov)
+    if vals[0] < OMEGA_EIG_FLOOR:
+        logger.info("flooring covariance eigenvalues at %.1e (min was %.3e)", OMEGA_EIG_FLOOR, vals[0])
+        vals = np.maximum(vals, OMEGA_EIG_FLOOR)
+        omega2 = (vecs * vals) @ vecs.T
+        omega2 = 0.5 * (omega2 + omega2.T)
     else:
-        s = np.asarray(s, dtype=np.float64)
-        cov = unpack_sym(s[LATENT_DIM : LATENT_DIM + 10]) - np.outer(s[:LATENT_DIM], s[:LATENT_DIM])
-        vals, vecs = np.linalg.eigh(cov)
-        if vals[0] < OMEGA_EIG_FLOOR:
-            logger.info("flooring covariance eigenvalues at %.1e (min was %.3e)", OMEGA_EIG_FLOOR, vals[0])
-            vals = np.maximum(vals, OMEGA_EIG_FLOOR)
-            omega2 = (vecs * vals) @ vecs.T
-            omega2 = 0.5 * (omega2 + omega2.T)
-        else:
-            omega2 = cov
-    return PkParams(log_pop=s[:LATENT_DIM], omega2=omega2, sigma2=max(float(s[-1]), SIGMA2_FLOOR))
+        omega2 = cov
+    return PkParams(log_pop=s[:LATENT_DIM], omega2=omega2, sigma2=sigma2)
 
 
 def simulate(
@@ -383,11 +396,14 @@ class PkModel(ModelSpec):
 
     def sample_posterior(self, i, theta: PkParams, n_samples, rng, chains=None) -> np.ndarray:
         """Final log-latent state of ``n_samples`` MH transitions for patient
-        i, started from ``chains[i]`` when present and stored back there."""
+        i, started from ``chains[i]`` when present and stored back there.
+        The proposal scales and their checked config are built once per theta."""
         target = _log_target(self.individuals[i], theta)  # fails first on a singular prior
-        init = (chains or {}).get(i, theta.log_pop)  # mh_chain copies it
-        scales = np.maximum(self.PROPOSAL_FACTOR * theta._sds, self.MIN_PROPOSAL_SCALE)
-        final = mh_chain(target, MhConfig(chain_len=int(n_samples), proposal_scales=scales, init=init), rng)
+        key = (n_samples, self.PROPOSAL_FACTOR, self.MIN_PROPOSAL_SCALE)
+        if (config := theta._configs.get(key)) is None:
+            scales = np.maximum(self.PROPOSAL_FACTOR * theta._sds, self.MIN_PROPOSAL_SCALE)
+            config = theta._configs[key] = MhConfig(n_samples, scales, theta.log_pop)
+        final = mh_chain(target, config, rng, init=chains.get(i) if chains else None)  # mh_chain copies it
         if chains is not None:
             chains[i] = final
         return final

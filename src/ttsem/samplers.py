@@ -13,6 +13,8 @@ from typing import Callable
 
 import numpy as np
 
+from .core import INDEX_MAX, set_ints
+
 __all__ = ["categorical_sample", "MhConfig", "mh_chain"]
 
 
@@ -33,10 +35,10 @@ def categorical_sample(weights, rng: np.random.Generator, size: int) -> np.ndarr
 
 @dataclass(frozen=True)
 class MhConfig:
-    """Random-walk Metropolis-Hastings settings.
+    """Random-walk Metropolis-Hastings settings, checked once.
 
-    ``init`` is the starting latent (a warm start from the previous
-    retained sample, or a prior draw on first use).
+    ``init`` is the default starting latent; ``mh_chain(init=...)`` starts
+    elsewhere, such as at the previous retained sample (a warm start).
     """
 
     chain_len: int
@@ -46,10 +48,9 @@ class MhConfig:
     def __post_init__(self):
         object.__setattr__(self, "proposal_scales", np.asarray(self.proposal_scales, dtype=np.float64))
         object.__setattr__(self, "init", np.asarray(self.init, dtype=np.float64))
-        if self.chain_len < 1:
-            raise ValueError("chain_len must be a positive integer")
-        if (self.proposal_scales <= 0.0).any():
-            raise ValueError("proposal scales must be strictly positive")
+        set_ints(self, chain_len=(1, INDEX_MAX))
+        if not ((self.proposal_scales > 0.0) & (self.proposal_scales < math.inf)).all():  # NaN fails too
+            raise ValueError("proposal scales must be finite and strictly positive")
         if self.proposal_scales.shape != self.init.shape:
             raise ValueError("proposal_scales and init must have the same shape")
 
@@ -59,6 +60,7 @@ def mh_chain(
     config: MhConfig,
     rng: np.random.Generator,
     collect: bool = False,
+    init=None,
 ):
     """Run a symmetric random-walk MH chain and return its final state.
 
@@ -69,10 +71,12 @@ def mh_chain(
     so no raw density is ever exponentiated.  A proposal where the target
     is -inf is auto-rejected; NaN aborts.
 
-    With ``collect=True`` also returns the array of states, one row per
-    step.
+    It starts at ``init`` (of ``config.init``'s shape), else at ``config.init``.
+    With ``collect=True`` also returns the array of states, one row per step.
     """
-    z = config.init.copy()
+    z = config.init.copy() if init is None else np.array(init, dtype=np.float64)
+    if z.shape != config.init.shape:
+        raise ValueError("proposal_scales and init must have the same shape")
     lp = float(log_target(z))
     if math.isnan(lp):
         raise ValueError("log_target is NaN at the chain start")
@@ -83,14 +87,14 @@ def mh_chain(
     steps = rng.standard_normal((m,) + z.shape) * config.proposal_scales
     log_u = np.log(rng.random(m)).tolist()
 
-    kept = np.empty((m,) + z.shape) if collect else None
-    for t, (step, lu) in enumerate(zip(steps, log_u)):
+    kept, isnan = [], math.isnan
+    for step, lu in zip(steps, log_u):
         proposal = z + step
         lp_prop = float(log_target(proposal))
-        if math.isnan(lp_prop):
+        if isnan(lp_prop):
             raise ValueError("log_target returned NaN at a proposal")
         if lu < lp_prop - lp:
             z, lp = proposal, lp_prop
         if collect:
-            kept[t] = z
-    return (z, kept) if collect else z
+            kept.append(z)  # proposals are new arrays, so a kept state never changes
+    return (z, np.array(kept)) if collect else z

@@ -106,6 +106,13 @@ class TestIndividual:
         with pytest.raises(ValueError, match=message):
             PkIndividual(dose=dose, times=times, obs=obs)
 
+    @pytest.mark.parametrize("obs", [[[1.0, 2.0], [3.0, 4.0]], [[1.0], [2.0]], 5.0])
+    def test_obs_must_be_a_vector(self, obs):
+        # a matrix whose length matches times used to pass, then fail in default_init and suff_stat
+        times = [1.0, 2.0] if np.ndim(obs) else [1.0]
+        with pytest.raises(ValueError, match="^times and obs must be equal-length nonempty vectors$"):
+            PkIndividual(100.0, times, obs)
+
 
 class TestStructural:
     def test_zero_at_and_before_lag(self):
@@ -747,6 +754,45 @@ class TestMStep:
             assert _bits(ours.sigma2) == _bits(old.sigma2)
         assert 0 < floored < len(stats)
 
+    @pytest.mark.parametrize("variances", ["seeded", "floored"])
+    def test_trusted_build_matches_the_constructor(self, variances):
+        # every field, _diag and the per-theta preparation, against PkParams
+        # built by its constructor from the same values
+        rng, floored = named_stream(66, "test"), 0
+        for spread in (1.0, 1e-3, 0.0):
+            zs = rng.standard_normal((20, 4)) * spread * rng.random(4) + rng.standard_normal(4)
+            s = np.concatenate([zs.mean(axis=0), pk.pack_sym(zs.T @ zs / 20), [rng.random()]])
+            if variances == "floored":
+                s = s - np.concatenate([np.zeros(4), pk.pack_sym(np.diag(rng.random(4) * 1e-6)), [1.0]])
+            for stat in (s.tolist(), s):
+                ours = pk.m_step(stat)
+                built = PkParams(log_pop=s[:4], omega2=np.diag(ours._diag), sigma2=max(float(s[-1]), pk.SIGMA2_FLOOR))
+                assert ours.omega2.tobytes() == _old_m_step(s).omega2.tobytes()
+                floored += ours._diag != [s[r] - s[c] * s[c] for c, r in enumerate((4, 8, 11, 13))]
+                for a, b in ((ours.log_pop, built.log_pop), (ours.omega2, built.omega2), (ours._sds, built._sds)):
+                    assert (a.tobytes(), a.dtype, a.shape) == (b.tobytes(), b.dtype, b.shape)
+                for a, b in ((ours._diag, built._diag), (ours._prior, built._prior), ([ours.sigma2], [built.sigma2])):
+                    assert [(type(x), _bits(x)) for x in a] == [(type(x), _bits(x)) for x in b]
+                assert vars(ours).keys() == vars(built).keys()
+        assert 0 < floored < 6  # of the 3 statistics in 2 forms
+
+    @pytest.mark.parametrize("at", [0, 3, 4, 13, 14])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_statistic(self, at, value):
+        # raised as the constructor raised it, where the oracle raised at all:
+        # -inf in a variance or in s3 floors, as before
+        s = np.concatenate([[0.1, -0.2, 2.0, -2.3], pk.pack_sym(np.diag([0.3, 0.2, 0.1, 0.4])), [0.5]])
+        s[at] = value
+        try:
+            old = _old_m_step(s)
+        except ValueError:
+            with pytest.raises(ValueError, match="^log_pop, omega2 and sigma2 must be finite$"):
+                pk.m_step(s.tolist())
+        else:
+            ours = pk.m_step(s.tolist())
+            assert (ours.log_pop.tobytes(), ours.omega2.tobytes()) == (old.log_pop.tobytes(), old.omega2.tobytes())
+            assert value == -math.inf and at in (4, 13, 14)
+
     def test_diagonal_mode_drops_cross_terms(self):
         rng = named_stream(44, "test")
         zs = rng.standard_normal((50, 4))
@@ -854,6 +900,31 @@ class TestModel:
         monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m) or cholesky(m))
         table = epoch_refresh(PkModel(cohort), theta, 5, named_stream(68, "test"))
         assert len(calls) == 1 and table.entries.shape == (7, pk.STAT_DIM)
+
+    def test_one_mh_config_per_theta(self, monkeypatch):
+        # one whole pass builds the proposal scales and their checked config once, not once per patient
+        calls = []
+        monkeypatch.setattr(pk, "MhConfig", lambda *args, **kwargs: calls.append(args) or MhConfig(*args, **kwargs))
+        table = epoch_refresh(PkModel(self._small_cohort(n=7)), pk.paper_truth(), 5, named_stream(68, "test"))
+        assert len(calls) == 1 and table.entries.shape == (7, pk.STAT_DIM)
+
+    def test_config_cache_keys(self):
+        # runs sharing one theta object, by a model with other proposal
+        # constants and at another chain length, each give the bits of a run
+        # on a fresh theta
+        class WiderPk(PkModel):
+            PROPOSAL_FACTOR, MIN_PROPOSAL_SCALE = 0.7, 0.15  # the floor lifts the third scale, 0.14
+
+        cohort = self._small_cohort(n=5, seed=53)
+        gamma = StepSchedule(a=0.6)
+        shared = pk.paper_truth()
+        thetas = []
+        for model_type, mc in ((PkModel, 10), (WiderPk, 10), (PkModel, 7), (WiderPk, 7), (PkModel, 10)):
+            cfg = RunConfig(variant="SAEM", total_iters=3, seed=54, gamma=gamma, mc_samples=mc)
+            used = run(model_type(cohort), cfg, theta0=shared).thetas
+            assert used.tobytes() == run(model_type(cohort), cfg, theta0=pk.paper_truth()).thetas.tobytes()
+            thetas.append(used.tobytes())
+        assert len(shared._configs) == 4 and len(set(thetas)) == 4  # each setting samples differently
 
     def test_no_exact_expectation(self):
         # the optional parts PK lacks fail with a ConfigError naming the model, as provides() says

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -135,3 +137,78 @@ class TestMhChain:
             MhConfig(chain_len=5, proposal_scales=np.zeros(1), init=np.zeros(1))
         with pytest.raises(ValueError):
             MhConfig(chain_len=5, proposal_scales=np.ones(2), init=np.zeros(1))
+        # refused at construction, not late (a TypeError in the chain) or silently (an inf scale never moves)
+        for chain_len in (2.5, 5.0, "5", None):
+            with pytest.raises(ValueError, match=r"^chain_len must be an integer in \[1, 9223372036854775807\], got "):
+                MhConfig(chain_len=chain_len, proposal_scales=np.ones(1), init=np.zeros(1))
+        for bad in (np.inf, np.nan, -np.inf):
+            with pytest.raises(ValueError, match="finite and strictly positive"):
+                MhConfig(chain_len=5, proposal_scales=np.array([1.0, bad]), init=np.zeros(2))
+        assert MhConfig(np.int64(5), np.ones(1), np.zeros(1)).chain_len == 5  # numpy integers are integers
+
+    def test_init_overrides_the_config_start(self):
+        config = MhConfig(chain_len=40, proposal_scales=np.full(2, 0.7), init=np.zeros(2))
+        start = [0.5, -1.5]
+        moved = MhConfig(chain_len=40, proposal_scales=np.full(2, 0.7), init=np.array(start))
+        ours = mh_chain(lambda z: float(-0.5 * z @ z), config, named_stream(13, "test"), init=start)
+        assert ours.tobytes() == mh_chain(lambda z: float(-0.5 * z @ z), moved, named_stream(13, "test")).tobytes()
+        for bad in (np.zeros(3), np.zeros((2, 1)), 0.0):
+            with pytest.raises(ValueError, match="same shape"):
+                mh_chain(lambda z: 0.0, config, named_stream(13, "test"), init=bad)
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_collected_states_match_the_indexed_loop(self, seed):
+        # a target with a -inf region (auto-rejects), ordinary rejections and
+        # a NaN spot far out: kept rows, final state and errors as the loop
+        # that wrote kept[t] under enumerate gave them
+        def target(z):
+            if z[0] > 1.5:
+                return -np.inf
+            return float("nan") if z[1] < -4.0 else float(-0.5 * z @ z)
+
+        for chain_len, scale in ((300, 0.9), (2000, 2.5)):  # the longer chains reach the NaN spot
+            config = MhConfig(chain_len=chain_len, proposal_scales=np.full(2, scale), init=np.zeros(2))
+            outcomes = []
+            for chain in (mh_chain, _old_mh_chain):
+                values = []
+                try:
+                    out = chain(lambda z: values.append(target(z)) or values[-1], config,
+                                named_stream(seed, "test"), collect=True)
+                except ValueError as exc:
+                    out = str(exc)
+                outcomes.append((out, values))
+            (ours, seen), (old, old_seen) = outcomes
+            assert np.array_equal(seen, old_seen, equal_nan=True)  # the same proposals, so the same abort
+            if chain_len == 2000:
+                assert ours == old == "log_target returned NaN at a proposal"
+                continue
+            assert ours[0].tobytes() == old[0].tobytes() and ours[1].tobytes() == old[1].tobytes()
+            assert 0 < len(np.unique(old[1], axis=0)) < chain_len  # some steps rejected
+            assert np.isneginf(seen).any()  # and some of them auto-rejected
+
+
+# The chain loop as it was written with an index per step, kept verbatim as
+# the oracle of the current one.
+def _old_mh_chain(log_target, config, rng, collect=False):
+    z = config.init.copy()
+    lp = float(log_target(z))
+    if math.isnan(lp):
+        raise ValueError("log_target is NaN at the chain start")
+    if lp == -np.inf:
+        raise ValueError("log_target must be finite at the chain start")
+
+    m = config.chain_len
+    steps = rng.standard_normal((m,) + z.shape) * config.proposal_scales
+    log_u = np.log(rng.random(m)).tolist()
+
+    kept = np.empty((m,) + z.shape) if collect else None
+    for t, (step, lu) in enumerate(zip(steps, log_u)):
+        proposal = z + step
+        lp_prop = float(log_target(proposal))
+        if math.isnan(lp_prop):
+            raise ValueError("log_target returned NaN at a proposal")
+        if lu < lp_prop - lp:
+            z, lp = proposal, lp_prop
+        if collect:
+            kept[t] = z
+    return (z, kept) if collect else z
